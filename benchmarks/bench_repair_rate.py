@@ -2,8 +2,8 @@
 
 The repair subsystem's heavy workload is sampling thousands of defective
 chips and running redundancy allocation on every failing memory — pure
-CPU-bound Python, so the fan-out uses processes, unlike the thread-based
-``integrate_many``.  Per-trial seeding makes the fanned-out tallies
+CPU-bound Python, so the fan-out uses processes, like ``integrate_many``.
+Per-trial seeding makes the fanned-out tallies
 bit-identical to the serial loop (asserted below); the measured speedup
 lands in the pytest-benchmark JSON (``extra_info.mc_speedup``) and
 scales with physical cores.

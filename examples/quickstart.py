@@ -5,7 +5,7 @@
 2. **Staged** — the same flow as composable stages over a
    ``FlowContext``: run a prefix, inspect, continue.
 3. **Batch** — ``integrate_many`` pushes a design-space sweep through a
-   thread pool with per-SOC error isolation.
+   process pool with per-SOC error isolation.
 
 Run:  python examples/quickstart.py
 """

@@ -8,7 +8,7 @@ this is the command shell for the whole reproduction:
 * ``python -m repro dsc --json``     — machine-readable integration result
 * ``python -m repro dsc --verilog``  — also dump the DFT-inserted Verilog
 * ``python -m repro batch``          — integrate many SOCs concurrently
-  (``--backend serial|thread|process`` picks the executor)
+  (``--backend auto|serial|process`` picks the executor)
 * ``python -m repro march``          — list the March algorithm library
 * ``python -m repro coverage``       — March fault-coverage table
 * ``python -m repro d695 [pins]``    — schedule the ITC'02 d695 benchmark

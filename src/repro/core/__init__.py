@@ -7,9 +7,8 @@ Three API layers, thin over thick:
   ``CompileBist``, ``Schedule``, ``InsertDft``, ``TranslatePatterns``)
   as a replaceable :class:`Stage` over a :class:`FlowContext`;
 * batch — ``Steac().integrate_many(socs, workers=N, backend=...)`` fans
-  the flow out over a pluggable executor backend (serial / thread /
-  process) with per-SOC error isolation and one platform instance per
-  worker.
+  the flow out over a pluggable executor backend (serial / process)
+  with per-SOC error isolation and one platform instance per worker.
 
 Results serialize via ``IntegrationResult.to_dict()`` / ``to_json()``.
 """

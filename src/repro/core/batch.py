@@ -9,19 +9,15 @@ out over a pluggable executor backend with
   matter which worker finishes first,
 * **per-SOC error isolation** — one infeasible or malformed chip yields
   a failed :class:`BatchItem`; the rest of the batch completes, and
-* **per-worker platform instances** — every worker thread/process runs
-  its own :class:`~repro.core.steac.Steac`, so a stage that keeps
-  per-run state on ``self`` can never race across chips.
+* **per-worker platform instances** — every worker process runs its
+  own :class:`~repro.core.steac.Steac`, so a stage that keeps per-run
+  state on ``self`` can never race across chips.
 
 Backends (``backend=`` on :func:`integrate_many` / ``--backend`` on the
 CLI):
 
 ``serial``
     A plain loop in the calling thread — the reference semantics.
-``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  On GIL builds
-    the speedup for this pure-Python flow is modest (free-threaded
-    builds overlap fully).
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor` with chunked
     submission — true multi-core execution.  This became possible once
@@ -29,7 +25,7 @@ CLI):
     (:class:`repro.sched.timecalc.ScanTimeModel` replaced the old
     closure-based ``time_fn``, which pinned this module to threads).
     Under ``auto``, a pool-machinery failure — an unpicklable work item
-    or result, a crashed worker — transparently retries on the thread
+    or result, a crashed worker — transparently retries on the serial
     backend (identical deterministic results, no pickle boundary), so
     per-SOC isolation holds either way; an *explicit* ``process``
     request propagates such failures instead, keeping picklability
@@ -53,16 +49,19 @@ the worker's first chips integrate and serves every later chip whose
 core structures recur — in corpus sweeps over one profile, nearly all
 of them.  The cache needs no cross-process coordination: each worker
 warms its own copy from the chips it happens to draw.
+
+Every fan-out in the package — batches, fuzz sweeps, campaigns and the
+repair Monte-Carlo — dispatches through :class:`ChunkRunner`, directly
+or through :func:`map_backend` (its one-chunk form); it is the only
+code that builds a process pool.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -84,7 +83,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.steac import Steac, SteacConfig
 
 #: Executor backends ``integrate_many`` accepts.
-BACKENDS = ("auto", "serial", "thread", "process")
+BACKENDS = ("auto", "serial", "process")
 
 #: Target chunks-per-worker for process submission: small enough to load
 #: balance uneven chips, large enough to amortize pickling round-trips.
@@ -230,18 +229,15 @@ class BatchResult:
 # -- worker plumbing ---------------------------------------------------------
 
 
-def _integrate_item(
-    steac: "Steac", index: int, item: WorkItem, span_parent: Optional[int] = None
-) -> BatchItem:
+def _integrate_item(steac: "Steac", index: int, item: WorkItem) -> BatchItem:
     """Run one work item on one platform instance, isolating errors.
 
     When tracing is on, the item runs under a ``batch.item`` span
     carrying its batch position and — for spec work — the ``(profile,
-    seed, index)`` generation coordinates; ``span_parent`` pins the
-    batch-run span for worker threads, whose own span stacks are empty.
+    seed, index)`` generation coordinates.
     """
     sp = span(
-        "batch.item", parent=span_parent, index=index,
+        "batch.item", index=index,
         profile=getattr(item, "profile", None), seed=getattr(item, "seed", None),
     )
     name = f"soc[{index}]"
@@ -309,35 +305,25 @@ def _process_one(index: int, item: WorkItem) -> BatchItem:
     return out
 
 
-def _run_threads(
-    items: list[WorkItem],
-    config: "SteacConfig | None",
-    workers: int,
-    span_parent: Optional[int] = None,
-    progress: Optional[Callable] = None,
-) -> list[BatchItem]:
-    """Thread backend: one lazily-constructed ``Steac`` per worker thread."""
-    from repro.core.steac import Steac
-
-    local = threading.local()
-
-    def run(index: int, item: WorkItem) -> BatchItem:
-        steac = getattr(local, "steac", None)
-        if steac is None:
-            steac = local.steac = Steac(config)
-        return _integrate_item(steac, index, item, span_parent=span_parent)
-
-    return map_backend(
-        run, (range(len(items)), items), "thread", workers, progress=progress
-    )
-
-
 def auto_workers(n_items: int) -> int:
     """The default worker count for ``n_items`` units of work: one per
-    item, capped at the CPU count, never below one.  Shared by
-    :func:`integrate_many`, the fuzz sweep, and the serving layer's
-    job-executor pool."""
+    item, capped at the CPU count, never below one.  Used by
+    :func:`integrate_many` and, for an explicit ``process`` request, by
+    :func:`default_workers`."""
     return max(1, min(n_items, os.cpu_count() or 1))
+
+
+def default_workers(workers: Optional[int], backend: str, n_items: int) -> int:
+    """The worker count a fuzz sweep or a campaign runs ``n_items`` with.
+
+    An explicit ``workers`` wins (floored at one).  Otherwise an
+    explicit ``process`` request gets :func:`auto_workers` and every
+    other backend one worker, so ``auto`` resolves to serial by default
+    — safe for in-process plugin registries, whose entries never reach
+    spawned worker processes."""
+    if workers is not None:
+        return max(1, workers)
+    return auto_workers(n_items) if backend == "process" else 1
 
 
 def resolve_backend(backend: str, workers: int, n_items: int) -> str:
@@ -377,57 +363,24 @@ def map_backend(
     initargs: tuple = (),
     progress: Optional[Callable] = None,
 ) -> list:
-    """Order-preserving ``map(fn, *iterables)`` on a concrete backend.
+    """Order-preserving ``map(fn, *iterables)`` on a concrete backend —
+    one chunk through a short-lived :class:`ChunkRunner`.
 
-    The one executor dispatch shared by :func:`integrate_many` and the
-    CLI ``fuzz`` sweep — ``serial`` runs a plain loop, ``thread`` /
-    ``process`` fan out over a pool (``executor.map`` preserves input
-    order regardless of completion order).  For the process backend
-    ``fn`` must be picklable (module-level), and ``initializer`` (when
-    given) runs once per worker process; the other backends ignore it —
-    their callers do per-worker setup in ``fn`` itself.  ``progress``
-    (when given) is called with each result as it is collected — the
-    hook live job progress (:class:`repro.obs.JobProgress`) hangs off.
+    ``serial`` runs a plain loop; ``process`` fans out over a pool
+    (``executor.map`` preserves input order regardless of completion
+    order), so ``fn`` must be picklable (module-level), and
+    ``initializer`` (when given) runs once per worker process — the
+    serial loop ignores it.  ``progress`` (when given) is called with
+    each result as it is collected — the hook live job progress
+    (:class:`repro.obs.JobProgress`) hangs off.
     """
-    if backend == "process":
-        with _reap_on_interrupt(
-            ProcessPoolExecutor(
-                max_workers=workers, initializer=initializer, initargs=initargs
-            )
-        ) as pool:
-            return _drain(pool.map(fn, *iterables, chunksize=chunksize), progress)
-    if backend == "thread":
-        with _reap_on_interrupt(ThreadPoolExecutor(max_workers=workers)) as pool:
-            return _drain(pool.map(fn, *iterables), progress)
-    if backend != "serial":
-        raise ValueError(
-            f"unresolved batch backend {backend!r}; run resolve_backend() first"
-        )
-    return _drain((fn(*args) for args in zip(*iterables)), progress)
-
-
-@contextlib.contextmanager
-def _reap_on_interrupt(pool):
-    """Run ``pool`` as a context manager that stays responsive to Ctrl-C.
-
-    A bare ``with executor:`` block calls ``shutdown(wait=True)`` on the
-    way out, so a ``KeyboardInterrupt`` raised while draining results
-    *blocks* until every already-queued work item finishes — on the
-    process backend that can be minutes of orphan-looking workers after
-    the user asked to stop.  Here an interrupt (or any error) cancels
-    the queued-but-unstarted futures first, so the pool joins after at
-    most the in-flight items."""
-    try:
-        yield pool
-    except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    finally:
-        pool.shutdown(wait=True)
+    with ChunkRunner(backend, workers, initializer, initargs) as runner:
+        return runner.map(fn, iterables, chunksize=chunksize, progress=progress)
 
 
 class ChunkRunner:
-    """A persistent executor for chunked dispatch with barrier semantics.
+    """A persistent executor for chunked dispatch with barrier semantics
+    — the one place the package builds a process pool.
 
     Long campaigns (:mod:`repro.gen.campaign`) process work in chunks
     and checkpoint at every chunk boundary; recreating a process pool
@@ -438,9 +391,12 @@ class ChunkRunner:
     in input order — the caller can checkpoint the instant it returns
     and lose at most the next in-flight chunk to a crash.
 
-    Use as a context manager; on an exception (including
-    ``KeyboardInterrupt``) queued work is cancelled so pool workers are
-    reaped promptly instead of draining the backlog.
+    Use as a context manager.  A bare ``with executor:`` block would,
+    on a ``KeyboardInterrupt`` raised while draining results, *block*
+    until every already-queued item finishes — minutes of
+    orphan-looking workers after the user asked to stop.  Here an
+    exception (including ``KeyboardInterrupt``) cancels the queued work
+    first, so the pool joins after at most the in-flight items.
     """
 
     def __init__(
@@ -450,7 +406,7 @@ class ChunkRunner:
         initializer: Optional[Callable] = None,
         initargs: tuple = (),
     ):
-        if backend not in ("serial", "thread", "process"):
+        if backend not in ("serial", "process"):
             raise ValueError(
                 f"unresolved chunk backend {backend!r}; run resolve_backend() first"
             )
@@ -461,25 +417,27 @@ class ChunkRunner:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers, initializer=initializer, initargs=initargs
             )
-        elif backend == "thread":
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
 
     def map(
-        self, fn: Callable, iterables: Sequence[Iterable], progress=None
+        self,
+        fn: Callable,
+        iterables: Sequence[Iterable],
+        chunksize: int = 1,
+        progress: Optional[Callable] = None,
     ) -> list:
         """Order-preserving ``map(fn, *iterables)`` over one chunk —
         blocks until the whole chunk is collected (the checkpoint
-        barrier).  ``progress`` is called with each result as it lands,
-        exactly like :func:`map_backend`."""
+        barrier).  ``chunksize`` batches items per pool round-trip;
+        ``progress`` is called with each result as it lands."""
         if self._pool is None:
             return _drain((fn(*args) for args in zip(*iterables)), progress)
-        return _drain(self._pool.map(fn, *iterables), progress)
+        return _drain(self._pool.map(fn, *iterables, chunksize=chunksize), progress)
 
     def shutdown(self, cancel: bool = False) -> None:
         """Join the pool (``cancel=True`` drops queued-but-unstarted
-        work first — the interrupt path)."""
+        work first — the error and interrupt path)."""
         if self._pool is not None:
-            self._pool.shutdown(wait=not cancel, cancel_futures=cancel)
+            self._pool.shutdown(wait=True, cancel_futures=cancel)
 
     def __enter__(self) -> "ChunkRunner":
         return self
@@ -505,14 +463,14 @@ def integrate_many(
             its own ``Steac`` from it; the process backend requires it
             to be picklable, which the stock ``SteacConfig`` is).
         workers: worker count; default ``min(len(socs), cpu_count)``.
-        backend: ``auto`` / ``serial`` / ``thread`` / ``process``
-            (see :data:`BACKENDS`); ``auto`` picks ``serial`` for
-            trivial batches and ``process`` otherwise.  On platforms
-            whose multiprocessing start method is *spawn* (macOS,
-            Windows), the process backend — like any use of
-            ``multiprocessing`` — requires the calling script to guard
-            its entry point with ``if __name__ == "__main__":``; pass
-            ``backend="thread"`` to keep the old thread-pool behaviour.
+        backend: ``auto`` / ``serial`` / ``process`` (see
+            :data:`BACKENDS`); ``auto`` picks ``serial`` for trivial
+            batches and ``process`` otherwise.  On platforms whose
+            multiprocessing start method is *spawn* (macOS, Windows),
+            the process backend — like any use of ``multiprocessing`` —
+            requires the calling script to guard its entry point with
+            ``if __name__ == "__main__":``; pass ``backend="serial"`` to
+            run in the calling process instead.
         progress: optional :class:`repro.obs.JobProgress` (or anything
             with its ``start``/``advance`` shape) bumped once per
             finished chip — the serving layer passes the job's progress
@@ -543,9 +501,8 @@ def integrate_many(
 
     bsp = span("batch.run", backend=backend, chips=len(items))
     with bsp:
-        if not items:
-            out: list[BatchItem] = []
-        elif backend == "process":
+        out: Optional[list[BatchItem]] = None
+        if items and backend == "process":
             chunksize = max(1, len(items) // (workers * _CHUNKS_PER_WORKER))
             try:
                 out = map_backend(
@@ -563,33 +520,25 @@ def integrate_many(
                 # integration logic (per-item errors are already caught in
                 # _integrate_item): an unpicklable item/result or a crashed
                 # worker.  When the caller asked for "auto", retry on the
-                # thread backend (no pickle boundary, same deterministic
+                # serial backend (no pickle boundary, same deterministic
                 # results) to honour the per-SOC isolation promise; an
                 # *explicit* process request propagates the failure, so CI
                 # smoke runs can catch picklability regressions.
                 if requested != "auto":
                     raise
-                backend = "thread"
-                out = _run_threads(
-                    items, config, workers, span_parent=bsp.id, progress=note
-                )
+                backend = "serial"
             else:
                 # re-home worker-side span records under the batch span
                 for item in out:
                     if item.spans:
                         TRACER.adopt(item.spans, parent=bsp.id)
                     item.spans = None
-        elif backend == "thread":
-            out = _run_threads(
-                items, config, workers, span_parent=bsp.id, progress=note
-            )
-        else:  # serial: one shared Steac in the calling thread
+        if out is None:  # serial, an empty batch, or the auto fallback
             steac = Steac(config)
             out = map_backend(
                 lambda i, item: _integrate_item(steac, i, item),
                 (range(len(items)), items),
-                backend,
-                workers,
+                "serial",
                 progress=note,
             )
     return BatchResult(

@@ -161,8 +161,9 @@ class Steac:
         concurrently under this configuration.
 
         Results come back in input order with per-SOC error isolation;
-        each worker (thread or process, per ``backend``) runs its own
-        ``Steac`` built from this platform's config; see
+        each worker process (or the calling thread, on the serial
+        backend) runs its own ``Steac`` built from this platform's
+        config; see
         :func:`repro.core.batch.integrate_many` (including the
         ``progress`` live-counter hook).
         """

@@ -112,16 +112,13 @@ class CampaignConfig:
     def resolved(self) -> "CampaignConfig":
         """Pin every late-bound default (strategy list, worker count,
         backend) so the stored definition is self-contained."""
-        from repro.core.batch import auto_workers, resolve_backend
+        from repro.core.batch import default_workers, resolve_backend
         from repro.sched import available_strategies
 
         strategies = tuple(self.strategies or available_strategies())
-        if self.workers is not None:
-            workers = max(1, self.workers)
-        elif self.backend in ("thread", "process"):
-            workers = auto_workers(min(self.seeds, self.chunk_size))
-        else:
-            workers = 1
+        workers = default_workers(
+            self.workers, self.backend, min(self.seeds, self.chunk_size)
+        )
         backend = resolve_backend(self.backend, workers, self.seeds)
         return replace(self, strategies=strategies, workers=workers, backend=backend)
 
@@ -140,6 +137,15 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CampaignConfig":
+        """Read a stored definition, refusing a backend this version no
+        longer runs (``thread``, from older directories)."""
+        from repro.core.batch import BACKENDS
+
+        if doc["backend"] not in BACKENDS:
+            raise ValueError(
+                f"campaign backend {doc['backend']!r} is no longer supported "
+                f"(choose from {', '.join(BACKENDS)}); start a fresh directory"
+            )
         return cls(
             profile=doc["profile"],
             seeds=doc["seeds"],

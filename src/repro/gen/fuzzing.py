@@ -116,16 +116,15 @@ def run_fuzz(
     ``repro/fuzz-report/v2`` document (``doc["ok"]`` is the verdict;
     the CLI and the serving layer both wrap this call).
 
-    ``workers=None`` keeps an explicitly parallel backend honest (one
-    worker per seed, capped at the CPUs) and the default sweep serial —
-    serial stays safe for in-process plugin registries, whose entries
-    never reach spawned worker processes.
+    ``workers=None`` takes :func:`repro.core.batch.default_workers`:
+    one worker per seed (capped at the CPUs) for an explicit
+    ``process`` request, a serial sweep otherwise.
 
     ``progress`` is an optional :class:`repro.obs.JobProgress` bumped
     once per finished scenario (with its violation count), so a served
     fuzz job exposes live ``done/total`` while the sweep runs.
     """
-    from repro.core.batch import auto_workers, map_backend, resolve_backend
+    from repro.core.batch import default_workers, map_backend, resolve_backend
     from repro.obs import span
     from repro.sched import available_strategies
 
@@ -133,12 +132,7 @@ def run_fuzz(
         raise ValueError(f"fuzz needs at least 1 seed, got {seeds}")
     strategy_list = list(strategies or available_strategies())
     seed_list = list(range(seed_base, seed_base + seeds))
-    if workers is not None:
-        worker_count = max(1, workers)
-    elif backend in ("thread", "process"):
-        worker_count = auto_workers(len(seed_list))
-    else:
-        worker_count = 1
+    worker_count = default_workers(workers, backend, len(seed_list))
     resolved = resolve_backend(backend, worker_count, len(seed_list))
     note = None
     if progress is not None:

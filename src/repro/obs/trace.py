@@ -177,9 +177,9 @@ class Tracer:
     ) -> Union[Span, _NullSpan]:
         """A new child span (no-op while disabled).
 
-        ``parent`` pins the parent id explicitly — cross-thread callers
-        (batch worker threads) use this; same-thread callers inherit
-        the innermost open span from the stack.
+        ``parent`` pins the parent id explicitly — for a caller on
+        another thread, whose own span stack is empty; same-thread
+        callers inherit the innermost open span from the stack.
         """
         if not self._enabled:
             return _NULL_SPAN

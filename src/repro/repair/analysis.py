@@ -124,8 +124,8 @@ class AnalyzeRepair(Stage):
     Reads ``soc`` and ``config``; produces ``ctx.repair``.  A chip with
     no memories leaves the artifact None.  Runs serial inside the stage
     — pipeline-level batching (``integrate_many``) already parallelizes
-    across SOCs, and nesting process pools inside worker threads is not
-    worth the fork overhead for the default 200 trials.
+    across SOCs, and nesting process pools inside batch worker processes
+    is not worth the fork overhead for the default 200 trials.
     """
 
     name = "analyze_repair"

@@ -15,16 +15,17 @@ row/column line; line defects are what make spare allocation a real
 problem.
 
 Trials are seeded per-index, so results are bit-identical for any
-worker count, and the fan-out uses **processes** (the trial loop is
-pure CPU-bound Python).  ``benchmarks/bench_repair_rate.py`` measures
-the speedup over the serial loop.
+worker count, and the fan-out runs trial chunks on the process backend
+of :mod:`repro.core.batch` (the trial loop is pure CPU-bound Python).
+``benchmarks/bench_repair_rate.py`` measures the speedup over the
+serial loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.bist.faults import InversionCouplingFault, StuckAtFault
@@ -307,13 +308,15 @@ def estimate_repair_rate(
         seed: base seed; per-trial seeds derive from it, so results are
             reproducible and independent of ``workers``.
         workers: 0 or 1 = in-process serial loop; N>1 = that many
-            processes, trials chunked evenly.
+            processes, trials chunked evenly and merged in chunk order.
         allocator: registry name of the allocation solver.
         model: defect statistics (default :class:`DefectModel`).
         default_spares: redundancy applied to memories whose spec has
             none (None = such memories are unrepairable when they fail).
         model_rows: word-line cap for the modelled arrays.
     """
+    from repro.core.batch import map_backend
+
     if trials <= 0:
         raise ValueError(f"trial count must be positive, got {trials}")
     model = model or DefectModel()
@@ -322,27 +325,22 @@ def estimate_repair_rate(
         for spec in memories
     ]
     result = RepairRateResult(seed=seed, allocator=allocator)
-    if workers <= 1:
-        chunk = _run_trials(pairs, model, allocator, seed, 0, trials, model_rows)
-        result.merge(chunk)
-        return result
-    workers = min(workers, trials)
+    workers = max(1, min(workers, trials))
     bounds = [(trials * i) // workers for i in range(workers + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(
-                _run_trials,
-                pairs,
-                model,
-                allocator,
-                seed,
-                bounds[i],
-                bounds[i + 1] - bounds[i],
-                model_rows,
-            )
-            for i in range(workers)
-            if bounds[i + 1] > bounds[i]
-        ]
-        for future in futures:
-            result.merge(future.result())
+    chunks = map_backend(
+        _run_trials,
+        (
+            itertools.repeat(pairs),
+            itertools.repeat(model),
+            itertools.repeat(allocator),
+            itertools.repeat(seed),
+            bounds[:-1],
+            [end - start for start, end in zip(bounds, bounds[1:])],
+            itertools.repeat(model_rows),
+        ),
+        "process" if workers > 1 else "serial",
+        workers,
+    )
+    for chunk in chunks:
+        result.merge(chunk)
     return result

@@ -151,7 +151,7 @@ class JobManager:
         cache: result store (a default in-memory :class:`ResultCache`
             if omitted).
         default_backend: ``repro.core.batch`` backend for jobs that do
-            not pin one ("auto" if omitted).
+            not pin one ("auto" if omitted); an unknown name is refused.
         max_jobs: cap on the job table.  When set, *terminal* jobs
             (``done`` / ``failed``) past the cap are evicted least-
             recently-used first (a ``GET`` of a job refreshes it);
@@ -170,10 +170,17 @@ class JobManager:
         default_backend: Optional[str] = None,
         max_jobs: Optional[int] = None,
     ):
+        from repro.core.batch import BACKENDS
+
         if workers < 1:
             raise ValueError(f"job manager needs at least 1 worker, got {workers}")
         if max_jobs is not None and max_jobs < 1:
             raise ValueError(f"max_jobs must be >= 1 (or None), got {max_jobs}")
+        if default_backend not in (None, *BACKENDS):
+            raise ValueError(
+                f"unknown default backend {default_backend!r}; choose from "
+                f"{', '.join(BACKENDS)}"
+            )
         self.cache = cache if cache is not None else ResultCache()
         self.default_backend = default_backend
         self.max_jobs = max_jobs

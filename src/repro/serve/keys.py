@@ -23,6 +23,7 @@ each optionally carrying ``test_pins`` / ``power_budget`` overrides.
 
 from __future__ import annotations
 
+from repro.core.batch import BACKENDS
 from repro.soc.digest import digest_document
 
 #: Job kinds the service executes (the four platform entry points).
@@ -105,7 +106,8 @@ def normalize_payload(payload) -> tuple[dict, dict]:
     Returns ``(normalized, execution)``: the semantic job document
     (deterministic for equal work — the input to the cache key) and the
     execution parameters (``backend`` / ``workers``) kept out of it.
-    Raises :class:`JobError` on structural problems.
+    Raises :class:`JobError` on structural problems, an unknown
+    ``backend`` included.
     """
     payload = dict(_require_mapping(payload, "job payload"))
     kind = payload.pop("kind", None)
@@ -117,6 +119,11 @@ def normalize_payload(payload) -> tuple[dict, dict]:
         "backend": _take(payload, "backend", None, (str,), kind),
         "workers": _take(payload, "workers", None, (int,), kind),
     }
+    if execution["backend"] not in (None, *BACKENDS):
+        raise JobError(
+            f"{kind}.backend must be one of {', '.join(BACKENDS)}, "
+            f"got {execution['backend']!r}"
+        )
     normalized: dict = {"kind": kind}
     if kind == "integrate":
         normalized["soc"] = normalize_soc_ref(payload.pop("soc", None))

@@ -143,7 +143,7 @@ def execute(
     except (KeyError, ValueError) as exc:
         if isinstance(exc, JobError):
             raise
-        # registry lookups (unknown strategy / allocator / backend) and
+        # registry lookups (unknown strategy / allocator) and
         # model validation raise KeyError/ValueError — user input, not
         # a server fault
         raise JobError(str(exc)) from exc

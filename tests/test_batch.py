@@ -98,7 +98,7 @@ class TestStructuredResults:
         d = json.loads(batch.to_json())
         assert d == batch.to_dict()
         assert d["schema"] == "repro/batch-result/v4"
-        assert d["backend"] in {"serial", "thread", "process"}
+        assert d["backend"] in {"serial", "process"}
         assert d["ok"] is False
         assert d["items"][0]["result"]["schema"] == "repro/integration-result/v4"
         assert d["items"][1]["result"] is None

@@ -2,16 +2,17 @@
 
 The process backend only exists because ``TestTask`` / ``ScheduleResult``
 became picklable (declarative :class:`ScanTimeModel` tables instead of
-closures), so the pickle round-trips and the thread/process differential
+closures), so the pickle round-trips and the serial/process differential
 live together here.
 """
 
+import multiprocessing
 import pickle
 
 import pytest
 
 from repro.core import Steac, SteacConfig, integrate_many
-from repro.core.batch import map_backend, resolve_backend
+from repro.core.batch import ChunkRunner, map_backend, resolve_backend
 from repro.gen import ScenarioSpec, scenario_specs
 from repro.sched import ScanTimeModel, core_scan_time, schedule_sessions, tasks_from_soc
 from repro.soc.dsc import build_dsc_chip, build_usb_core
@@ -57,6 +58,11 @@ class TestScanTimeModelPickle:
         assert clone.to_dict() == result.to_dict()
 
 
+def weave(x: int, y: int) -> int:
+    """Module-level, hence picklable for the process backend."""
+    return x * 10 + y
+
+
 def normalize(doc: dict) -> dict:
     """Strip the fields that legitimately differ between backends."""
     doc = dict(doc)
@@ -74,18 +80,31 @@ class TestBackends:
         assert resolve_backend("auto", 1, 8) == "serial"
         assert resolve_backend("auto", 4, 1) == "serial"
         assert resolve_backend("auto", 4, 8) == "process"
-        assert resolve_backend("thread", 4, 8) == "thread"
-        with pytest.raises(ValueError):
-            resolve_backend("greenlet", 4, 8)
+        assert resolve_backend("process", 4, 8) == "process"
+        for gone in ("thread", "greenlet"):
+            with pytest.raises(ValueError):
+                resolve_backend(gone, 4, 8)
 
     def test_map_backend_preserves_order_and_rejects_auto(self):
-        double = lambda x, y: x * 10 + y  # noqa: E731
         args = (range(5), range(5))
-        serial = map_backend(double, args, "serial")
+        serial = map_backend(weave, args, "serial")
         assert serial == [0, 11, 22, 33, 44]
-        assert map_backend(double, args, "thread", workers=2) == serial
+        for chunksize in (1, 2):
+            assert map_backend(
+                weave, args, "process", workers=2, chunksize=chunksize
+            ) == serial
         with pytest.raises(ValueError):
-            map_backend(double, args, "auto")
+            map_backend(weave, args, "auto")
+
+    def test_chunk_runner_joins_pool_on_error(self):
+        """An exception inside the runner cancels queued work and then
+        joins: no pool worker outlives the ``with`` block."""
+        before = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError):
+            with ChunkRunner("process", workers=2) as runner:
+                assert runner.map(weave, (range(4), range(4))) == [0, 11, 22, 33]
+                raise RuntimeError("boom")
+        assert set(multiprocessing.active_children()) <= before
 
     def test_malformed_spec_fails_its_item_only(self):
         """A spec whose own name/build raises (unknown profile) must
@@ -104,7 +123,7 @@ class TestBackends:
             integrate_many([build_dsc_chip()], backend="greenlet")
 
     def test_empty_batch_every_backend(self):
-        for backend in ("auto", "serial", "thread", "process"):
+        for backend in ("auto", "serial", "process"):
             batch = integrate_many([], config=quick_config(), backend=backend)
             assert batch.ok and len(batch) == 0
             assert batch.workers >= 1
@@ -123,21 +142,22 @@ class TestBackends:
         assert [item.ok for item in batch] == [True, False]
         assert "TypeError" in batch.failures[0].error
 
-    def test_thread_and_process_results_identical(self):
+    def test_serial_and_process_results_identical(self):
         """The differential gate: same corpus, same JSON document (modulo
-        wall clock and backend tag) from the thread and process pools."""
+        wall clock and backend tag) from the serial loop and the process
+        pool."""
         specs = scenario_specs(3, profiles=("tiny",), base_seed=5)
         config = SteacConfig(compare_strategies=False, verify_schedule=True)
-        threaded = integrate_many(specs, config=config, workers=2, backend="thread")
+        serial = integrate_many(specs, config=config, workers=2, backend="serial")
         processed = integrate_many(specs, config=config, workers=2, backend="process")
-        assert threaded.backend == "thread" and processed.backend == "process"
-        assert threaded.ok and processed.ok
-        assert normalize(threaded.to_dict()) == normalize(processed.to_dict())
+        assert serial.backend == "serial" and processed.backend == "process"
+        assert serial.ok and processed.ok
+        assert normalize(serial.to_dict()) == normalize(processed.to_dict())
 
     def test_auto_backend_falls_back_on_unpicklable_items(self):
         """A work item the pool cannot pickle (here: an instance of a
         test-local class) must not sink an ``auto`` batch — it retries
-        on threads, where per-item isolation still holds — while an
+        serially, where per-item isolation still holds — while an
         *explicit* process request surfaces the pool failure (so CI
         smoke runs catch picklability regressions)."""
 
@@ -153,7 +173,7 @@ class TestBackends:
         batch = integrate_many(
             items, config=quick_config(), workers=2, backend="auto"
         )
-        assert batch.backend == "thread"  # the fallback is visible
+        assert batch.backend == "serial"  # the fallback is visible
         assert batch.ok and len(batch) == 2
         # CPython raises AttributeError ("Can't pickle local object")
         # when the pool serializes the spec
@@ -169,36 +189,6 @@ class TestBackends:
         )
         assert [item.ok for item in batch] == [True, False]
         assert batch.failures[0].index == 1
-
-    def test_thread_workers_get_distinct_steacs(self):
-        """Each thread worker must construct its own platform instance —
-        shared mutable per-run state was a silent race."""
-        import threading
-
-        from repro.core import steac as steac_mod
-
-        seen: dict[int, set[int]] = {}
-        original = steac_mod.Steac
-
-        class Recording(original):
-            def integrate(self, soc, *a, **kw):
-                seen.setdefault(threading.get_ident(), set()).add(id(self))
-                return super().integrate(soc, *a, **kw)
-
-        # integrate_many resolves Steac from repro.core.steac at call time
-        steac_mod.Steac = Recording
-        try:
-            specs = scenario_specs(4, profiles=("tiny",), base_seed=20)
-            result = integrate_many(
-                specs, config=quick_config(), workers=2, backend="thread"
-            )
-        finally:
-            steac_mod.Steac = original
-        assert result.ok
-        # one Steac per worker thread, never shared across threads
-        assert all(len(ids) == 1 for ids in seen.values())
-        all_ids = [i for ids in seen.values() for i in ids]
-        assert len(set(all_ids)) == len(seen)
 
     def test_steac_integrate_many_passes_backend(self):
         batch = Steac(quick_config()).integrate_many(

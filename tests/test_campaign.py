@@ -19,6 +19,7 @@ from repro.gen.campaign import (
     Campaign,
     CampaignConfig,
     CampaignInterrupted,
+    _config_digest,
     campaign_status,
     load_repro,
     replay_repro,
@@ -295,6 +296,23 @@ class TestResume:
         with pytest.raises(ValueError, match="exceeds"):
             resume_campaign(tmp_path / "c")
 
+    def test_process_backend_matches_serial(self, tmp_path):
+        """One persistent pool across three chunk barriers: the process
+        backend writes the serial run's report (minus its execution
+        coordinates) and a byte-identical scenario log."""
+        common = dict(profile="tiny", seeds=6, chunk_size=2,
+                      strategies=("session", "serial"))
+        serial = run_campaign(tmp_path / "serial", backend="serial", **common)
+        processed = run_campaign(tmp_path / "process", backend="process",
+                                 workers=2, **common)
+        assert processed["backend"] == "process" and processed["workers"] == 2
+        for report in (serial, processed):
+            for key in ("runtime", "backend", "workers"):
+                report.pop(key)
+        assert processed == serial
+        assert ((tmp_path / "process" / "scenarios.jsonl").read_bytes()
+                == (tmp_path / "serial" / "scenarios.jsonl").read_bytes())
+
     def test_progress_totals_grow_across_resumes(self, tmp_path):
         """A resumed campaign's JobProgress must credit checkpointed
         work: done/total spans the whole campaign, not one process."""
@@ -516,6 +534,28 @@ class TestCampaignCli:
     def test_resume_missing_dir_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["campaign", "resume", str(tmp_path / "nothing")])
+
+    def test_resume_refuses_retired_backend(self, tmp_path):
+        """A directory whose stored definition names a backend that no
+        longer exists (``thread``) is refused up front with a one-line
+        message naming the choices — not deep inside the chunk runner."""
+        d = tmp_path / "c"
+        with pytest.raises(CampaignInterrupted):
+            run_campaign(d, profile="tiny", seeds=4, chunk_size=2,
+                         strategies=["serial"], backend="serial", max_chunks=1)
+        # rewrite it as an older release stored it: definition and digest
+        doc = json.loads((d / "campaign.json").read_text())
+        doc["backend"] = "thread"
+        (d / "campaign.json").write_text(json.dumps(doc))
+        checkpoint = json.loads((d / "checkpoint.json").read_text())
+        checkpoint["config_digest"] = _config_digest(doc)
+        (d / "checkpoint.json").write_text(json.dumps(checkpoint))
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "resume", str(d)])
+        message = exc.value.code
+        assert "'thread'" in message and "auto, serial, process" in message
+        assert "\n" not in message
+        assert exc.value.__suppress_context__  # no chained traceback
 
     def test_status_missing_dir_rejected(self, tmp_path):
         """Expected errors surface as SystemExit messages, not raw

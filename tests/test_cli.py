@@ -233,22 +233,20 @@ class TestFuzzCommand:
             assert cell["total_time"] >= scenario["lower_bound"]
 
     def test_parallel_backends_match_serial(self, capsys):
-        """`fuzz --backend process/thread` must emit exactly the serial
-        report: the sweep only ships (profile, seed) coordinates.  Since
-        v2 the report records its own resolved backend/workers, so those
-        two keys (and only those) legitimately differ."""
+        """`fuzz --backend process` must emit exactly the serial report:
+        the sweep only ships (profile, seed) coordinates.  Since v2 the
+        report records its own resolved backend/workers, so those two
+        keys (and only those) legitimately differ."""
         base = ["fuzz", "--seeds", "3", "--profile", "tiny",
                 "--strategies", "session", "serial", "--json"]
         assert main(base) == 0
-        serial_doc = json.loads(capsys.readouterr().out)
-        for backend in ("thread", "process"):
-            assert main(base + ["--backend", backend, "--workers", "2"]) == 0
-            doc = json.loads(capsys.readouterr().out)
-            assert doc.pop("backend") == backend and doc.pop("workers") == 2
-            expected = dict(serial_doc)
-            assert expected.pop("backend") == "serial"
-            assert expected.pop("workers") == 1
-            assert doc == expected
+        expected = json.loads(capsys.readouterr().out)
+        assert main(base + ["--backend", "process", "--workers", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.pop("backend") == "process" and doc.pop("workers") == 2
+        assert expected.pop("backend") == "serial"
+        assert expected.pop("workers") == 1
+        assert doc == expected
 
     def test_ilp_gated_by_task_count(self, capsys):
         assert main(["fuzz", "--seeds", "2", "--profile", "small",
@@ -415,8 +413,10 @@ class TestBatchCommand:
         assert doc["backend"] == "serial"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["batch", "dsc:28", "--backend", "greenlet"])
+        for backend in ("greenlet", "thread"):
+            with pytest.raises(SystemExit) as exc:
+                main(["batch", "gen-tiny-1", "--backend", backend])
+            assert exc.value.code == 2
 
     def test_bad_generated_spec_rejected(self):
         for spec in ("gen-gigantic-3", "gen-tiny-x", "gen-tiny"):

@@ -384,11 +384,11 @@ class TestBatchTracing:
 
         return [ScenarioSpec(profile="tiny", seed=s, index=s) for s in range(n)]
 
-    def test_thread_backend_parents_items(self, traced):
+    def test_serial_backend_parents_items(self, traced):
         from repro.core import Steac
 
         batch = Steac().integrate_many(
-            self._specs(), backend="thread", workers=2
+            self._specs(), backend="serial", workers=2
         )
         assert batch.ok
         records = TRACER.records()

@@ -93,6 +93,20 @@ class TestJobLifecycle:
             assert err.value.status == 400
         assert len(server.jobs()) == before
 
+    def test_unknown_backend_is_400_even_when_cached(self, server):
+        """An unknown ``backend`` is refused at submit for every kind:
+        a batch whose result is already cached, and an integrate job,
+        which runs no fan-out at all."""
+        batch = {"kind": "batch", "socs": [{"spec": {"profile": "tiny", "seed": 3}}]}
+        assert server.wait(server.submit(batch)["id"])["status"] == "done"
+        before = len(server.jobs())
+        for payload in (dict(batch, backend="thread"), dict(TINY, backend="greenlet")):
+            with pytest.raises(ServeError) as err:
+                server.submit(payload)
+            assert err.value.status == 400
+            assert "backend must be one of auto, serial, process" in err.value.detail
+        assert len(server.jobs()) == before
+
     def test_non_json_body_is_400(self, server):
         with pytest.raises(ServeError) as err:
             server.request("POST", "/jobs", payload=None)
@@ -131,7 +145,7 @@ class TestCacheOverHttp:
         })["id"])
         hit = server.submit({
             "kind": "batch", "socs": [{"spec": {"profile": "tiny", "seed": 3}}],
-            "backend": "thread", "workers": 2,
+            "backend": "process", "workers": 2,
         })
         assert hit["cached"] is True
 
@@ -226,6 +240,10 @@ class TestManagerDirect:
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
             JobManager(workers=0)
+
+    def test_default_backend_validated(self):
+        with pytest.raises(ValueError, match="'thread'"):
+            JobManager(workers=1, default_backend="thread")
 
 
 class TestServeCli:

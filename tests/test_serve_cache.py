@@ -118,9 +118,9 @@ class TestNormalization:
     def test_execution_params_split_out(self):
         normalized, execution = normalize_payload({
             "kind": "batch", "socs": [{"name": "dsc"}],
-            "backend": "thread", "workers": 4,
+            "backend": "process", "workers": 4,
         })
-        assert execution == {"backend": "thread", "workers": 4}
+        assert execution == {"backend": "process", "workers": 4}
         assert "backend" not in json.dumps(normalized)
 
     def test_unknown_field_rejected(self):
