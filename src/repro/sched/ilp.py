@@ -40,20 +40,15 @@ def candidate_widths(task: TestTask, max_pairs: int) -> list[int]:
     """Widths worth offering the ILP.
 
     Scan time is non-increasing in width, so only the *smallest* width
-    achieving each distinct time value needs to be offered — the pruned
-    menu preserves optimality while shrinking the model.
+    achieving each distinct time value needs to be offered — the task's
+    :attr:`~repro.sched.result.TestTask.breakpoints` up to the pair
+    budget.  The pruned menu preserves optimality while shrinking the
+    model.
     """
     if not task.is_scan:
         return [0]
     cap = min(task.max_width, max_pairs)
-    pruned: list[int] = []
-    best = None
-    for w in range(1, cap + 1):
-        t = task.time(w)
-        if best is None or t < best:
-            pruned.append(w)
-            best = t
-    return pruned
+    return [w for w, _ in task.breakpoints if w <= cap]
 
 
 @dataclass

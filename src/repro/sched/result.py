@@ -10,6 +10,7 @@ control-IO needs, its power draw, and either a fixed duration
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from repro.soc.core import ControlNeeds
@@ -63,6 +64,26 @@ class TestTask:
         if self.time_fn is not None:
             return self.time_fn(min(width, self.max_width))
         return self.fixed_time
+
+    @cached_property
+    def breakpoints(self) -> tuple[tuple[int, int], ...]:
+        """``(width, time)`` at width 1 and at each wider width, up to
+        ``max_width``, where the task gets strictly shorter than at
+        every narrower width.
+
+        Each entry's successor is its *next strictly shorter width*, the
+        smallest useful widening; session width assignment and the ILP's
+        width menu read the chain instead of probing widths one by one.
+        Built once per task through :meth:`time`; ``time_fn`` and
+        ``max_width`` are never reassigned after construction, so the
+        cache cannot go stale.
+        """
+        chain = [(1, self.time(1))]
+        for width in range(2, self.max_width + 1):
+            time = self.time(width)
+            if time < chain[-1][1]:
+                chain.append((width, time))
+        return tuple(chain)
 
     @property
     def min_time(self) -> int:

@@ -11,8 +11,11 @@ budgets (Section 3).
 Algorithm: for each candidate session count ``k``, seed with a
 longest-first greedy placement, then improve with first-improvement
 local search (single-task moves and pairwise swaps).  Width assignment
-inside a session is exact given the membership: wires go to the critical
-(longest) scan task until it stops improving.
+inside a session is a deterministic function of the ordered membership
+(:func:`assign_widths`): each spare wire pair grant goes to the longest
+scan task that the spare pairs can still shorten, ties in membership
+order, and granting stops once the pairs run out or nothing can use
+them, or as soon as the longest task is saturated at its maximum width.
 
 The search is **incremental**: a candidate move touches exactly two
 sessions, so only those two memberships are re-evaluated (through a
@@ -30,6 +33,7 @@ two engines are bit-identical by construction and by test.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Optional
 
@@ -79,41 +83,50 @@ def assign_widths(tasks: list[TestTask], data_pins: int) -> Optional[dict[str, i
     """Assign TAM wire pairs to the scan tasks of one session.
 
     A width-``w`` connection costs ``2w`` data pins (w in + w out).
-    Returns task-name → width, or ``None`` if the scan tasks cannot all
-    get at least one wire pair.
+    Returns task-name → width in membership order, or ``None`` if the
+    scan tasks cannot all get at least one wire pair.
+
+    Every scan task starts at width 1.  Each grant goes to the first
+    scan task, by time at its current width descending and then
+    membership order, that the spare pairs can shorten, and moves it to
+    its next strictly shorter width (:attr:`TestTask.breakpoints`).
+    Granting stops when the spare pairs are spent or no task can use
+    them, or at once when the critical (longest) task is saturated: its
+    width has reached its ``max_width``, so the session cannot get
+    shorter.
+
+    Spare pairs only shrink, so a task they cannot shorten leaves the
+    ``(-time, index)`` heap for the rest of the call, and each grant is
+    O(log n).  A skipped task keeps its time and sorts ahead of every
+    task left in the heap, so it stays the critical task: the
+    saturation stop can only fire while nothing has been skipped.
     """
     scan_tasks = [t for t in tasks if t.is_scan]
     if not scan_tasks:
         return {}
-    pairs = data_pins // 2
-    if pairs < len(scan_tasks):
+    spare = data_pins // 2 - len(scan_tasks)
+    if spare < 0:
         return None
-    widths = {t.name: 1 for t in scan_tasks}
-    remaining = pairs - len(scan_tasks)
-    while remaining > 0:
-        # the session is as long as its slowest member: widen that one
-        order = sorted(scan_tasks, key=lambda t: -t.time(widths[t.name]))
-        granted = False
-        for task in order:
-            w = widths[task.name]
-            current = task.time(w)
-            # smallest extra wires that actually shorten this task
-            for extra in range(1, remaining + 1):
-                if w + extra > task.max_width:
-                    break
-                if task.time(w + extra) < current:
-                    widths[task.name] = w + extra
-                    remaining -= extra
-                    granted = True
-                    break
-            if granted:
-                break
-            if task is order[0] and w >= task.max_width:
-                # critical task saturated: no grant can shorten the session
-                return widths
-        if not granted:
-            break
-    return widths
+    chains = [t.breakpoints for t in scan_tasks]
+    steps = [0] * len(chains)  # each task's position on its chain
+    heap = [(-chain[0][1], i) for i, chain in enumerate(chains)]
+    heapq.heapify(heap)
+    skipped = False
+    while spare > 0 and heap:
+        i = heap[0][1]
+        chain, k = chains[i], steps[i]
+        if k + 1 < len(chain):
+            extra = chain[k + 1][0] - chain[k][0]
+            if extra <= spare:
+                spare -= extra
+                steps[i] = k + 1
+                heapq.heapreplace(heap, (-chain[k + 1][1], i))
+                continue
+        elif not skipped and chain[k][0] >= scan_tasks[i].max_width:
+            break  # the critical task is saturated
+        heapq.heappop(heap)
+        skipped = True
+    return {t.name: chain[k][0] for t, chain, k in zip(scan_tasks, chains, steps)}
 
 
 def build_session(

@@ -1,0 +1,3 @@
+"""Test oracles: retained reference implementations the differential
+tests race the shipped code against.  Kept out of the ``repro``
+package on purpose — nothing at runtime may depend on them."""

@@ -1,0 +1,125 @@
+"""Differential tests pinning the session width allocator to its oracle.
+
+``repro.sched.session.assign_widths`` hands out TAM wire pairs through a
+heap over per-task width breakpoints.  ``tests/oracles/
+assign_widths_ref.py`` keeps the original loop, which re-sorts every
+scan task on each grant and probes wider widths one at a time.  The two
+must agree on every input: the same ``None``, the same widths and the
+same key order.  The session-search differential suite cannot see an
+allocator change, because the reference search calls the same
+``assign_widths`` through ``build_session``.
+"""
+
+import itertools
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.sched import TestTask, assign_widths
+from repro.sched.timecalc import ScanTimeModel
+from repro.soc import TestKind
+
+from oracles.assign_widths_ref import assign_widths_reference
+
+COMMON = dict(
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    derandomize=True,  # tier-1 must be reproducible run to run
+)
+
+
+def table_task(name, times, max_width):
+    return TestTask(
+        name=name, core_name=name, kind=TestKind.SCAN,
+        time_fn=ScanTimeModel(core_name=name, patterns=1, times=tuple(times)),
+        max_width=max_width,
+    )
+
+
+def fixed_task(name, time):
+    return TestTask(name=name, core_name=name, kind=TestKind.FUNCTIONAL, fixed_time=time)
+
+
+def assert_same(tasks, data_pins):
+    expected = assign_widths_reference(tasks, data_pins)
+    got = assign_widths(tasks, data_pins)
+    if expected is None:
+        assert got is None
+    else:
+        assert got == expected
+        assert list(got) == list(expected), "key order drifted"
+
+
+@st.composite
+def sessions(draw):
+    """One session's members and a data-pin budget.
+
+    Scan tables are non-increasing with plateaus, their first entries
+    and drops come from small pools so tasks tie on time, and
+    ``max_width`` may fall short of the table or run past it.  Fixed-time
+    tasks are interleaved, and one task may use an ad-hoc callable.
+    """
+    tasks = []
+    for i in range(draw(st.integers(1, 8))):
+        first = draw(st.sampled_from([0, 60, 120, 240]))
+        drops = draw(st.lists(st.sampled_from([0, 0, 20, 60]), max_size=7))
+        times = list(itertools.accumulate(drops, lambda t, d: max(0, t - d), initial=first))
+        tasks.append(table_task(f"s{i}", times, draw(st.integers(0, len(times) + 3))))
+    if draw(st.booleans()):
+        base, cap = draw(st.sampled_from([120, 240])), draw(st.integers(1, 6))
+        tasks.append(TestTask(
+            name="fn", core_name="fn", kind=TestKind.SCAN,
+            time_fn=lambda w: base // min(w, cap), max_width=draw(st.integers(1, cap + 3)),
+        ))
+    for j in range(draw(st.integers(0, 3))):
+        tasks.append(fixed_task(f"f{j}", draw(st.sampled_from([0, 60, 240]))))
+    tasks = draw(st.permutations(tasks))
+    saturated = 2 * sum(max(1, t.max_width) for t in tasks if t.is_scan)
+    return tasks, draw(st.integers(0, saturated + 6))
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, **COMMON)
+    @given(session=sessions())
+    def test_generated_sessions_match(self, session):
+        assert_same(*session)
+
+    def test_zero_max_width_returns_normally(self):
+        tasks = [table_task("a", [90, 60], 0), table_task("b", [80, 40], 2)]
+        for pins in range(0, 12):
+            assert_same(tasks, pins)
+        # the saturated critical task holds everyone at one pair
+        assert assign_widths(tasks, 10) == {"a": 1, "b": 1}
+
+    def test_spare_pairs_skip_a_stuck_critical_task(self):
+        # "a" needs three more pairs to get shorter; the one spare pair
+        # goes to "b", the next task it can shorten
+        tasks = [table_task("a", [100, 100, 100, 50], 4), table_task("b", [80, 40], 2)]
+        assert assign_widths(tasks, 6) == {"a": 1, "b": 2}
+        assert_same(tasks, 6)
+
+    def test_equal_times_break_ties_in_membership_order(self):
+        a, b = table_task("a", [100, 50], 2), table_task("b", [100, 50], 2)
+        assert assign_widths([a, b], 6) == {"a": 2, "b": 1}
+        assert assign_widths([b, a], 6) == {"b": 2, "a": 1}
+
+
+class TestBreakpoints:
+    def test_plateaus_collapse_to_the_widths_that_shorten(self):
+        task = table_task("a", [100, 100, 60, 60, 60, 30], 6)
+        assert task.breakpoints == ((1, 100), (3, 60), (6, 30))
+
+    def test_bounded_by_max_width(self):
+        assert table_task("a", [100, 100, 60, 30], 3).breakpoints == ((1, 100), (3, 60))
+        assert table_task("a", [100, 60], 6).breakpoints == ((1, 100), (2, 60))
+        assert table_task("a", [100, 60], 0).breakpoints == ((1, 100),)
+
+    def test_non_monotone_callable_keeps_strict_drops_only(self):
+        times = {1: 50, 2: 70, 3: 40, 4: 40, 5: 45, 6: 10}
+        task = TestTask(name="x", core_name="x", kind=TestKind.SCAN,
+                        time_fn=times.__getitem__, max_width=6)
+        assert task.breakpoints == ((1, 50), (3, 40), (6, 10))
+
+    def test_built_once_per_task(self):
+        task = table_task("a", [100, 60], 2)
+        assert task.breakpoints is task.breakpoints

@@ -109,10 +109,23 @@ class TestGoldenAnchor:
     """Both engines must reproduce the committed d695 fixture — the
     differential pair cannot drift together unnoticed."""
 
-    def _golden_sessions(self):
+    def _golden_sessions(self, name="d695_schedule.json"):
         from pathlib import Path
-        fixture = Path(__file__).parent / "golden" / "d695_schedule.json"
+        fixture = Path(__file__).parent / "golden" / name
         return json.loads(fixture.read_text())
+
+    def test_large_chip_matches_golden(self):
+        """A generated ``large`` chip: many scan tasks per session, so
+        width assignment takes every exit (saturated critical task,
+        grants past a stuck critical task, no grant possible) on real
+        data.  Regenerate with ``schedule_sessions`` over
+        ``SocGenerator(4, "large")``'s CompileBist tasks."""
+        golden = self._golden_sessions("large_s4_schedule.json")
+        soc = SocGenerator(4, "large").generate()
+        doc = schedule_sessions(soc, tasks_for(soc)).to_dict()
+        assert soc.name == golden["soc"]
+        assert doc["total_time"] == golden["total_time"]
+        assert doc["sessions"] == golden["sessions"]
 
     def test_reference_matches_golden(self):
         golden = self._golden_sessions()
