@@ -114,7 +114,9 @@ def _schema_refs(ctx: FileContext) -> dict[str, list[tuple[str, ast.AST, int]]]:
                     break
                 stmt = anc
             shape: ast.AST = stmt if stmt is not None else node
-            name = f"<module>:{line}"
+            # no line number: the hashed dump already names the
+            # statement, and a blank line above it is not a shape change
+            name = "<module>"
         else:
             shape = fn
             name = ctx.qualname(fn)

@@ -11,7 +11,11 @@ normalized job config plus the :meth:`repro.soc.Soc.digest` of every
 chip involved, so resubmitting identical work — inline ``.soc`` text,
 generator coordinates, or a named benchmark — answers instantly from
 the :class:`ResultCache` (in-memory LRU, optional on-disk store) with
-``cached: true`` and a bit-identical document.
+``cached: true`` and a bit-identical document.  A repeated request does
+not rebuild its chips to find that key: the :class:`JobManager`
+remembers the key of every request it has addressed (keyed by the
+request's digest and the generator profiles its specs resolve to), so
+a hit costs a digest and a cache read.
 
 Everything is stdlib (``http.server``, ``json``, ``urllib``): the
 service adds no dependencies over the library it wraps.  Start one with

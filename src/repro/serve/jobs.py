@@ -9,7 +9,14 @@ A job moves through four states::
 
 plus the fast path: a submit whose content address hits the cache is
 born ``done`` with ``cached: true`` — no queue round-trip, the stored
-result text is returned verbatim.
+result text is returned verbatim.  A repeated request does not even
+build its chips: the manager remembers each successfully addressed
+request's content key (the request-key memo, keyed by the normalized
+request's digest and the generator profiles its specs resolve to), so
+a hit costs a digest and a cache read.  Chips are built — by
+:func:`repro.serve.runners.content_address` — only for a request seen
+for the first time or one whose result has left both cache tiers, and
+then the queued job carries the built work items.
 
 The worker pool is a handful of daemon threads feeding off one queue;
 each job's *internal* parallelism (batch fan-out, fuzz sweeps,
@@ -33,10 +40,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.gen import GenProfile, get_profile
 from repro.obs import METRICS, JobProgress
 from repro.serve.cache import ResultCache
-from repro.serve.keys import JobError, normalize_payload
+from repro.serve.keys import JobError, normalize_payload, soc_refs
 from repro.serve.runners import content_address, execute
+from repro.soc.digest import digest_document
 
 # v2 adds the nullable ``progress`` key (live done/total/violations for
 # batch and fuzz jobs) and derives queue/run durations from a monotonic
@@ -44,6 +53,10 @@ from repro.serve.runners import content_address, execute
 JOB_SCHEMA = "repro/serve-job/v2"
 
 JOB_STATES = ("queued", "running", "done", "failed")
+
+#: Entries in a manager's request-key memo (least recently used out
+#: first); an entry takes about 0.5 KB, so a full memo about 2 MB.
+REQUEST_KEY_CAP = 4096
 
 _SENTINEL = None
 
@@ -60,6 +73,36 @@ _M_EVICTED = METRICS.counter(
 _M_RUN_SECONDS = METRICS.histogram(
     "serve.job.run_seconds", "wall time executing one job, labelled by kind"
 )
+_M_KEY_HITS = METRICS.counter(
+    "cache.request_key.hits", "submits whose request the request-key memo remembered"
+)
+_M_KEY_MISSES = METRICS.counter(
+    "cache.request_key.misses", "submits whose request the request-key memo did not hold"
+)
+
+#: A request-key memo key: the normalized request's digest and the
+#: registered profile behind each of its ``spec`` references.
+_RequestKey = tuple[str, tuple[GenProfile, ...]]
+
+
+def _request_key(normalized: dict) -> Optional[_RequestKey]:
+    """The memo key of a normalized job, or ``None`` if a ``spec``
+    reference names an unregistered profile.
+
+    A ``spec`` names a chip only together with the profile registered
+    under its name *now* (``register_profile`` may replace it), so the
+    resolved profiles are part of the key; they are frozen, hashable
+    and compare by value.
+    """
+    try:
+        profiles = tuple(
+            get_profile(ref["spec"]["profile"])
+            for ref in soc_refs(normalized)
+            if "spec" in ref
+        )
+    except ValueError:
+        return None
+    return digest_document(normalized), profiles
 
 
 @dataclass
@@ -185,6 +228,9 @@ class JobManager:
         self.default_backend = default_backend
         self.max_jobs = max_jobs
         self._jobs: OrderedDict[str, Job] = OrderedDict()
+        # request-key memo: request key → content key, for requests
+        # content_address built successfully; least recently used first
+        self._request_keys: OrderedDict[_RequestKey, str] = OrderedDict()
         self._evicted = 0
         self._lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue()
@@ -227,6 +273,10 @@ class JobManager:
     def submit(self, payload) -> Job:
         """Validate, content-address, and enqueue one job.
 
+        A request the request-key memo remembers is looked up in the
+        result cache before anything is built; chips are built only for
+        a first-seen request or a remembered one whose result is gone.
+
         Raises :class:`JobError` for structurally invalid payloads (the
         server maps that to HTTP 400 — no job is created).  Semantic
         failures *inside* a valid payload (unparsable ``.soc`` text,
@@ -236,6 +286,7 @@ class JobManager:
         normalized, execution = normalize_payload(payload)
         if execution["backend"] is None:
             execution["backend"] = self.default_backend
+        memo_key = _request_key(normalized)
         now = time.time()  # detlint: ignore[DET002] -- submitted_at display checkpoint; durations use submitted_mono
         with self._lock:
             if self._closed:
@@ -249,19 +300,33 @@ class JobManager:
                 submitted_mono=time.monotonic(),
             )
             self._jobs[job.id] = job
+            known = self._request_keys.get(memo_key) if memo_key is not None else None
         _M_SUBMITTED.inc()
-        try:
-            job.cache_key, job.work = content_address(normalized)
-        except JobError as exc:
-            with self._lock:
-                job.status = "failed"
-                job.error = str(exc)
-                job.mark_finished()
-                self._evict_locked()
-            _M_FAILED.inc()
-            return job
-        cached = self.cache.get(job.cache_key)
+        (_M_KEY_MISSES if known is None else _M_KEY_HITS).inc()
+        cached = self.cache.get(known) if known is not None else None
+        if cached is not None:
+            job.cache_key = known
+        else:
+            # first sight, or the remembered result left both cache
+            # tiers: build the chips, so a queued job carries its work
+            try:
+                job.cache_key, job.work = content_address(normalized)
+            except JobError as exc:
+                with self._lock:
+                    job.status = "failed"
+                    job.error = str(exc)
+                    job.mark_finished()
+                    self._evict_locked()
+                _M_FAILED.inc()
+                return job
+            if job.cache_key != known:
+                cached = self.cache.get(job.cache_key)
         with self._lock:
+            if memo_key is not None:
+                self._request_keys[memo_key] = job.cache_key
+                self._request_keys.move_to_end(memo_key)
+                while len(self._request_keys) > REQUEST_KEY_CAP:
+                    self._request_keys.popitem(last=False)
             if cached is not None:
                 job.status = "done"
                 job.cached = True

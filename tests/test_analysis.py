@@ -355,6 +355,13 @@ class TestSchemaRule:
         )
         assert self._lint(tmp_path).ok
 
+    def test_line_shift_is_shape_preserving(self, tmp_path):
+        _write(tmp_path, "pkg/demo.py", SCHEMA_MOD)
+        self._lint(tmp_path, update_fingerprints=True)
+        # a blank line above the module-level constant moves it down
+        _write(tmp_path, "pkg/demo.py", "\n" + SCHEMA_MOD)
+        assert self._lint(tmp_path).ok
+
     def test_version_bump_asks_for_new_fingerprint(self, tmp_path):
         _write(tmp_path, "pkg/demo.py", SCHEMA_MOD)
         self._lint(tmp_path, update_fingerprints=True)

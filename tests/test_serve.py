@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import METRICS
 from repro.serve import (
     JOB_SCHEMA,
     JobError,
@@ -387,6 +388,160 @@ class TestJobEviction:
             thread.join(timeout=10)
 
 
+@pytest.fixture()
+def address_calls(monkeypatch):
+    """The normalized jobs ``JobManager.submit`` built chips for."""
+    from repro.serve import jobs
+
+    calls = []
+    real = jobs.content_address
+
+    def counting(normalized):
+        calls.append(normalized)
+        return real(normalized)
+
+    monkeypatch.setattr(jobs, "content_address", counting)
+    return calls
+
+
+def _settle(job, timeout: float = 60.0):
+    deadline = time.monotonic() + timeout
+    while job.status in ("queued", "running"):
+        assert time.monotonic() < deadline, f"{job.id} still {job.status}"
+        time.sleep(0.01)
+    return job
+
+
+def _memo_counts() -> tuple[float, float]:
+    return (
+        METRICS.value("cache.request_key.hits"),
+        METRICS.value("cache.request_key.misses"),
+    )
+
+
+class TestRequestKeyMemo:
+    """A repeated request is answered from the memo's content key
+    without building a chip, and never with a key the chips would not
+    give."""
+
+    def test_repeats_build_no_chip(self, address_calls):
+        hits0, misses0 = _memo_counts()
+        manager = JobManager(workers=1)
+        try:
+            first = _settle(manager.submit(TINY))
+            assert first.status == "done" and first.cached is False
+            variants = (
+                TINY,
+                dict(TINY, strategy="session"),
+                dict(TINY, backend="process", workers=2),
+            )
+            for payload in variants:
+                hit = manager.submit(payload)
+                assert hit.status == "done" and hit.cached is True
+                assert hit.cache_key == first.cache_key
+                assert hit.result_text == first.result_text
+        finally:
+            manager.close()
+        assert len(address_calls) == 1
+        hits1, misses1 = _memo_counts()
+        assert (hits1 - hits0, misses1 - misses0) == (len(variants), 1)
+
+    def test_remembered_key_without_result_rebuilds_its_work(self, address_calls):
+        hits0, _ = _memo_counts()
+        manager = JobManager(workers=1, cache=ResultCache(capacity=0))
+        try:
+            first = manager.submit(TINY)
+            again = manager.submit(TINY)
+        finally:
+            manager.close(drain=True)
+        assert _memo_counts()[0] - hits0 == 1
+        assert len(address_calls) == 2
+        assert again.work, "a queued job must carry its work items"
+        assert again.status == "done" and again.cached is False
+        assert again.cache_key == first.cache_key
+        # a second run repeats the document apart from its own timings
+        rerun, stored = (json.loads(job.result_text) for job in (again, first))
+        for doc in (rerun, stored):
+            del doc["runtime_seconds"], doc["stage_seconds"]
+        assert rerun == stored
+
+    def test_reregistered_profile_is_a_miss(self, address_calls, monkeypatch):
+        from dataclasses import replace
+
+        from repro.gen import profiles
+
+        monkeypatch.setattr(profiles, "_REGISTRY", dict(profiles._REGISTRY))
+        payload = {
+            "kind": "integrate",
+            "soc": {"spec": {"profile": "memo-guard", "seed": 1}},
+        }
+        manager = JobManager(workers=1)
+        try:
+            profiles.register_profile(
+                replace(profiles.TINY, name="memo-guard", cores=(2, 2))
+            )
+            before = _settle(manager.submit(payload))
+            profiles.register_profile(
+                replace(profiles.TINY, name="memo-guard", cores=(5, 5))
+            )
+            after = _settle(manager.submit(payload))
+        finally:
+            manager.close()
+        assert len(address_calls) == 2
+        assert after.status == "done" and after.cached is False
+        assert after.cache_key != before.cache_key
+        assert json.loads(before.result_text)["soc"]["cores"] == 2
+        assert json.loads(after.result_text)["soc"]["cores"] == 5
+
+    @pytest.mark.parametrize("payload, detail", [
+        (BAD_SOC, "unparsable soc_text"),
+        (
+            {"kind": "integrate", "soc": {"spec": {"profile": "nope", "seed": 1}}},
+            "unknown generator profile 'nope'",
+        ),
+    ])
+    def test_failed_reference_fails_every_time(self, address_calls, payload, detail):
+        _, misses0 = _memo_counts()
+        manager = JobManager(workers=1)
+        try:
+            first = manager.submit(payload)
+            second = manager.submit(payload)
+        finally:
+            manager.close()
+        assert first.status == second.status == "failed"
+        assert detail in first.error
+        assert second.error == first.error
+        assert len(address_calls) == 2
+        assert _memo_counts()[1] - misses0 == 2
+
+    def test_cap_evicts_least_recently_used(self, address_calls, monkeypatch):
+        cache = ResultCache()
+        payloads = [_tiny(seed) for seed in (21, 22, 23)]
+        warm = JobManager(workers=1, cache=cache)
+        for payload in payloads:
+            warm.submit(payload)
+        warm.close(drain=True)
+        monkeypatch.setattr("repro.serve.jobs.REQUEST_KEY_CAP", 2)
+        manager = JobManager(workers=1, cache=cache)
+        try:
+            built = len(address_calls)
+            for payload in payloads:
+                assert manager.submit(payload).cached is True
+            assert len(address_calls) == built + 3
+            assert len(manager._request_keys) == 2
+            # a hit refreshes the older remembered entry, so bringing
+            # back the pushed-out job evicts the other one
+            assert manager.submit(payloads[1]).cached is True
+            assert len(address_calls) == built + 3
+            oldest = manager.submit(payloads[0])
+            assert len(address_calls) == built + 4
+            assert oldest.status == "done" and oldest.cached is True
+            assert manager.submit(payloads[1]).cached is True
+            assert len(address_calls) == built + 4
+        finally:
+            manager.close()
+
+
 class TestObservability:
     """The /metrics exposition, live job progress, and the monotonic
     timing + torn-snapshot guarantees behind them."""
@@ -400,6 +555,7 @@ class TestObservability:
             "repro_cache_evaluator_memo_hits",
             "repro_cache_result_hits",
             "repro_cache_result_entries",
+            "repro_cache_request_key_hits",
             # ...and the scheduler counters
             "repro_sched_runs",
             "repro_sched_moves_evaluated",

@@ -15,11 +15,16 @@ just at the end:
 
 A lost update (a write outside the lock) shows up as a snapshot where
 the counters disagree or the table overshoots its cap.
+
+The request-key memo shares the same lock: submitters racing over a
+few cached jobs through a memo too small to hold them all must each get
+their own job's stored bytes, and the memo must stay within its cap.
 """
 
+import sys
 import threading
 
-from repro.serve import JobManager
+from repro.serve import Job, JobManager, ResultCache
 
 #: Unparsable soc_text → the job is born ``failed`` (terminal)
 #: synchronously inside ``submit``, so eviction pressure is immediate
@@ -101,5 +106,60 @@ class TestJobManagerStress:
 
             # the survivors are exactly the most recently touched jobs
             assert len(manager.jobs()) == final["retained"]
+        finally:
+            manager.close()
+
+
+class TestRequestKeyMemoStress:
+    def test_churning_memo_serves_each_request_its_own_bytes(self, monkeypatch):
+        payloads = [
+            {"kind": "integrate", "soc": {"spec": {"profile": "tiny", "seed": seed}}}
+            for seed in range(4)
+        ]
+        cache = ResultCache()
+        warm = JobManager(workers=1, cache=cache)
+        warmed = [warm.submit(payload) for payload in payloads]
+        warm.close(drain=True)
+        assert all(job.status == "done" for job in warmed)
+        stored = [job.result_text for job in warmed]
+
+        monkeypatch.setattr("repro.serve.jobs.REQUEST_KEY_CAP", 2)
+        manager = JobManager(workers=2, cache=cache)
+        barrier = threading.Barrier(SUBMITTERS)
+        seen: list[list[tuple[int, Job]]] = [[] for _ in range(SUBMITTERS)]
+        errors: list[BaseException] = []
+
+        def submitter(slot: int) -> None:
+            try:
+                barrier.wait()
+                for i in range(JOBS_EACH):
+                    which = (slot + i) % len(payloads)
+                    seen[slot].append((which, manager.submit(payloads[which])))
+            except BaseException as exc:  # pragma: no cover — failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=submitter, args=(i,))
+            for i in range(SUBMITTERS)
+        ]
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert len(manager._request_keys) <= 2
+
+            jobs = [pair for per_slot in seen for pair in per_slot]
+            assert len(jobs) == SUBMITTERS * JOBS_EACH
+            for which, job in jobs:
+                assert job.status == "done" and job.cached is True, job.id
+                assert job.result_text == stored[which], job.id
         finally:
             manager.close()
