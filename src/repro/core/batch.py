@@ -42,13 +42,10 @@ worker, so a generated corpus ships a few integers per chip to each
 process instead of a pickled SOC model.
 
 Workers are *warm* across chips: a pool process lives for the whole
-batch (``_init_process_worker`` builds its ``Steac`` once), so the
-process-level scan-time-table cache
-(:mod:`repro.sched.timecalc`, keyed by core structural digest) fills as
-the worker's first chips integrate and serves every later chip whose
-core structures recur — in corpus sweeps over one profile, nearly all
-of them.  The cache needs no cross-process coordination: each worker
-warms its own copy from the chips it happens to draw.
+batch (``_init_process_worker`` builds its ``Steac`` once and imports
+the platform once).  Workers share no table cache: each chip's
+scan-time tables are built in closed form
+(:mod:`repro.sched.timecalc`) and die with its cores.
 
 Every fan-out in the package — batches, fuzz sweeps, campaigns and the
 repair Monte-Carlo — dispatches through :class:`ChunkRunner`, directly
@@ -273,13 +270,8 @@ _PROCESS_STEAC: Optional["Steac"] = None
 
 
 def _init_process_worker(config: "SteacConfig | None", trace: bool = False) -> None:
-    """Process-pool initializer: one ``Steac`` per worker process.
-
-    The worker also accumulates the process-level
-    :mod:`repro.sched.timecalc` scan-time-table cache across every chip
-    it integrates — deliberately never cleared between items, so
-    recurring core structures in a corpus pay for their wrapper sweep
-    once per worker lifetime, not once per chip.  ``trace=True``
+    """Process-pool initializer: one ``Steac`` per worker process,
+    reused for every chip the worker integrates.  ``trace=True``
     (mirrored from the parent's tracer state) turns tracing on in the
     worker so per-item spans exist to ship back."""
     global _PROCESS_STEAC
@@ -384,9 +376,9 @@ class ChunkRunner:
 
     Long campaigns (:mod:`repro.gen.campaign`) process work in chunks
     and checkpoint at every chunk boundary; recreating a process pool
-    per chunk would throw away warm workers (and their scan-time-table
-    caches) hundreds of times per campaign.  A ``ChunkRunner`` owns one
-    executor for its whole lifetime and exposes :meth:`map`, which is a
+    per chunk would throw away warm workers hundreds of times per
+    campaign.  A ``ChunkRunner`` owns one executor for its whole
+    lifetime and exposes :meth:`map`, which is a
     **barrier**: it returns only when every item of the chunk is done,
     in input order — the caller can checkpoint the instant it returns
     and lose at most the next in-flight chunk to a crash.

@@ -29,8 +29,6 @@ from repro.core.results import IntegrationResult
 from repro.obs import TRACER, span, summarize
 from repro.patterns.core_patterns import CorePatternSet
 from repro.sched.ioalloc import SharingPolicy
-from repro.sched.registry import resolve_schedule
-from repro.sched.result import ScheduleResult
 from repro.soc.soc import Soc
 
 __all__ = ["IntegrationResult", "Steac", "SteacConfig"]
@@ -170,12 +168,4 @@ class Steac:
         return integrate_many(
             socs, config=self.config, workers=workers, backend=backend,
             progress=progress,
-        )
-
-    def _schedule(self, soc: Soc, tasks, strategy: str) -> ScheduleResult:
-        """Resolve ``strategy`` by name and schedule (kept for callers of
-        the pre-pipeline API)."""
-        return resolve_schedule(
-            strategy, soc, tasks, n_sessions=self.config.n_sessions,
-            policy=self.config.policy,
         )

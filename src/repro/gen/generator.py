@@ -153,8 +153,8 @@ class SocGenerator:
         IOs of *all* tests held on dedicated pins concurrently, plus the
         BIST port when memories exist, plus one TAM wire pair.  Only
         control-IO accounting matters here, so the tasks are built
-        without scan-time models (``design_wrapper`` sweeps would
-        otherwise dominate generation time).
+        without scan-time models (a chip that is never scheduled need
+        not pay for its tables).
         """
         ctrl = control_pins(tasks_from_soc(soc, time_models=False), SharingPolicy.none())
         if soc.memories:

@@ -13,9 +13,8 @@ Three small, independent pieces (see each module's docstring):
   scenarios-done/total counter behind live job progress on the serve
   layer.
 
-``repro.obs`` imports nothing from the rest of the platform (the
-scan-time-cache collector lazy-imports at scrape time), so every layer
-— pipeline, scheduler, batch, serve, CLI — can instrument itself
+``repro.obs`` imports nothing from the rest of the platform, so every
+layer — pipeline, scheduler, batch, serve, CLI — can instrument itself
 without import cycles.
 """
 

@@ -19,10 +19,9 @@ Two read paths:
 * :meth:`MetricsRegistry.value` / :meth:`snapshot` give tests and
   in-process consumers the raw numbers.
 
-Pull-model *collectors* bridge pre-existing stats sources that keep
-their own counters (the scan-time-table cache registers one below);
-callers can also pass per-render ``extra`` samples for server-scoped
-state (the serve layer's job table and result cache).
+Pull-model *collectors* bridge stats sources that keep their own
+counters; callers can also pass per-render ``extra`` samples for
+server-scoped state (the serve layer's job table and result cache).
 """
 
 from __future__ import annotations
@@ -296,21 +295,3 @@ class MetricsRegistry:
 
 #: The process-wide registry every instrumented module shares.
 METRICS = MetricsRegistry()
-
-
-def _scan_time_cache_samples() -> list[Sample]:
-    """Pull-collector for the process-level scan-time-table cache
-    (:mod:`repro.sched.timecalc` keeps its own counters; lazy import
-    keeps :mod:`repro.obs` dependency-free)."""
-    from repro.sched.timecalc import scan_time_cache_stats
-
-    stats = scan_time_cache_stats()
-    kinds = {"hits": "counter", "misses": "counter", "evictions": "counter",
-             "entries": "gauge", "capacity": "gauge"}
-    return [
-        (f"cache.scan_time.{key}", kinds[key], None, float(stats[key]))
-        for key in ("hits", "misses", "evictions", "entries", "capacity")
-    ]
-
-
-METRICS.collector(_scan_time_cache_samples)

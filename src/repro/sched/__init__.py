@@ -38,7 +38,6 @@ from repro.sched.session import (
     schedule_serial,
     schedule_sessions,
 )
-from repro.sched.session_ref import schedule_sessions_reference
 from repro.sched.tasks import scan_max_width, tasks_from_core, tasks_from_soc
 from repro.sched.timecalc import (
     FUNCTIONAL_SETUP_CYCLES,
@@ -49,7 +48,6 @@ from repro.sched.timecalc import (
     clear_scan_time_cache,
     core_scan_time,
     functional_test_time,
-    make_scan_time_fn,
     scan_test_time,
     scan_time_cache_stats,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "build_session",
     "schedule_serial",
     "schedule_sessions",
-    "schedule_sessions_reference",
     "scan_max_width",
     "tasks_from_core",
     "tasks_from_soc",
@@ -96,7 +93,6 @@ __all__ = [
     "core_scan_time",
     "scan_time_cache_stats",
     "functional_test_time",
-    "make_scan_time_fn",
     "scan_test_time",
     "FUNCTIONAL_SETUP_CYCLES",
     "SESSION_RECONFIG_CYCLES",

@@ -26,9 +26,9 @@ re-summed.  The candidate-``k`` loop and the local-search rounds are
 additionally pruned against the five-floor session lower bound
 (:func:`repro.sched.bounds.session_schedule_floor`): once the incumbent
 reaches the floor, nothing can *strictly* improve, so stopping early
-cannot change the answer.  The pre-incremental search is retained in
-:mod:`repro.sched.session_ref` as the differential-test oracle — the
-two engines are bit-identical by construction and by test.
+cannot change the answer.  The pre-incremental search is retained
+under ``tests/oracles/`` as the differential-test oracle — the two
+engines are bit-identical by construction and by test.
 """
 
 from __future__ import annotations
@@ -469,8 +469,8 @@ def schedule_sessions(
     :func:`~repro.sched.bounds.session_schedule_floor`, no remaining
     candidate can strictly improve it (ties keep the earlier candidate,
     exactly as the unpruned loop would), so the loop stops.  The result
-    is bit-identical to :func:`~repro.sched.session_ref.
-    schedule_sessions_reference`.
+    is bit-identical to the retained pre-incremental search, the test
+    oracle ``schedule_sessions_reference``.
     """
     if not tasks:
         return ScheduleResult(soc_name=soc.name, strategy="session-based",

@@ -34,8 +34,8 @@ def tasks_from_core(core: Core, time_models: bool = True) -> list[TestTask]:
     come back with no ``time_fn`` and zero duration.  That variant is
     **for control-IO/pin accounting only** (clock domains, control
     needs, port flags are all present); never schedule it.  The
-    generator's pin-floor computation uses this to avoid running
-    ``design_wrapper`` sweeps for chips it is still budgeting.
+    generator's pin-floor computation uses this to avoid building
+    tables for chips it is still budgeting.
     """
     tasks: list[TestTask] = []
     domains = tuple(d.name for d in core.clock_domains)

@@ -18,12 +18,17 @@ wrapper-programming preamble.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
+from operator import add
 
+from repro.obs import METRICS
 from repro.soc.core import Core
-from repro.wrapper.balance import design_wrapper
+from repro.wrapper.balance import (
+    design_wrapper,
+    fill_cells,
+    internal_loads,
+    wrapper_cell_counts,
+)
 from repro.wrapper.wir import WIR_BITS
 
 #: Cycles to program one wrapper's WIR (shift opcode + update + select).
@@ -51,56 +56,24 @@ def functional_test_time(patterns: int, setup: int = FUNCTIONAL_SETUP_CYCLES) ->
     return patterns + setup
 
 
-#: Cap on the process-level scan-time-table cache (distinct core
-#: structures, not chips — identical cores across a corpus share one
-#: entry, so even a 10^5-chip sweep stays far below this unless every
-#: chip's every core is structurally unique).
-SCAN_TIME_CACHE_CAP = 4096
-
-#: Process-level ``(core digest, patterns, max_width) -> ScanTimeModel``
-#: LRU.  The per-``Core``-object memo dies with the object; a generated
-#: corpus builds fresh ``Core`` instances for every chip even when the
-#: structures repeat, and a ``repro.core.batch`` worker process outlives
-#: thousands of chips — this cache makes each distinct core structure
-#: pay for its ``design_wrapper`` sweep once per process, not once per
-#: chip.
-_SCAN_TIME_CACHE: OrderedDict[tuple[str, int, int], "ScanTimeModel"] = OrderedDict()
-_SCAN_TIME_LOCK = threading.Lock()
-_SCAN_TIME_STATS = {"hits": 0, "misses": 0, "evictions": 0}
-
-
-def _core_structural_digest(core: Core) -> str:
-    """The core's content digest (cached on the object): identical
-    structures — however many times the generator rebuilds them —
-    share one key.  The canonical form includes the core name, so two
-    look-alike cores with different names never alias (a
-    :class:`ScanTimeModel` records ``core_name`` and task/result
-    equality depends on it)."""
-    digest = core.__dict__.get("_canonical_digest")
-    if digest is None:
-        from repro.soc.digest import canonical_core, digest_document
-
-        digest = core.__dict__["_canonical_digest"] = digest_document(
-            canonical_core(core)
-        )
-    return digest
+_M_TABLE_HITS = METRICS.counter(
+    "cache.scan_time.hits", "scan-time tables served from a core's memo"
+)
+_M_TABLE_MISSES = METRICS.counter(
+    "cache.scan_time.misses", "scan-time tables built"
+)
 
 
 def scan_time_cache_stats() -> dict:
-    """Counters for the process-level table cache (benchmark/test aid)."""
-    with _SCAN_TIME_LOCK:
-        return {
-            **_SCAN_TIME_STATS,
-            "entries": len(_SCAN_TIME_CACHE),
-            "capacity": SCAN_TIME_CACHE_CAP,
-        }
+    """The table memo's counters: ``hits`` (a core's memo answered) and
+    ``misses`` (a table was built)."""
+    return {"hits": int(_M_TABLE_HITS.get()), "misses": int(_M_TABLE_MISSES.get())}
 
 
 def clear_scan_time_cache() -> None:
-    """Drop every process-level table and reset the counters (tests)."""
-    with _SCAN_TIME_LOCK:
-        _SCAN_TIME_CACHE.clear()
-        _SCAN_TIME_STATS.update(hits=0, misses=0, evictions=0)
+    """Nothing to drop: every table lives in its core's memo and dies
+    with the core.  Kept because perfbench resets caches between ops
+    through this name."""
 
 
 def core_scan_time(core: Core, width: int, patterns: int | None = None) -> int:
@@ -120,8 +93,9 @@ class ScanTimeModel:
     """Declarative ``width -> cycles`` model for one core's scan test.
 
     The monotone non-increasing time table is computed **once** per
-    (core, patterns) pair — running :func:`design_wrapper` for every
-    useful width up front — and stored as a plain tuple, so the model is
+    (core, patterns) pair — the closed-form wrapper fill of
+    :mod:`repro.wrapper.balance` at every useful width up front — and
+    stored as a plain tuple, so the model is
 
     * **picklable** — tasks and schedule results built from it cross
       process boundaries (the ``repro.core.batch`` process backend),
@@ -152,17 +126,15 @@ class ScanTimeModel:
         """Precompute the table for ``core`` over widths ``1..max_width``
         (default: the core's largest useful scan width).
 
-        Tables are memoized at two levels.  A memo **on the core
-        object** (keyed by ``(patterns, max_width)``) makes repeat
-        calls for a live core free.  Behind it, a **process-level LRU**
-        keyed by the core's structural digest shares tables across
-        *distinct but identical* core objects — the common case in
-        corpus sweeps, where the generator rebuilds the same structures
-        for every chip and a batch worker process integrates thousands
-        of them.  Both levels assume the core's wrapper-relevant
-        structure (ports, chains, core type) is not mutated between
-        calls; the model itself is frozen, so sharing one instance
-        across cores and threads is safe.
+        Each width prices the plan :func:`design_wrapper` would build:
+        the same :func:`internal_loads`, and the same :func:`fill_cells`
+        pass for the wrapper cells, which are counted once per core.
+        The table is memoized **on the core object** (keyed by
+        ``(patterns, max_width)``), so repeat calls for a live core are
+        free; that memo assumes the core's wrapper-relevant structure
+        (ports, chains, core type) is not mutated between calls.
+        ``cache.scan_time.hits`` / ``.misses`` in :data:`repro.obs.METRICS`
+        count memo answers and table builds.
         """
         if patterns is None:
             patterns = core.scan_patterns
@@ -174,27 +146,17 @@ class ScanTimeModel:
         key = (patterns, max_width)
         model = cache.get(key)
         if model is not None:
+            _M_TABLE_HITS.inc()
             return model
-        shared_key = (_core_structural_digest(core), patterns, max_width)
-        with _SCAN_TIME_LOCK:
-            model = _SCAN_TIME_CACHE.get(shared_key)
-            if model is not None:
-                _SCAN_TIME_CACHE.move_to_end(shared_key)
-                _SCAN_TIME_STATS["hits"] += 1
-        if model is None:
-            times = tuple(
-                core_scan_time(core, width, patterns)
-                for width in range(1, max(1, max_width) + 1)
-            )
-            model = cls(core_name=core.name, patterns=patterns, times=times)
-            with _SCAN_TIME_LOCK:
-                _SCAN_TIME_STATS["misses"] += 1
-                _SCAN_TIME_CACHE[shared_key] = model
-                _SCAN_TIME_CACHE.move_to_end(shared_key)
-                while len(_SCAN_TIME_CACHE) > SCAN_TIME_CACHE_CAP:
-                    _SCAN_TIME_CACHE.popitem(last=False)
-                    _SCAN_TIME_STATS["evictions"] += 1
-        cache[key] = model
+        n_in_cells, n_out_cells = wrapper_cell_counts(core)
+        times = []
+        for width in range(1, max(1, max_width) + 1):
+            loads, _ = internal_loads(core, width)
+            si = max(map(add, loads, fill_cells(loads, n_in_cells)))
+            so = max(map(add, loads, fill_cells(loads, n_out_cells)))
+            times.append(scan_test_time(si, so, patterns))
+        model = cache[key] = cls(core_name=core.name, patterns=patterns, times=tuple(times))
+        _M_TABLE_MISSES.inc()
         return model
 
     @property
@@ -209,15 +171,6 @@ class ScanTimeModel:
         return self.times[min(width, len(self.times)) - 1]
 
 
-def make_scan_time_fn(core: Core, patterns: int) -> ScanTimeModel:
-    """A precomputed ``width -> cycles`` callable for a core's scan test.
-
-    Kept for API compatibility; returns a (picklable)
-    :class:`ScanTimeModel` rather than the old closure.
-    """
-    return ScanTimeModel.for_core(core, patterns)
-
-
 def best_width_time(core: Core, max_width: int, patterns: int | None = None) -> tuple[int, int]:
     """(width, cycles) minimizing scan time with width <= ``max_width``.
 
@@ -225,11 +178,10 @@ def best_width_time(core: Core, max_width: int, patterns: int | None = None) -> 
     ``max_width`` — but the function also returns the *smallest* width
     achieving that time (extra wires that buy nothing are wasted pins).
 
-    Reads the precomputed (and corpus-wide memoized)
-    :class:`ScanTimeModel` table instead of re-running
-    ``design_wrapper`` per width: the first call per core structure
-    pays for the sweep once; every later call — any ``max_width`` ≤ the
-    table, any caller — is tuple indexing.
+    Reads the :class:`ScanTimeModel` table memoized on ``core`` instead
+    of designing a wrapper per width: the first call per
+    ``(core, patterns, max_width)`` builds the table, every later one is
+    tuple indexing.
     """
     model = ScanTimeModel.for_core(core, patterns, max_width=max_width)
     best_time = model(max_width)

@@ -424,7 +424,7 @@ class JobManager:
         from repro.sched.timecalc import scan_time_cache_stats
 
         doc = {
-            "schema": "repro/serve-stats/v1",
+            "schema": "repro/serve-stats/v2",
             "uptime_seconds": round(time.monotonic() - self._started_mono, 3),
             "workers": len(self._threads),
             "default_backend": self.default_backend or "auto",

@@ -15,8 +15,13 @@ Provided algorithms:
   chain length; exponential, intended for small instances and for
   validating the heuristic in tests.
 * :func:`design_wrapper` — the full flow: internal chains (re-stitched
-  for soft cores), then wrapper input/output cells distributed to balance
-  scan-in/scan-out lengths separately.
+  for soft cores, see :func:`internal_loads`), then wrapper input/output
+  cells distributed by :func:`fill_cells` to balance scan-in/scan-out
+  lengths separately.
+
+:meth:`repro.sched.timecalc.ScanTimeModel.for_core` prices a core at
+every width from the same two helpers, so the scheduler's time tables
+and the wrapper InsertDft builds always agree.
 """
 
 from __future__ import annotations
@@ -177,43 +182,73 @@ def wrapper_cell_counts(core: Core) -> tuple[int, int]:
     return n_in, n_out
 
 
+def fill_cells(loads: list[int], cells: int) -> list[int]:
+    """Boundary cells each chain gets when ``cells`` cells go one at a
+    time to the least-loaded chain, ties to the lowest index.
+
+    That greedy water-fill has a closed form.  Sorting the ``loads``
+    gives the level ``L`` the cells fill up to: every chain below ``L``
+    is raised to it, and the ``r`` cells left over go one each to the
+    lowest-index chains at ``L``.  ``loads`` has one entry per chain.
+    """
+    levels = sorted(loads)
+    # grow the filled prefix while the cells can raise it to the next level
+    count, total = 1, levels[0]
+    while count < len(levels) and count * levels[count] - total <= cells:
+        total += levels[count]
+        count += 1
+    level, extra = divmod(total + cells, count)
+    fill = [max(0, level - load) for load in loads]
+    at_level = [i for i, load in enumerate(loads) if load <= level]
+    for i in at_level[:extra]:
+        fill[i] += 1
+    return fill
+
+
+def internal_loads(
+    core: Core, width: int, exact: bool = False
+) -> tuple[list[int], list[list[int]]]:
+    """Internal scan flops on each of ``width`` wrapper chains, and the
+    hard core's chain indices on each (empty for other cores).
+
+    A soft core is re-stitched into ``width`` balanced chains; with
+    fewer flops than wires the extra wrapper chains stay empty and carry
+    only boundary cells.  A hard core's chains are partitioned, greedily
+    or (``exact``) by branch-and-bound.
+    """
+    if core.scan_chains and not core.is_soft:
+        lengths = core.chain_lengths
+        partition = (
+            partition_optimal(lengths, width) if exact else partition_greedy(lengths, width)
+        )
+        return [sum(lengths[i] for i in items) for items in partition], partition
+    loads = rebalance_lengths(core.scan_flops, width) if core.scan_chains else []
+    return loads + [0] * (width - len(loads)), []
+
+
 def design_wrapper(core: Core, width: int, exact: bool = False) -> WrapperPlan:
     """Build a balanced wrapper plan for ``core`` with ``width`` TAM wires.
 
     Internal scan chains are re-stitched into ``width`` balanced chains
     for soft cores, or partitioned (greedy or exact) for hard cores.
     Wrapper input/output cells (one per functional input/output bit) are
-    then distributed to equalize scan-in and scan-out depths.
+    then distributed to equalize scan-in and scan-out depths: two
+    independent :func:`fill_cells` passes over the internal loads.
     """
     check_positive(width, "TAM width")
+    loads, partition = internal_loads(core, width, exact)
     n_in_cells, n_out_cells = wrapper_cell_counts(core)
-
-    chains = [WrapperChain() for _ in range(width)]
-    rebalanced = False
-    if core.scan_chains:
-        if core.is_soft:
-            new_lengths = rebalance_lengths(core.scan_flops, width)
-            for i, length in enumerate(new_lengths):
-                chains[i].internal_chains.append(f"{core.name}_rebal{i}")
-                chains[i].internal_length = length
-            rebalanced = True
-        else:
-            lengths = core.chain_lengths
-            partition = (
-                partition_optimal(lengths, width) if exact else partition_greedy(lengths, width)
-            )
-            for b, items in enumerate(partition):
-                for i in items:
-                    chains[b].internal_chains.append(core.scan_chains[i].name)
-                    chains[b].internal_length += lengths[i]
-
-    # distribute boundary cells: input cells balance scan-in depth,
-    # output cells balance scan-out depth (independent greedy passes)
-    for _ in range(n_in_cells):
-        target = min(chains, key=lambda c: c.in_length)
-        target.input_cells += 1
-    for _ in range(n_out_cells):
-        target = min(chains, key=lambda c: c.out_length)
-        target.output_cells += 1
-
+    chains = [
+        WrapperChain(internal_length=load, input_cells=n_in, output_cells=n_out)
+        for load, n_in, n_out in zip(
+            loads, fill_cells(loads, n_in_cells), fill_cells(loads, n_out_cells)
+        )
+    ]
+    rebalanced = bool(core.scan_chains) and core.is_soft
+    if rebalanced:
+        for i, chain in enumerate(chains):
+            if chain.internal_length:
+                chain.internal_chains.append(f"{core.name}_rebal{i}")
+    for chain, items in zip(chains, partition):
+        chain.internal_chains.extend(core.scan_chains[i].name for i in items)
     return WrapperPlan(core_name=core.name, width=width, chains=chains, rebalanced=rebalanced)

@@ -1,6 +1,6 @@
 """Reference session scheduler: the pre-incremental search, retained.
 
-This module preserves the original full-rematerialization search that
+This oracle preserves the original full-rematerialization search that
 :mod:`repro.sched.session` replaced with incremental delta evaluation:
 every candidate move rebuilds *all* ``k`` sessions via
 :func:`~repro.sched.session.build_session` and re-sums the makespan from

@@ -283,9 +283,12 @@ class TestMetricsRegistry:
         assert "t.c" in reg.snapshot()  # family survives
 
     def test_global_registry_has_scan_time_collector(self):
+        # importing the scheduler's time models registers the counters
+        import repro.sched.timecalc  # noqa: F401
+
         snapshot = METRICS.snapshot()
         assert "cache.scan_time.hits" in snapshot
-        assert "cache.scan_time.capacity" in snapshot
+        assert "cache.scan_time.misses" in snapshot
 
 
 class TestJobProgress:

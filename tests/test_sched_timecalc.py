@@ -7,7 +7,6 @@ from repro.sched import (
     best_width_time,
     core_scan_time,
     functional_test_time,
-    make_scan_time_fn,
     scan_max_width,
     scan_test_time,
     tasks_from_core,
@@ -106,12 +105,6 @@ class TestScanTimeModel:
         model = ScanTimeModel.for_core(build_usb_core())
         assert list(model.times) == sorted(model.times, reverse=True)
 
-    def test_make_scan_time_fn_compat_shim(self):
-        usb = build_usb_core()
-        fn = make_scan_time_fn(usb, 716)
-        assert isinstance(fn, ScanTimeModel)
-        assert fn(4) == core_scan_time(usb, 4, 716)
-
     def test_default_patterns_and_width(self):
         usb = build_usb_core()
         model = ScanTimeModel.for_core(usb)
@@ -122,13 +115,10 @@ class TestScanTimeModel:
         usb = build_usb_core()
         assert ScanTimeModel.for_core(usb, 716) is ScanTimeModel.for_core(usb, 716)
         assert ScanTimeModel.for_core(usb, 716) is not ScanTimeModel.for_core(usb, 10)
-        # a fresh but structurally identical core object shares the table
-        # via the process-level digest-keyed cache (corpus memoization)
-        assert ScanTimeModel.for_core(build_usb_core(), 716) is ScanTimeModel.for_core(usb, 716)
 
     def test_accounting_only_tasks_skip_time_models(self):
         """tasks_from_soc(time_models=False) keeps the control-IO fields
-        (same pin accounting) without any design_wrapper sweep."""
+        (same pin accounting) without building any scan-time table."""
         from repro.sched import SharingPolicy, control_pins
 
         soc = build_dsc_chip()

@@ -203,7 +203,7 @@ class TestStats:
         server.wait(server.submit(TINY)["id"])
         server.submit(TINY)  # cache hit
         stats = server.stats()
-        assert stats["schema"] == "repro/serve-stats/v1"
+        assert stats["schema"] == "repro/serve-stats/v2"
         assert stats["workers"] == 2
         assert stats["jobs"]["submitted"] >= 2
         assert stats["jobs"]["done"] >= 2
@@ -570,9 +570,7 @@ class TestObservability:
     def test_stats_carries_scan_time_cache(self, server):
         stats = server.stats()
         cache = stats["scan_time_cache"]
-        assert set(cache) == {
-            "hits", "misses", "evictions", "entries", "capacity",
-        }
+        assert set(cache) == {"hits", "misses"}
 
     def test_fuzz_job_reports_live_monotone_progress(self, server):
         job = server.submit({
