@@ -1,7 +1,9 @@
 """Gate-level Test Controller generation ("TACS Generator", Fig. 1).
 
 The paper measures its DSC controller at "about 371 gates"; experiment
-E4 compares our generated area against that.  Structure:
+E4 compares our area against that.  Integration prices the controller
+from :func:`controller_cells`, the closed-form count of the cells
+:func:`make_test_controller` places.  Structure:
 
 * a 2-bit state FSM (IDLE / CONFIG / RUN, DONE),
 * a session counter sized for the schedule,
@@ -15,15 +17,41 @@ E4 compares our generated area against that.  Structure:
 
 from __future__ import annotations
 
-from repro.netlist import Module
+from collections import Counter
+
+from repro.netlist.netlist import Module, add_tree, tree_cells
 from repro.sched.result import ScheduleResult
+
+
+def _shape(result: ScheduleResult) -> tuple[int, int, dict[str, set[int]]]:
+    """(sessions, counter bits, core → the sessions it is tested in)."""
+    n_sessions = max(1, len(result.sessions))
+    active: dict[str, set[int]] = {}
+    for session in result.sessions:
+        for test in session.tests:
+            active.setdefault(test.task.core_name, set()).add(session.index)
+    return n_sessions, max(1, (n_sessions - 1).bit_length()), active
+
+
+def controller_cells(result: ScheduleResult) -> Counter[str]:
+    """The leaf cells :func:`make_test_controller` spends on ``result``,
+    in closed form: fixed FSM and broadcast glue, five cells per counter
+    bit, 1 + n decode trees, and per core an AND2 per session + OR tree."""
+    n_sessions, s_bits, active = _shape(result)
+    cells = Counter({"INV": 5, "AND2": 11, "OR3": 4, "TIE0": 1, "DFFR": 2, "BUF": 5})
+    cells.update(dict.fromkeys(("XOR2", "AND2", "DFFR", "INV", "BUF"), s_bits))
+    for _ in range(n_sessions + 1):
+        cells.update(tree_cells(s_bits, "AND"))
+    for sessions in active.values():
+        cells["AND2"] += len(sessions)
+        cells.update(tree_cells(len(sessions), "OR"))
+    return cells
 
 
 def make_test_controller(result: ScheduleResult, name: str = "test_controller") -> Module:
     """Generate the controller netlist for a session schedule."""
-    n_sessions = max(1, len(result.sessions))
-    s_bits = max(1, (n_sessions - 1).bit_length())
-    cores = sorted({t.task.core_name for s in result.sessions for t in s.tests})
+    n_sessions, s_bits, active = _shape(result)
+    cores = sorted(active)
 
     m = Module(name)
     for port in ("tck", "trstn", "start", "next_session", "config_done"):
@@ -50,7 +78,7 @@ def make_test_controller(result: ScheduleResult, name: str = "test_controller") 
     last_literals = [
         f"n_c{b}" if (last >> b) & 1 else f"n_c{b}_n" for b in range(s_bits)
     ]
-    _tree(m, last_literals, "n_at_last", "AND", "u_last")
+    add_tree(m, last_literals, "n_at_last", "AND", "u_last")
     # transitions
     m.add_instance("u_t_start", "AND2", A="n_idle", B="start", Y="n_go")
     m.add_instance("u_t_cfg", "AND2", A="n_config", B="config_done", Y="n_to_run")
@@ -87,20 +115,16 @@ def make_test_controller(result: ScheduleResult, name: str = "test_controller") 
     # --- per-session decode -------------------------------------------------------
     for s in range(n_sessions):
         literals = [f"n_c{b}" if (s >> b) & 1 else f"n_c{b}_n" for b in range(s_bits)]
-        _tree(m, literals, m.add_net(f"n_ses{s}"), "AND", f"u_sd{s}")
+        add_tree(m, literals, m.add_net(f"n_ses{s}"), "AND", f"u_sd{s}")
 
     # --- per-core TE: OR of (session decode & run) over active sessions ---------
-    active: dict[str, list[int]] = {core: [] for core in cores}
-    for session in result.sessions:
-        for test in session.tests:
-            active[test.task.core_name].append(session.index)
     for core in cores:
         terms = []
-        for s in sorted(set(active[core])):
+        for s in sorted(active[core]):
             net = m.add_net(f"n_te_{core}_{s}")
             m.add_instance(f"u_te_{core}_{s}", "AND2", A=f"n_ses{s}", B="n_run", Y=net)
             terms.append(net)
-        _tree(m, terms, f"te_{core}", "OR", f"u_teor_{core}")
+        add_tree(m, terms, f"te_{core}", "OR", f"u_teor_{core}")
 
     # --- wrapper serial control broadcast -----------------------------------------
     m.add_instance("u_selw", "BUF", A="n_config", Y="selectwir")
@@ -108,35 +132,3 @@ def make_test_controller(result: ScheduleResult, name: str = "test_controller") 
     m.add_instance("u_cpb", "BUF", A="capturewr", Y="capture_bcast")
     m.add_instance("u_upb", "BUF", A="updatewr", Y="update_bcast")
     return m
-
-
-def _tree(m: Module, nets: list[str], out: str, kind: str, prefix: str) -> None:
-    cell2, cell3 = (("AND2", "AND3") if kind == "AND" else ("OR2", "OR3"))
-    if not nets:
-        m.add_instance(f"{prefix}_tie", "TIE0", Y=out)
-        return
-    if len(nets) == 1:
-        m.add_instance(f"{prefix}_buf", "BUF", A=nets[0], Y=out)
-        return
-    current = list(nets)
-    level = 0
-    while len(current) > 1:
-        nxt = []
-        i = 0
-        while i < len(current):
-            group = current[i : i + 3] if len(current) - i == 3 else current[i : i + 2]
-            i += len(group)
-            if len(group) == 1:
-                nxt.append(group[0])
-                continue
-            final = i >= len(current) and not nxt
-            y = out if final else m.add_net(f"{prefix}_t{level}_{len(nxt)}")
-            m.add_instance(
-                f"{prefix}_g{level}_{len(nxt)}",
-                cell3 if len(group) == 3 else cell2,
-                Y=y,
-                **dict(zip("ABC", group)),
-            )
-            nxt.append(y)
-        current = nxt
-        level += 1

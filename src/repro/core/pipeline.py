@@ -17,6 +17,9 @@ Stages mutate the context in place; each records its wall-clock time in
 — plus one ``pipeline.<stage>`` span when :mod:`repro.obs` tracing is
 enabled).  A stage only reads artifacts produced by earlier stages, so
 any prefix of the default flow is a valid flow.
+
+Test Insertion prices the DFT from cell counts; the netlist is generated
+the first time it is read (:class:`DftDesign`).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.bist.compiler import BistEngine, Brains, BrainsConfig
+from repro.controller.generator import controller_cells
 from repro.netlist import Module, Netlist, PortDir
 from repro.obs import METRICS, span
 from repro.patterns.ate import AteProgram
@@ -40,11 +44,14 @@ from repro.sched.registry import resolve_schedule
 from repro.sched.result import ScheduleResult, TestTask
 from repro.sched.session import InfeasibleScheduleError
 from repro.sched.tasks import tasks_from_soc
+from repro.soc.bits import expand_port_bits
+from repro.soc.ports import SignalKind
 from repro.soc.soc import Soc
 from repro.stil.semantics import core_from_stil
 from repro.tam.bus import TamBus, build_tam
-from repro.tam.mux import make_tam_mux
-from repro.wrapper.generator import GeneratedWrapper, generate_wrapper
+from repro.tam.mux import make_tam_mux, tam_mux_cells
+from repro.util import check_name
+from repro.wrapper.generator import SCAN_IO, GeneratedWrapper, generate_wrapper, plan_wrapper
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.repair.analysis import RepairAnalysis
@@ -59,9 +66,30 @@ _STAGE_SECONDS = METRICS.histogram(
     "pipeline.stage.seconds", "wall time per pipeline stage execution"
 )
 
+#: Chip-top nets for the wrapper control ports.
+_WRAPPER_CONTROL_NETS = {"wrck": "tck", "selectwir": "n_selectwir", "shiftwr": "n_shift",
+                         "capturewr": "n_capture", "updatewr": "n_update",
+                         "parallel_sel": "parallel_sel"}
+
+
+class DftArtifacts:
+    """A flow's DFT netlist and modules: generated on first read, ``None`` before InsertDft."""
+
+    dft: Optional["DftDesign"]
+
+    def _built(self, attr: str):
+        if self.dft is None:
+            return None
+        self.dft.build()
+        return getattr(self.dft, attr)
+
+    netlist = property(lambda self: self._built("netlist"))
+    controller_module = property(lambda self: self._built("controller_module"))
+    tam_module = property(lambda self: self._built("tam_module"))
+
 
 @dataclass
-class FlowContext:
+class FlowContext(DftArtifacts):
     """Everything a flow reads and produces, in dependency order.
 
     Inputs (caller-set): ``soc``, ``config``, ``stil_texts``,
@@ -84,9 +112,7 @@ class FlowContext:
     comparison: dict[str, Optional[int]] = field(default_factory=dict)
     wrappers: dict[str, GeneratedWrapper] = field(default_factory=dict)
     tam_bus: Optional[TamBus] = None
-    netlist: Optional[Netlist] = None
-    controller_module: Optional[Module] = None
-    tam_module: Optional[Module] = None
+    dft: Optional["DftDesign"] = None
     programs: dict[str, AteProgram] = field(default_factory=dict)
     verification: Optional["VerificationReport"] = None
     stage_seconds: dict[str, float] = field(default_factory=dict)
@@ -235,42 +261,76 @@ class Schedule(Stage):
 
 
 class InsertDft(Stage):
-    """Test Insertion: wrappers, TAM bus + mux, test controller, and the
-    stitched DFT-inserted chip top."""
+    """Test Insertion: wrappers, TAM bus + mux and test controller, priced
+    from cell counts; the chip netlist is built when read (:class:`DftDesign`)."""
 
     name = "insert_dft"
 
     def execute(self, ctx: FlowContext) -> None:
         ctx.require("schedule")
-        from repro.controller.generator import make_test_controller
+        widths = ctx.schedule.scheduled_widths()
+        wrappers: dict[str, GeneratedWrapper] = {}
+        for core in ctx.soc.wrapped_cores:
+            wrapper = plan_wrapper(core, widths.get(core.name, 1))
+            if core.name in wrappers:  # netlist module names are unique
+                raise ValueError(f"duplicate module {core.name + '_wrapper'!r}")
+            wrappers[core.name] = wrapper
+        _check_top_names(ctx.soc, wrappers)
+        ctx.wrappers.update(wrappers)
+        ctx.tam_bus = build_tam(ctx.schedule)
+        ctx.dft = DftDesign(ctx.soc, ctx.schedule, wrappers, ctx.tam_bus)
 
-        soc = ctx.soc
-        schedule = ctx.schedule
-        netlist = Netlist()
-        widths = schedule.scheduled_widths()
-        for core in soc.wrapped_cores:
-            ctx.wrappers[core.name] = generate_wrapper(
-                core, netlist, width=widths.get(core.name, 1)
-            )
-        ctx.tam_bus = build_tam(schedule)
-        ctx.tam_module = make_tam_mux(ctx.tam_bus)
-        netlist.add(ctx.tam_module)
-        ctx.controller_module = make_test_controller(schedule)
-        netlist.add(ctx.controller_module)
-        top = self._build_top(ctx, netlist)
-        netlist.top_name = top.name
-        ctx.netlist = netlist
 
-    def _build_top(self, ctx: FlowContext, netlist: Netlist) -> Module:
+def _check_top_names(soc: Soc, wrappers: dict[str, GeneratedWrapper]) -> None:
+    """Raise the :class:`ValueError` stitching the chip top would: a
+    wrapper port ``wpi<x>`` with a non-integer ``x``, or a clock domain
+    that makes an invalid ``tclk_<domain>`` pin."""
+    clock = SignalKind.CLOCK
+    for name in sorted(wrappers):
+        for port in soc.core(name).ports:
+            if port.name.startswith("wpi"):  # so does every bit of the port
+                if port.kind not in SCAN_IO:
+                    for bit in expand_port_bits(port):
+                        int(bit[3:])
+            elif port.kind is clock and port.width == 1 and port.name[:3] != "wpo":
+                check_name(f"tclk_{port.clock_domain or port.name}", "port name")
+
+
+class DftDesign:
+    """InsertDft's output: the leaf-cell counts that price each DFT block,
+    and the DFT-inserted ``netlist``, which :meth:`build` generates once,
+    in one ``insert_dft.netlist`` span, with the flow's usual generators."""
+
+    def __init__(self, soc: Soc, schedule: ScheduleResult,
+                 wrappers: dict[str, GeneratedWrapper], tam_bus: TamBus):
+        self.soc, self.schedule, self.wrappers, self.tam_bus = soc, schedule, wrappers, tam_bus
+        self.controller_cells = controller_cells(schedule)
+        self.tam_mux_cells = tam_mux_cells(tam_bus)
+        self.netlist = self.controller_module = self.tam_module = None
+        for wrapper in wrappers.values():
+            wrapper.build_netlist = self.build
+
+    def build(self) -> Netlist:
+        """Generate the DFT-inserted netlist, on the first call only."""
+        if self.netlist is None:
+            # looked up per call, so a wrapper patched onto the module attribute applies
+            from repro.controller.generator import make_test_controller
+
+            with span("insert_dft.netlist", soc=self.soc.name):
+                netlist = Netlist()
+                for core in self.soc.wrapped_cores:
+                    generate_wrapper(core, netlist, plan=self.wrappers[core.name].plan)
+                self.tam_module = netlist.add(make_tam_mux(self.tam_bus))
+                self.controller_module = netlist.add(make_test_controller(self.schedule))
+                netlist.top_name = self._build_top(netlist).name
+                self.netlist = netlist
+        return self.netlist
+
+    def _build_top(self, netlist: Netlist) -> Module:
         """Stitch the DFT-inserted chip top: wrappers (cores inside),
         serial-chained WSI/WSO, TAM pins, controller hookup."""
-        from repro.soc.ports import SignalKind
-
-        soc = ctx.soc
-        tam_bus = ctx.tam_bus
-        tam_module = ctx.tam_module
-        controller_module = ctx.controller_module
-        top = Module(f"{soc.name}_test_top")
+        tam_bus, tam_module, controller_module = self.tam_bus, self.tam_module, self.controller_module
+        top = Module(f"{self.soc.name}_test_top")
         for pin in ("tck", "trstn", "tc_start", "tc_next", "tc_config_done",
                     "shiftwr", "capturewr", "updatewr", "wsi", "parallel_sel"):
             top.add_input(pin)
@@ -289,9 +349,7 @@ class InsertDft(Stage):
             "done": "tc_done",
         }
         for port in controller_module.ports:
-            if port.name.startswith("te_"):
-                ctrl_conns[port.name] = f"n_{port.name}"
-            elif port.name.startswith("session_sel"):
+            if port.name.startswith(("te_", "session_sel")):
                 ctrl_conns[port.name] = f"n_{port.name}"
         top.add_instance("u_ctrl", controller_module.name, **ctrl_conns)
 
@@ -305,35 +363,26 @@ class InsertDft(Stage):
         mux_conns: dict[str, str] = {}
         for port in tam_module.ports:
             if port.name.startswith("sel"):
-                bit = port.name[3:]
-                mux_conns[port.name] = f"n_session_sel{bit}"
+                mux_conns[port.name] = f"n_session_sel{port.name[3:]}"
+        slot_wires: dict[tuple[str, int], int] = {}
+        for slot in reversed(tam_bus.slots):  # a core's first slot wins
+            slot_wires.update({(slot.core_name, i): wire for i, wire in enumerate(slot.wires)})
 
-        for _i, (core_name, gen) in enumerate(sorted(ctx.wrappers.items())):
-            wrapper = gen.module
-            core = soc.core(core_name)
+        for core_name in sorted(self.wrappers):
+            wrapper = netlist.module(f"{core_name}_wrapper")
+            core = self.soc.core(core_name)
             port_kind = {p.name: p for p in core.ports}
             conns: dict[str, str] = {}
             for port in wrapper.ports:
                 if port.name == "wsi":
                     conns[port.name] = serial_prev
                 elif port.name == "wso":
-                    conns[port.name] = f"n_wso_{core_name}"
-                    serial_prev = f"n_wso_{core_name}"
-                elif port.name == "wrck":
-                    conns[port.name] = "tck"
-                elif port.name == "selectwir":
-                    conns[port.name] = "n_selectwir"
-                elif port.name == "shiftwr":
-                    conns[port.name] = "n_shift"
-                elif port.name == "capturewr":
-                    conns[port.name] = "n_capture"
-                elif port.name == "updatewr":
-                    conns[port.name] = "n_update"
-                elif port.name == "parallel_sel":
-                    conns[port.name] = "parallel_sel"
+                    conns[port.name] = serial_prev = f"n_wso_{core_name}"
+                elif port.name in _WRAPPER_CONTROL_NETS:
+                    conns[port.name] = _WRAPPER_CONTROL_NETS[port.name]
                 elif port.name.startswith("wpi"):
                     local = int(port.name[3:])
-                    wire = self._slot_wire(tam_bus, core_name, local)
+                    wire = slot_wires.get((core_name, local))
                     conns[port.name] = f"tam_in{wire}" if wire is not None else f"n_nc_{core_name}_{port.name}"
                 elif port.name.startswith("wpo"):
                     pin = f"{core_name}_{port.name}"
@@ -374,13 +423,6 @@ class InsertDft(Stage):
         top.add_instance("u_wso_buf", "BUF", A=serial_prev, Y="wso")
         netlist.add(top)
         return top
-
-    @staticmethod
-    def _slot_wire(tam_bus: TamBus, core_name: str, local: int):
-        for slot in tam_bus.slots:
-            if slot.core_name == core_name and local < len(slot.wires):
-                return slot.wires[local]
-        return None
 
 
 class TranslatePatterns(Stage):

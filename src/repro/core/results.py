@@ -45,6 +45,9 @@ that ignore unknown keys keep working.
 
 All values are JSON types, so ``json.loads(r.to_json()) == r.to_dict()``
 round-trips exactly.
+
+Wrapper and ``dft_area`` gates are Σ count × library area over
+InsertDft's closed-form cell counts: the document needs no netlist.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.bist.compiler import BistEngine
-from repro.netlist import AreaReport, Module, Netlist
+from repro.core.pipeline import DftArtifacts, DftDesign
+from repro.netlist import AreaReport, cell_area
 from repro.patterns.ate import AteProgram
 from repro.sched.result import ScheduleResult
 from repro.soc.soc import Soc
@@ -74,8 +78,9 @@ BATCH_SCHEMA = "repro/batch-result/v4"
 
 
 @dataclass
-class IntegrationResult:
-    """Everything STEAC produces for one SOC."""
+class IntegrationResult(DftArtifacts):
+    """Everything STEAC produces for one SOC (the DFT netlist and its
+    modules are generated on first access, see :class:`DftDesign`)."""
 
     soc: Soc
     schedule: ScheduleResult
@@ -83,9 +88,7 @@ class IntegrationResult:
     bist_engine: Optional[BistEngine]
     wrappers: dict[str, GeneratedWrapper]
     tam_bus: TamBus
-    netlist: Netlist
-    controller_module: Module
-    tam_module: Module
+    dft: DftDesign
     programs: dict[str, AteProgram] = field(default_factory=dict)
     repair: Optional["RepairAnalysis"] = None
     verification: Optional["VerificationReport"] = None
@@ -103,9 +106,7 @@ class IntegrationResult:
             bist_engine=ctx.bist_engine,
             wrappers=ctx.wrappers,
             tam_bus=ctx.tam_bus,
-            netlist=ctx.netlist,
-            controller_module=ctx.controller_module,
-            tam_module=ctx.tam_module,
+            dft=ctx.dft,
             programs=ctx.programs,
             repair=ctx.repair,
             verification=ctx.verification,
@@ -122,10 +123,10 @@ class IntegrationResult:
         """Controller + TAM mux overhead (the paper's 0.3% figure); the
         wrapper cells are reported separately, as the paper does."""
         report = AreaReport(chip_gates=self.soc.total_gates)
-        report.add_module("Test Controller", self.controller_module, self.netlist,
-                          note="paper: ~371 gates")
-        report.add_module("TAM multiplexer", self.tam_module, self.netlist,
-                          note="paper: ~132 gates")
+        report.add("Test Controller", cell_area(self.dft.controller_cells),
+                   note="paper: ~371 gates")
+        report.add("TAM multiplexer", cell_area(self.dft.tam_mux_cells),
+                   note="paper: ~132 gates")
         if self.repair is not None:
             report.add("BISR (fuses + comparators)", self.repair.bisr_gates_total,
                        note=f"{len(self.repair.memories)} memories")
@@ -133,7 +134,7 @@ class IntegrationResult:
 
     @property
     def wrapper_area_total(self) -> float:
-        return sum(w.area(self.netlist) for w in self.wrappers.values())
+        return sum(w.area for w in self.wrappers.values())
 
     # -- machine-readable output ------------------------------------------
 
@@ -160,7 +161,7 @@ class IntegrationResult:
             "wrappers": {
                 name: {
                     "wbc_count": wrapper.wbc_count,
-                    "area_gates": round(wrapper.area(self.netlist), 1),
+                    "area_gates": round(wrapper.area, 1),
                 }
                 for name, wrapper in sorted(self.wrappers.items())
             },

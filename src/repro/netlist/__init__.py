@@ -6,7 +6,7 @@ package is the fabric it is built from.  Areas are measured in NAND2
 equivalents to match the paper's reporting style.
 """
 
-from repro.netlist.area import AreaItem, AreaReport
+from repro.netlist.area import AreaItem, AreaReport, cell_area
 from repro.netlist.cells import HIGH, LIBRARY, LOW, X, Cell, cell
 from repro.netlist.netlist import Instance, Module, ModulePort, Netlist, PortDir, flatten
 from repro.netlist.sim import CombLoopError, Simulator
@@ -15,6 +15,7 @@ from repro.netlist.verilog import library_stubs, module_to_verilog, netlist_to_v
 __all__ = [
     "AreaItem",
     "AreaReport",
+    "cell_area",
     "HIGH",
     "LIBRARY",
     "LOW",

@@ -9,9 +9,16 @@ the chip ("the Test Controller and TAM multiplexer require about 371 and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
-from repro.netlist.netlist import Module, Netlist
+from repro.netlist.cells import LIBRARY
 from repro.util import Table, format_gates
+
+
+def cell_area(cells: Mapping[str, int]) -> float:
+    """NAND2-equivalent area of a leaf-cell histogram: Σ count × the
+    cell's :data:`LIBRARY` area."""
+    return sum(n * LIBRARY[name].area for name, n in cells.items())
 
 
 @dataclass
@@ -33,10 +40,6 @@ class AreaReport:
     def add(self, name: str, gates: float, note: str = "") -> None:
         """Add a DFT block to the report."""
         self.items.append(AreaItem(name, gates, note))
-
-    def add_module(self, name: str, module: Module, netlist: Netlist | None = None, note: str = "") -> None:
-        """Add a netlist module, measuring its area."""
-        self.add(name, module.area(netlist), note)
 
     @property
     def dft_gates(self) -> float:

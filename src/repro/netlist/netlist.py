@@ -10,9 +10,11 @@ and :mod:`repro.netlist.sim` simulates it.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
+from repro.netlist.area import cell_area
 from repro.netlist.cells import LIBRARY
 from repro.util import check_name
 
@@ -92,6 +94,7 @@ class Module:
         self.ports: list[ModulePort] = []
         self.nets: set[str] = set()
         self.instances: list[Instance] = []
+        self._port_names: set[str] = set()
         self._instance_names: set[str] = set()
 
     # -- construction ------------------------------------------------------
@@ -99,9 +102,10 @@ class Module:
     def add_port(self, name: str, direction: PortDir) -> str:
         """Declare a port; the port is also a net of the same name."""
         check_name(name, "port name")
-        if any(p.name == name for p in self.ports):
+        if name in self._port_names:
             raise ValueError(f"duplicate port {name!r} on module {self.name!r}")
         self.ports.append(ModulePort(name, direction))
+        self._port_names.add(name)
         self.nets.add(name)
         return name
 
@@ -112,9 +116,10 @@ class Module:
         return self.add_port(name, PortDir.OUT)
 
     def add_net(self, name: str) -> str:
-        """Declare an internal net (idempotent)."""
-        check_name(name, "net name")
-        self.nets.add(name)
+        """Declare an internal net (idempotent; a name is checked once)."""
+        if name not in self.nets:
+            check_name(name, "net name")
+            self.nets.add(name)
         return name
 
     def add_instance(self, name: str, ref: str, **conns: str) -> Instance:
@@ -142,12 +147,6 @@ class Module:
     def output_ports(self) -> list[str]:
         return [p.name for p in self.ports if p.direction is PortDir.OUT]
 
-    def port_dir(self, name: str) -> PortDir:
-        for p in self.ports:
-            if p.name == name:
-                return p.direction
-        raise KeyError(f"module {self.name!r} has no port {name!r}")
-
     def instance(self, name: str) -> Instance:
         for inst in self.instances:
             if inst.name == name:
@@ -169,15 +168,9 @@ class Module:
         return counts
 
     def area(self, netlist: Optional[Netlist] = None) -> float:
-        """NAND2-equivalent area: Σ leaf-cell areas; hierarchical
-        instances resolve through ``netlist`` (blackboxes count 0)."""
-        total = 0.0
-        for inst in self.instances:
-            if inst.ref in LIBRARY:
-                total += LIBRARY[inst.ref].area
-            elif netlist is not None and inst.ref in netlist.modules:
-                total += netlist.module(inst.ref).area(netlist)
-        return total
+        """NAND2-equivalent area of :meth:`cell_counts` (blackboxes count 0)."""
+        counts = self.cell_counts(netlist)
+        return cell_area({cell: n for cell, n in counts.items() if cell in LIBRARY})
 
     def validate(self, netlist: Optional[Netlist] = None) -> list[str]:
         """Structural checks; returns a list of problem descriptions.
@@ -224,6 +217,41 @@ class Module:
             if port.direction is PortDir.OUT and port.name not in drivers:
                 problems.append(f"output port {port.name!r} is undriven")
         return problems
+
+
+def _tree_levels(n: int) -> Iterator[list[int]]:
+    """Gate fan-ins, level by level, of a reduction tree over ``n`` > 1
+    nets: pairs, with a triple closing each odd level."""
+    while n > 1:
+        yield [2] * (n // 2 - 1) + [2 + n % 2]
+        n //= 2
+
+
+def add_tree(m: Module, nets: list[str], out: str, kind: str, prefix: str) -> None:
+    """Reduce ``nets`` into ``out`` with a ``kind`` ("AND" or "OR") tree
+    of 2- and 3-input gates named ``{prefix}_g{level}_{index}``.  A
+    single net is buffered; no nets tie ``out`` low."""
+    if len(nets) < 2:
+        if nets:
+            m.add_instance(f"{prefix}_buf", "BUF", A=nets[0], Y=out)
+        else:
+            m.add_instance(f"{prefix}_tie", "TIE0", Y=out)
+        return
+    for level, fanins in enumerate(_tree_levels(len(nets))):
+        outs: list[str] = []
+        for i, fanin in enumerate(fanins):
+            group, nets = nets[:fanin], nets[fanin:]
+            y = out if len(fanins) == 1 else m.add_net(f"{prefix}_t{level}_{i}")
+            m.add_instance(f"{prefix}_g{level}_{i}", f"{kind}{fanin}", Y=y, **dict(zip("ABC", group)))
+            outs.append(y)
+        nets = outs
+
+
+def tree_cells(n: int, kind: str) -> Counter[str]:
+    """The leaf cells :func:`add_tree` spends on ``n`` nets."""
+    if n < 2:
+        return Counter({"BUF" if n else "TIE0": 1})
+    return Counter(f"{kind}{fanin}" for fanins in _tree_levels(n) for fanin in fanins)
 
 
 def flatten(netlist: Netlist, top_name: str | None = None) -> Module:

@@ -43,8 +43,7 @@ from repro.soc.ports import SignalKind
 from repro.soc.bits import functional_signal_order
 from repro.tam.bus import TamSlot
 from repro.wrapper.balance import WrapperPlan
-from repro.wrapper.wir import WrapperInstruction
-from repro.wrapper.wrapper import wir_shift_sequence
+from repro.wrapper.wir import WrapperInstruction, wir_shift_sequence
 
 #: Cycles the chip-level lift prepends (test-controller session config);
 #: the verifier's translation-consistency rule imports the same value.

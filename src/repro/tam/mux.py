@@ -2,8 +2,9 @@
 
 Steers the chip's TAM-out pins among the wrappers' parallel outputs
 according to the active session ("the TAM multiplexer requires about 132
-gates" — paper Section 3; ours is measured from the generated netlist in
-experiment E4).
+gates" — paper Section 3).  Integration prices it from
+:func:`tam_mux_cells`, the closed-form count of the cells
+:func:`make_tam_mux` places.
 
 Input side needs no gates: TAM-in pins fan out to all wrappers' ``wpi``
 ports, and inactive wrappers simply ignore them (their WIR holds
@@ -13,7 +14,9 @@ one-hot OR-AND network selects the active wrapper's ``wpo``.
 
 from __future__ import annotations
 
-from repro.netlist import Module
+from collections import Counter
+
+from repro.netlist.netlist import Module, add_tree, tree_cells
 from repro.tam.bus import TamBus
 
 
@@ -33,25 +36,20 @@ def make_tam_mux(bus: TamBus, name: str = "tam_mux") -> Module:
     for w in range(bus.width):
         m.add_output(f"tam_out{w}")
 
-    def minterm(session: int, out: str, tag: str) -> None:
-        literals = [
-            f"sel{b}" if (session >> b) & 1 else f"n_sel{b}_n" for b in range(sel_bits)
-        ]
-        _tree(m, literals, out, "AND", tag)
-
     session_nets: dict[int, str] = {}
     for slot in bus.slots:
         if slot.session not in session_nets:
-            net = m.add_net(f"n_ses{slot.session}")
-            minterm(slot.session, net, f"u_ses{slot.session}")
-            session_nets[slot.session] = net
+            net = session_nets[slot.session] = m.add_net(f"n_ses{slot.session}")
+            literals = [f"sel{b}" if (slot.session >> b) & 1 else f"n_sel{b}_n"
+                        for b in range(sel_bits)]
+            add_tree(m, literals, net, "AND", f"u_ses{slot.session}")
 
     sources = bus.wire_sources()
     for w in range(bus.width):
         terms = []
         for slot in sources[w]:
             local = slot.wires.index(w)
-            pin = _sanitize(f"{slot.task_name}_wpo{local}")
+            pin = f"{slot.task_name}_wpo{local}".replace(".", "_")
             if not any(p.name == pin for p in m.ports):
                 m.add_input(pin)
             net = m.add_net(f"n_w{w}_s{slot.session}")
@@ -61,40 +59,21 @@ def make_tam_mux(bus: TamBus, name: str = "tam_mux") -> Module:
             )
             terms.append(net)
         if terms:
-            _tree(m, terms, f"tam_out{w}", "OR", f"u_or_w{w}")
+            add_tree(m, terms, f"tam_out{w}", "OR", f"u_or_w{w}")
         else:
             m.add_instance(f"u_tie_w{w}", "TIE0", Y=f"tam_out{w}")
     return m
 
 
-def _sanitize(name: str) -> str:
-    return name.replace(".", "_")
-
-
-def _tree(m: Module, nets: list[str], out: str, kind: str, prefix: str) -> None:
-    cell2, cell3 = (("AND2", "AND3") if kind == "AND" else ("OR2", "OR3"))
-    if len(nets) == 1:
-        m.add_instance(f"{prefix}_buf", "BUF", A=nets[0], Y=out)
-        return
-    current = list(nets)
-    level = 0
-    while len(current) > 1:
-        nxt = []
-        i = 0
-        while i < len(current):
-            group = current[i : i + 3] if len(current) - i == 3 else current[i : i + 2]
-            i += len(group)
-            if len(group) == 1:
-                nxt.append(group[0])
-                continue
-            final = i >= len(current) and not nxt
-            y = out if final else m.add_net(f"{prefix}_t{level}_{len(nxt)}")
-            m.add_instance(
-                f"{prefix}_g{level}_{len(nxt)}",
-                cell3 if len(group) == 3 else cell2,
-                Y=y,
-                **dict(zip("ABC", group)),
-            )
-            nxt.append(y)
-        current = nxt
-        level += 1
+def tam_mux_cells(bus: TamBus) -> Counter[str]:
+    """The leaf cells :func:`make_tam_mux` spends on ``bus``, in closed
+    form: select inverters, a minterm tree per session with a slot, and
+    per TAM-out wire an AND2 per source plus their OR tree (or a TIE0)."""
+    sel_bits = max(1, (max(1, bus.sessions) - 1).bit_length())
+    cells = Counter({"INV": sel_bits})
+    for _ in range(len({slot.session for slot in bus.slots})):
+        cells.update(tree_cells(sel_bits, "AND"))
+    for slots in bus.wire_sources().values():
+        cells["AND2"] += len(slots)
+        cells.update(tree_cells(len(slots), "OR"))
+    return +cells

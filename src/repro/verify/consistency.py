@@ -30,8 +30,7 @@ from repro.sched.timecalc import scan_test_time
 from repro.soc.core import Core
 from repro.verify.report import VerificationReport
 from repro.wrapper.balance import WrapperPlan, wrapper_cell_counts
-from repro.wrapper.wir import WrapperInstruction
-from repro.wrapper.wrapper import wir_shift_sequence
+from repro.wrapper.wir import WrapperInstruction, wir_shift_sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.results import IntegrationResult

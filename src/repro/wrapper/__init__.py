@@ -2,7 +2,8 @@
 
 Implements the paper's "Wrapper Generator": wrapper boundary cells (the
 26-gate WBR cell of Section 3), wrapper-chain balancing for an assigned
-TAM width, the WIR instruction set, and full gate-level generation.
+TAM width, the WIR instruction set, closed-form wrapper pricing, and
+full gate-level generation.
 """
 
 from repro.wrapper.balance import (
@@ -20,9 +21,9 @@ from repro.wrapper.cells import (
     make_wbc_light_cell,
     make_wby_cell,
 )
-from repro.wrapper.generator import GeneratedWrapper, generate_wrapper
-from repro.wrapper.wir import WIR_AREA, WIR_BITS, WrapperInstruction, encode, make_wir
-from repro.wrapper.wrapper import CoreWrapper, wir_shift_sequence
+from repro.wrapper.generator import GeneratedWrapper, generate_wrapper, plan_wrapper, wrapper_cells
+from repro.wrapper.wir import (WIR_AREA, WIR_BITS, WrapperInstruction, encode, make_wir,
+                               wir_shift_sequence)
 
 __all__ = [
     "WrapperChain",
@@ -38,11 +39,12 @@ __all__ = [
     "make_wby_cell",
     "GeneratedWrapper",
     "generate_wrapper",
+    "plan_wrapper",
+    "wrapper_cells",
     "WIR_AREA",
     "WIR_BITS",
     "WrapperInstruction",
     "encode",
     "make_wir",
-    "CoreWrapper",
     "wir_shift_sequence",
 ]

@@ -129,11 +129,6 @@ class WrapperChain:
     def out_length(self) -> int:
         return self.internal_length + self.output_cells
 
-    @property
-    def total_cells(self) -> int:
-        """Flops on this wrapper chain (input cells + internal + output)."""
-        return self.input_cells + self.internal_length + self.output_cells
-
 
 @dataclass
 class WrapperPlan:

@@ -24,7 +24,7 @@ safe_en``.
 
 from __future__ import annotations
 
-from repro.netlist import Module
+from repro.netlist import Module, cell_area
 
 
 def make_wbc_cell(name: str = "WBC") -> Module:
@@ -82,11 +82,15 @@ def make_wby_cell(name: str = "WBY") -> Module:
     return m
 
 
+#: Leaf cells of the full WBC and of the bypass register.
+WBC_CELLS = make_wbc_cell().cell_counts()
+WBY_CELLS = make_wby_cell().cell_counts()
+
 #: Area of the full WBC in NAND2 equivalents (the paper's "26 gates").
-WBC_AREA = make_wbc_cell().area()
+WBC_AREA = cell_area(WBC_CELLS)
 
 #: Area of the light ablation cell.
 WBC_LIGHT_AREA = make_wbc_light_cell().area()
 
 #: Area of the bypass register.
-WBY_AREA = make_wby_cell().area()
+WBY_AREA = cell_area(WBY_CELLS)

@@ -1,10 +1,11 @@
-"""Gate-level wrapper generation ("Wrapper Generator" in paper Fig. 1).
+"""Wrapper generation ("Wrapper Generator" in paper Fig. 1).
 
-Builds a wrapper module around a core: WBC cells on every functional IO
-bit, wrapper chains per the balance plan, a WIR, a WBY, and the serial /
-parallel access plumbing.  The core itself is instantiated by reference —
-a blackbox for real IPs, or a real module (for simulation-based
-verification in the tests).
+Integration prices a wrapper without gates (:func:`plan_wrapper`,
+:func:`wrapper_cells`).  :func:`generate_wrapper` builds the module
+around a core: WBC cells on every functional IO bit, wrapper chains per
+the balance plan, a WIR, a WBY, and the serial / parallel plumbing.
+The core itself is instantiated by reference — a blackbox for real IPs,
+or a real module (for simulation-based verification in the tests).
 
 Wrapper ports:
 
@@ -18,40 +19,95 @@ Wrapper ports:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
-from repro.netlist import Module, Netlist
+from repro.netlist import Module, Netlist, cell_area
 from repro.soc.core import Core
 from repro.soc.ports import Direction, SignalKind
 from repro.soc.bits import expand_port_bits
 from repro.wrapper.balance import WrapperPlan, design_wrapper
-from repro.wrapper.cells import make_wbc_cell, make_wby_cell
-from repro.wrapper.wir import WrapperInstruction, make_wir
+from repro.wrapper.cells import WBC_CELLS, WBY_CELLS, make_wbc_cell, make_wby_cell
+from repro.wrapper.wir import WIR_CELLS, WrapperInstruction, make_wir
+
+#: The serial-interface inputs every wrapper declares first.
+SERIAL_PORTS = ("wsi", "wrck", "selectwir", "shiftwr", "capturewr", "updatewr")
+#: Core port kinds that stay inside the wrapper, as nets.
+SCAN_IO = (SignalKind.SCAN_IN, SignalKind.SCAN_OUT)
 
 
 @dataclass
 class GeneratedWrapper:
-    """Result of :func:`generate_wrapper`."""
+    """A wrapped core: its balance plan and the leaf cells its wrapper
+    spends, core excluded.  A planned wrapper's ``module`` is taken, on
+    first access, from the DFT netlist ``build_netlist`` generates."""
 
-    module: Module
     plan: WrapperPlan
-    wbc_count: int
+    cells: Counter[str]
+    build_netlist: Optional[Callable[[], Netlist]] = field(default=None, repr=False, compare=False)
+    _module: Optional[Module] = field(default=None, repr=False, compare=False)
 
-    def area(self, netlist: Netlist) -> float:
+    @property
+    def wbc_count(self) -> int:
+        return self.plan.boundary_cells
+
+    @property
+    def area(self) -> float:
         """Wrapper area excluding the wrapped core itself."""
-        core_refs = {self.plan.core_name}
-        total = 0.0
-        for inst in self.module.instances:
-            if inst.ref in core_refs:
-                continue
-            if inst.ref in netlist.modules:
-                total += netlist.module(inst.ref).area(netlist)
-            else:
-                from repro.netlist.cells import LIBRARY
+        return cell_area(self.cells)
 
-                if inst.ref in LIBRARY:
-                    total += LIBRARY[inst.ref].area
-        return total
+    @property
+    def module(self) -> Module:
+        if self._module is None and self.build_netlist is not None:
+            self._module = self.build_netlist().module(f"{self.plan.core_name}_wrapper")
+        return self._module
+
+
+def wrapper_cells(plan: WrapperPlan) -> Counter[str]:
+    """The leaf cells :func:`generate_wrapper` spends on ``plan``, core
+    excluded: a WBC per boundary bit, the WIR, the WBY, fixed glue, a MUX2
+    and two BUFs per wrapper chain, a scan-in BUF per internal chain."""
+    n_chains = len(plan.chains)
+    cells = Counter(WIR_CELLS) + Counter(WBY_CELLS)
+    for cell, n in WBC_CELLS.items():
+        cells[cell] += n * plan.boundary_cells
+    scan_in_bufs = sum(len(chain.internal_chains) for chain in plan.chains)
+    cells.update({"OR2": 2, "INV": 1, "AND2": 3, "MUX2": 2 + n_chains,
+                  "BUF": 1 + 2 * n_chains + scan_in_bufs})
+    return +cells
+
+
+def _check_unique(names: list[str], message: str, module: str) -> None:
+    if len(set(names)) < len(names):
+        seen: set[str] = set()
+        for name in names:  # report the first repeat, as the build would
+            if name in seen:
+                raise ValueError(message.format(name, module))
+            seen.add(name)
+
+
+def plan_wrapper(core: Core, width: int = 1) -> GeneratedWrapper:
+    """Plan ``core``'s wrapper at ``width`` TAM wires without building it,
+    raising the :class:`ValueError` :func:`generate_wrapper` would for a
+    port bit that repeats or collides with a wrapper port (``wsi``,
+    ``wpo0``, …) or a repeated instance name (a hard core's chain name)."""
+    plan = design_wrapper(core, width)
+    module = f"{core.name}_wrapper"
+    bits = [bit for p in core.ports if p.kind not in SCAN_IO for bit in expand_port_bits(p)]
+    _check_unique([*SERIAL_PORTS, "wso", *(f"wp{io}{k}" for k in range(plan.width) for io in "io"),
+                   "parallel_sel", *bits], "duplicate port {!r} on module {!r}", module)
+    if core.scan_chains and not plan.rebalanced:
+        # the instance names a hard core supplies, in build order
+        functional = [p for p in core.ports if p.kind is SignalKind.FUNCTIONAL]
+        ins = iter([b for p in functional if p.is_input for b in expand_port_bits(p)])
+        outs = iter([b for p in functional if not p.is_input for b in expand_port_bits(p)])
+        _check_unique([name for chain in plan.chains for name in (
+            *(f"u_wbc_{next(ins)}" for _ in range(chain.input_cells)),
+            *(f"u_{c}_si" for c in chain.internal_chains),
+            *(f"u_wbc_{next(outs)}" for _ in range(chain.output_cells)),
+        )], "duplicate instance {!r} in module {!r}", module)
+    return GeneratedWrapper(plan, wrapper_cells(plan))
 
 
 def generate_wrapper(
@@ -73,8 +129,7 @@ def generate_wrapper(
 
     m = Module(f"{core.name}_wrapper")
     # -- ports ---------------------------------------------------------------
-    serial_ports = ("wsi", "wrck", "selectwir", "shiftwr", "capturewr", "updatewr")
-    for port in serial_ports:
+    for port in SERIAL_PORTS:
         m.add_input(port)
     m.add_output("wso")
     for k in range(plan.width):
@@ -96,7 +151,7 @@ def generate_wrapper(
                 for bit in bits:
                     m.add_output(bit)
                     out_bits.append(bit)
-        elif port.kind in (SignalKind.SCAN_IN, SignalKind.SCAN_OUT):
+        elif port.kind in SCAN_IO:
             # internal scan IO stays inside the wrapper (net per bit)
             for bit in bits:
                 m.add_net(f"n_core_{bit}")
@@ -143,7 +198,6 @@ def generate_wrapper(
     out_iter = iter(out_bits)
     serial_prev = "wsi"
     chain_tails: list[str] = []
-    wbc_count = 0
     for k, chain in enumerate(plan.chains):
         head = m.add_net(f"n_ch{k}_head")
         m.add_instance(
@@ -165,7 +219,6 @@ def generate_wrapper(
             )
             core_conns[bit] = f"n_core_{bit}"
             cursor = cto
-            wbc_count += 1
         # then the internal chains (through the core)
         if plan.rebalanced:
             # soft core: one synthesized chain per wrapper chain; the
@@ -203,7 +256,6 @@ def generate_wrapper(
             )
             core_conns[bit] = f"n_core_{bit}"
             cursor = cto
-            wbc_count += 1
         m.add_instance(f"u_ch{k}_wpo", "BUF", A=cursor, Y=f"wpo{k}")
         chain_tails.append(cursor)
         serial_prev = cursor
@@ -228,4 +280,4 @@ def generate_wrapper(
     m.add_instance("u_core", core.name, **core_conns)
 
     netlist.add(m)
-    return GeneratedWrapper(module=m, plan=plan, wbc_count=wbc_count)
+    return GeneratedWrapper(plan, wrapper_cells(plan), _module=m)

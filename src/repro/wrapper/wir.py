@@ -10,7 +10,8 @@ from __future__ import annotations
 import enum
 import math
 
-from repro.netlist import Module
+from repro.netlist import Module, cell_area
+from repro.netlist.netlist import add_tree
 
 
 class WrapperInstruction(enum.Enum):
@@ -26,10 +27,6 @@ class WrapperInstruction(enum.Enum):
     @property
     def opcode(self) -> int:
         return self.value
-
-    @property
-    def is_intest(self) -> bool:
-        return self in (WrapperInstruction.INTEST_SCAN, WrapperInstruction.INTEST_PARALLEL)
 
 
 #: Number of WIR register bits needed for the full instruction set.
@@ -71,35 +68,18 @@ def make_wir(name: str = "WIR", bits: int = WIR_BITS) -> Module:
         literals = [
             f"n_ir{b}" if (instr.opcode >> b) & 1 else f"n_irn{b}" for b in range(bits)
         ]
-        _and_tree(m, f"dec_{instr.name}", literals, prefix=f"u_dec_{instr.name}")
+        add_tree(m, literals, f"dec_{instr.name}", "AND", f"u_dec_{instr.name}")
     return m
 
 
-def _and_tree(m: Module, out_net: str, inputs: list[str], prefix: str) -> None:
-    """Reduce ``inputs`` with AND2/AND3 gates into ``out_net``."""
-    if len(inputs) == 1:
-        m.add_instance(f"{prefix}_buf", "BUF", A=inputs[0], Y=out_net)
-        return
-    level = 0
-    current = list(inputs)
-    while len(current) > 1:
-        nxt: list[str] = []
-        i = 0
-        while i < len(current):
-            group = current[i : i + 3] if len(current) - i == 3 else current[i : i + 2]
-            i += len(group)
-            last_round = i >= len(current) and not nxt
-            out = out_net if last_round else m.add_net(f"{prefix}_n{level}_{len(nxt)}")
-            if len(group) == 1:
-                nxt.append(group[0])
-                continue
-            cell_name = "AND3" if len(group) == 3 else "AND2"
-            pins = dict(zip(("A", "B", "C"), group))
-            m.add_instance(f"{prefix}_g{level}_{len(nxt)}", cell_name, Y=out, **pins)
-            nxt.append(out)
-        current = nxt
-        level += 1
+def wir_shift_sequence(instruction: WrapperInstruction) -> list[int]:
+    """Bits to shift into WSI to load ``instruction`` (first bit shifted
+    first; the opcode MSB must be shifted first so it lands deepest)."""
+    return list(reversed(encode(instruction)))
 
+
+#: Leaf cells of the default WIR.
+WIR_CELLS = make_wir().cell_counts()
 
 #: Area of the default WIR in NAND2 equivalents.
-WIR_AREA = make_wir().area()
+WIR_AREA = cell_area(WIR_CELLS)

@@ -72,6 +72,18 @@ class TestModule:
         with pytest.raises(ValueError):
             m.add_instance("u_xor", "XOR2", A="a", B="b", Y="x")
 
+    def test_invalid_net_name_rejected_every_time(self):
+        """A net name is checked once, when first declared; a rejected
+        name is not remembered, so it is rejected again."""
+        m = Module("m")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="invalid net name"):
+                m.add_net("bad-net")
+        with pytest.raises(ValueError, match="invalid net name"):
+            m.add_instance("u_buf", "BUF", A="ok", Y="bad net")
+        assert m.add_net("ok") == "ok"
+        assert "bad-net" not in m.nets
+
     def test_instance_lookup(self):
         m = make_half_adder()
         assert m.instance("u_xor").ref == "XOR2"

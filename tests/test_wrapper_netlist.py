@@ -285,5 +285,4 @@ class TestGeneratedWrapper:
         netlist = Netlist()
         netlist.add(make_tiny_core_module())
         gen2 = generate_wrapper(make_tiny_core(), netlist, width=1)
-        area = gen2.area(netlist)
-        assert area >= 2 * WBC_AREA + WBY_AREA + WIR_AREA
+        assert gen2.area >= 2 * WBC_AREA + WBY_AREA + WIR_AREA
