@@ -11,7 +11,7 @@ path.
 
 from __future__ import annotations
 
-from repro.netlist import Module
+from repro.netlist.netlist import Module, add_tree
 
 
 def make_bist_controller(
@@ -58,11 +58,11 @@ def make_bist_controller(
     for g in range(n_groups):
         literals = [f"n_g{b}" if (g >> b) & 1 else f"n_g{b}_n" for b in range(g_bits)]
         net = m.add_net(f"n_gdec{g}")
-        _tree(m, literals, net, "AND", f"u_gd{g}")
+        add_tree(m, literals, net, "AND", f"u_gd{g}")
         m.add_instance(f"u_gen{g}", "AND2", A=net, B="n_run", Y=f"group_en{g}")
     last = n_groups - 1
     literals = [f"n_g{b}" if (last >> b) & 1 else f"n_g{b}_n" for b in range(g_bits)]
-    _tree(m, literals, "n_at_last_group", "AND", "u_lastg")
+    add_tree(m, literals, "n_at_last_group", "AND", "u_lastg")
 
     # result register: accumulate (sticky) error flags while running;
     # serial readout shifts the register toward MSO when MRD is high
@@ -78,35 +78,7 @@ def make_bist_controller(
         fail_terms.append(f"n_res{i}")
     m.add_instance("u_mso_buf", "BUF", A=prev, Y="mso")
     fail_any = m.add_net("n_fail_any")
-    _tree(m, fail_terms, fail_any, "OR", "u_fail")
+    add_tree(m, fail_terms, fail_any, "OR", "u_fail")
     m.add_instance("u_mbo_inv", "INV", A=fail_any, Y="mbo")  # 1 = all pass
     return m
 
-
-def _tree(m: Module, nets: list[str], out: str, kind: str, prefix: str) -> None:
-    cell2, cell3 = (("AND2", "AND3") if kind == "AND" else ("OR2", "OR3"))
-    if len(nets) == 1:
-        m.add_instance(f"{prefix}_buf", "BUF", A=nets[0], Y=out)
-        return
-    current = list(nets)
-    level = 0
-    while len(current) > 1:
-        nxt = []
-        i = 0
-        while i < len(current):
-            group = current[i : i + 3] if len(current) - i == 3 else current[i : i + 2]
-            i += len(group)
-            if len(group) == 1:
-                nxt.append(group[0])
-                continue
-            final = i >= len(current) and not nxt
-            y = out if final else m.add_net(f"{prefix}_t{level}_{len(nxt)}")
-            m.add_instance(
-                f"{prefix}_g{level}_{len(nxt)}",
-                cell3 if len(group) == 3 else cell2,
-                Y=y,
-                **dict(zip("ABC", group)),
-            )
-            nxt.append(y)
-        current = nxt
-        level += 1

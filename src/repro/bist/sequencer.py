@@ -5,6 +5,10 @@ algorithms" (paper, Fig. 2).  The sequencer broadcasts (element, op)
 phases to the TPGs of the memories in the active group; each TPG sweeps
 its own address range and reports done, so heterogeneous sizes share one
 sequencer — the group advances when its slowest member finishes.
+
+The gate-level sequencer stores the program as two-level logic: minterm
+AND trees and output OR trees, both built by the shared
+:func:`repro.netlist.netlist.add_tree`.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bist.march import MarchTest, Op, Order
-from repro.netlist import Module
+from repro.netlist.netlist import Module, add_tree
 
 #: Microcode encoding: 2 bits per op (00 r0, 01 r1, 10 w0, 11 w1).
 OP_CODES = {Op.R0: 0, Op.R1: 1, Op.W0: 2, Op.W1: 3}
@@ -84,7 +88,7 @@ def make_sequencer(march: MarchTest, name: str = "sequencer") -> Module:
         literals = [
             f"n_e{b}" if (e_idx >> b) & 1 else f"n_e{b}_n" for b in range(e_bits)
         ]
-        _and_tree(m, literals, out, prefix=f"u_mt_{tag}")
+        add_tree(m, literals, out, "AND", f"u_mt_{tag}")
 
     down_terms = []
     for e_idx, element in enumerate(march.elements):
@@ -92,7 +96,7 @@ def make_sequencer(march: MarchTest, name: str = "sequencer") -> Module:
             net = m.add_net(f"n_down_e{e_idx}")
             element_minterm(e_idx, net, f"d{e_idx}")
             down_terms.append(net)
-    _or_tree(m, down_terms, "dir_down", prefix="u_dir")
+    add_tree(m, down_terms, "dir_down", "OR", "u_dir")
 
     # op bits: minterms over (element, op-index)
     for bit, port in ((0, "op0"), (1, "op1")):
@@ -106,65 +110,15 @@ def make_sequencer(march: MarchTest, name: str = "sequencer") -> Module:
                     ] + [
                         f"n_o{b}" if (o_idx >> b) & 1 else f"n_o{b}_n" for b in range(o_bits)
                     ]
-                    _and_tree(m, literals, net, prefix=f"u_op{bit}_{e_idx}_{o_idx}")
+                    add_tree(m, literals, net, "AND", f"u_op{bit}_{e_idx}_{o_idx}")
                     terms.append(net)
-        _or_tree(m, terms, port, prefix=f"u_opor{bit}")
+        add_tree(m, terms, port, "OR", f"u_opor{bit}")
 
     # done: element counter reached the final element and it completed
     last = n_elements - 1
     literals = [f"n_e{b}" if (last >> b) & 1 else f"n_e{b}_n" for b in range(e_bits)]
     done_net = m.add_net("n_at_last")
-    _and_tree(m, literals, done_net, prefix="u_done")
+    add_tree(m, literals, done_net, "AND", "u_done")
     m.add_instance("u_done_and", "AND2", A=done_net, B="group_done", Y="seq_done")
     return m
 
-
-def _and_tree(m: Module, nets: list[str], out: str, prefix: str) -> None:
-    if len(nets) == 1:
-        m.add_instance(f"{prefix}_buf", "BUF", A=nets[0], Y=out)
-        return
-    current = list(nets)
-    level = 0
-    while len(current) > 1:
-        nxt = []
-        i = 0
-        while i < len(current):
-            group = current[i : i + 3] if len(current) - i == 3 else current[i : i + 2]
-            i += len(group)
-            if len(group) == 1:
-                nxt.append(group[0])
-                continue
-            final = i >= len(current) and not nxt
-            y = out if final else m.add_net(f"{prefix}_t{level}_{len(nxt)}")
-            cell = "AND3" if len(group) == 3 else "AND2"
-            m.add_instance(f"{prefix}_a{level}_{len(nxt)}", cell, Y=y, **dict(zip("ABC", group)))
-            nxt.append(y)
-        current = nxt
-        level += 1
-
-
-def _or_tree(m: Module, nets: list[str], out: str, prefix: str) -> None:
-    if not nets:
-        m.add_instance(f"{prefix}_tie", "TIE0", Y=out)
-        return
-    if len(nets) == 1:
-        m.add_instance(f"{prefix}_buf", "BUF", A=nets[0], Y=out)
-        return
-    current = list(nets)
-    level = 0
-    while len(current) > 1:
-        nxt = []
-        i = 0
-        while i < len(current):
-            group = current[i : i + 3] if len(current) - i == 3 else current[i : i + 2]
-            i += len(group)
-            if len(group) == 1:
-                nxt.append(group[0])
-                continue
-            final = i >= len(current) and not nxt
-            y = out if final else m.add_net(f"{prefix}_t{level}_{len(nxt)}")
-            cell = "OR3" if len(group) == 3 else "OR2"
-            m.add_instance(f"{prefix}_o{level}_{len(nxt)}", cell, Y=y, **dict(zip("ABC", group)))
-            nxt.append(y)
-        current = nxt
-        level += 1

@@ -8,7 +8,9 @@ Fig. 2).  Two faces:
   :class:`repro.bist.memory_model.MemoryInterface`, counting cycles
   exactly as the hardware would;
 * a **gate-level generator** producing the TPG netlist (address counter,
-  op decoder, read comparator, done logic) for area accounting.
+  op decoder, read comparator, done logic) for area accounting; its
+  terminal-count AND tree comes from the shared
+  :func:`repro.netlist.netlist.add_tree`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.bist.march import MarchTest, Order
 from repro.bist.memory_model import MemoryInterface
-from repro.netlist import Module
+from repro.netlist.netlist import Module, add_tree
 from repro.soc.memory import MemorySpec
 
 #: Cycles for BIST start-up handshake per memory run.
@@ -132,7 +134,7 @@ def make_tpg(spec: MemorySpec, name: str | None = None) -> Module:
         carry = f"n_carry{b}"
     # terminal count: all effective bits high -> sweep complete
     terms = [f"n_eff{b}" for b in range(bits)]
-    _reduce_and(m, terms, "addr_done", prefix="u_tc")
+    add_tree(m, terms, "addr_done", "AND", "u_tc")
 
     # op decode: op[1:0] = 00 r0, 01 r1, 10 w0, 11 w1
     m.add_instance("u_we_buf", "BUF", A="op1", Y="we")
@@ -146,28 +148,3 @@ def make_tpg(spec: MemorySpec, name: str | None = None) -> Module:
     m.add_instance("u_err_buf", "BUF", A="n_err_q", Y="error")
     return m
 
-
-def _reduce_and(m: Module, nets: list[str], out: str, prefix: str) -> None:
-    if len(nets) == 1:
-        m.add_instance(f"{prefix}_buf", "BUF", A=nets[0], Y=out)
-        return
-    current = list(nets)
-    level = 0
-    while len(current) > 1:
-        nxt = []
-        i = 0
-        while i < len(current):
-            group = current[i : i + 3] if len(current) - i == 3 else current[i : i + 2]
-            i += len(group)
-            if len(group) == 1:
-                nxt.append(group[0])
-                continue
-            final = i >= len(current) and not nxt
-            y = out if final else m.add_net(f"{prefix}_n{level}_{len(nxt)}")
-            cell = "AND3" if len(group) == 3 else "AND2"
-            m.add_instance(
-                f"{prefix}_g{level}_{len(nxt)}", cell, Y=y, **dict(zip("ABC", group))
-            )
-            nxt.append(y)
-        current = nxt
-        level += 1

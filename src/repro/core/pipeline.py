@@ -44,14 +44,13 @@ from repro.sched.registry import resolve_schedule
 from repro.sched.result import ScheduleResult, TestTask
 from repro.sched.session import InfeasibleScheduleError
 from repro.sched.tasks import tasks_from_soc
-from repro.soc.bits import expand_port_bits
 from repro.soc.ports import SignalKind
 from repro.soc.soc import Soc
 from repro.stil.semantics import core_from_stil
 from repro.tam.bus import TamBus, build_tam
 from repro.tam.mux import make_tam_mux, tam_mux_cells
 from repro.util import check_name
-from repro.wrapper.generator import SCAN_IO, GeneratedWrapper, generate_wrapper, plan_wrapper
+from repro.wrapper.generator import GeneratedWrapper, generate_wrapper, plan_wrapper
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.repair.analysis import RepairAnalysis
@@ -282,17 +281,12 @@ class InsertDft(Stage):
 
 
 def _check_top_names(soc: Soc, wrappers: dict[str, GeneratedWrapper]) -> None:
-    """Raise the :class:`ValueError` stitching the chip top would: a
-    wrapper port ``wpi<x>`` with a non-integer ``x``, or a clock domain
-    that makes an invalid ``tclk_<domain>`` pin."""
+    """Raise the :class:`ValueError` stitching the chip top would for a
+    clock domain that makes an invalid ``tclk_<domain>`` pin."""
     clock = SignalKind.CLOCK
     for name in sorted(wrappers):
         for port in soc.core(name).ports:
-            if port.name.startswith("wpi"):  # so does every bit of the port
-                if port.kind not in SCAN_IO:
-                    for bit in expand_port_bits(port):
-                        int(bit[3:])
-            elif port.kind is clock and port.width == 1 and port.name[:3] != "wpo":
+            if port.kind is clock and port.width == 1:
                 check_name(f"tclk_{port.clock_domain or port.name}", "port name")
 
 
@@ -372,6 +366,11 @@ class DftDesign:
             wrapper = netlist.module(f"{core_name}_wrapper")
             core = self.soc.core(core_name)
             port_kind = {p.name: p for p in core.ports}
+            # the wrapper's own TAM ports: a core port such as wpi_x, or
+            # wpi7 on a narrower wrapper, is wired by its kind below
+            width = self.wrappers[core_name].plan.width
+            tam_in = {f"wpi{k}": k for k in range(width)}
+            tam_out = {f"wpo{k}" for k in range(width)}
             conns: dict[str, str] = {}
             for port in wrapper.ports:
                 if port.name == "wsi":
@@ -380,13 +379,11 @@ class DftDesign:
                     conns[port.name] = serial_prev = f"n_wso_{core_name}"
                 elif port.name in _WRAPPER_CONTROL_NETS:
                     conns[port.name] = _WRAPPER_CONTROL_NETS[port.name]
-                elif port.name.startswith("wpi"):
-                    local = int(port.name[3:])
-                    wire = slot_wires.get((core_name, local))
+                elif port.name in tam_in:
+                    wire = slot_wires.get((core_name, tam_in[port.name]))
                     conns[port.name] = f"tam_in{wire}" if wire is not None else f"n_nc_{core_name}_{port.name}"
-                elif port.name.startswith("wpo"):
-                    pin = f"{core_name}_{port.name}"
-                    conns[port.name] = f"n_{pin}"
+                elif port.name in tam_out:
+                    conns[port.name] = f"n_{core_name}_{port.name}"
                 else:
                     core_port = port_kind.get(port.name)
                     kind = core_port.kind if core_port is not None else None

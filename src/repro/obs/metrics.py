@@ -19,9 +19,8 @@ Two read paths:
 * :meth:`MetricsRegistry.value` / :meth:`snapshot` give tests and
   in-process consumers the raw numbers.
 
-Pull-model *collectors* bridge stats sources that keep their own
-counters; callers can also pass per-render ``extra`` samples for
-server-scoped state (the serve layer's job table and result cache).
+Callers can pass per-render ``extra`` samples for server-scoped state
+(the serve layer's job table and result cache).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 )
 
-#: One pulled/extra sample: ``(name, kind, labels-or-None, value)``.
+#: One per-render extra sample: ``(name, kind, labels-or-None, value)``.
 Sample = tuple[str, str, Optional[dict[str, str]], float]
 
 #: A sorted, hashable label set: ``(("backend", "process"), ...)``.
@@ -161,12 +160,11 @@ _M = TypeVar("_M", bound=Metric)
 
 
 class MetricsRegistry:
-    """Name → metric family table plus registered pull-collectors."""
+    """Name → metric family table."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: dict[str, Metric] = {}
-        self._collectors: list[Callable[[], Iterable[Sample]]] = []
 
     # -- registration ------------------------------------------------------
 
@@ -203,12 +201,6 @@ class MetricsRegistry:
             name, lambda: Histogram(name, help, buckets), Histogram
         )
 
-    def collector(self, fn: Callable[[], Iterable[Sample]]) -> None:
-        """Register a pull-collector: called at render/snapshot time,
-        yielding :data:`Sample` tuples for stats kept elsewhere."""
-        with self._lock:
-            self._collectors.append(fn)
-
     # -- reads -------------------------------------------------------------
 
     def value(self, name: str, **labels: str) -> float:
@@ -220,12 +212,11 @@ class MetricsRegistry:
         return family.get(**labels)
 
     def snapshot(self) -> dict[str, float]:
-        """Every sample (families and collectors) as a flat dict keyed
-        by ``name`` or ``name{k=v,...}`` — the test-facing view."""
+        """Every family sample as a flat dict keyed by ``name`` or
+        ``name{k=v,...}`` — the test-facing view."""
         out: dict[str, float] = {}
         with self._lock:
             families = list(self._families.values())
-            collectors = list(self._collectors)
         for family in families:
             if isinstance(family, Histogram):
                 for key, row in family.samples().items():
@@ -235,10 +226,6 @@ class MetricsRegistry:
                 continue
             for key, value in family.samples().items():
                 out[f"{family.name}{_format_labels(key)}"] = value
-        for collect in collectors:
-            for name, _kind, labels, value in collect():
-                suffix = _format_labels(sorted(labels.items()) if labels else None)
-                out[f"{name}{suffix}"] = value
         return out
 
     def reset(self) -> None:
@@ -251,11 +238,10 @@ class MetricsRegistry:
     # -- Prometheus text exposition ----------------------------------------
 
     def render_prometheus(self, extra: Iterable[Sample] = ()) -> str:
-        """The registry (families, collectors, and per-render ``extra``
-        samples) in the Prometheus text exposition format."""
+        """The registry's families, then the per-render ``extra``
+        samples, in the Prometheus text exposition format."""
         with self._lock:
             families = sorted(self._families.values(), key=lambda f: f.name)
-            collectors = list(self._collectors)
         lines: list[str] = []
         for family in families:
             name = prometheus_name(family.name)
@@ -278,12 +264,8 @@ class MetricsRegistry:
                 continue
             for key, value in sorted(family.samples().items()):
                 lines.append(f"{name}{_format_labels(key)} {_format_value(value)}")
-        pulled: list[Sample] = []
-        for collect in collectors:
-            pulled.extend(collect())
-        pulled.extend(extra)
         seen_types: set[str] = set()
-        for name, kind, labels, value in pulled:
+        for name, kind, labels, value in extra:
             rendered = prometheus_name(name)
             if rendered not in seen_types:
                 seen_types.add(rendered)

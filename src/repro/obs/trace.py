@@ -165,11 +165,6 @@ class Tracer:
         with self._lock:
             self._records.append(record)
 
-    def current_span_id(self) -> Optional[int]:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
     # -- span creation -----------------------------------------------------
 
     def span(

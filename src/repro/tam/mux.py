@@ -45,13 +45,14 @@ def make_tam_mux(bus: TamBus, name: str = "tam_mux") -> Module:
             add_tree(m, literals, net, "AND", f"u_ses{slot.session}")
 
     sources = bus.wire_sources()
+    data_inputs: set[str] = set()
     for w in range(bus.width):
         terms = []
         for slot in sources[w]:
             local = slot.wires.index(w)
             pin = f"{slot.task_name}_wpo{local}".replace(".", "_")
-            if not any(p.name == pin for p in m.ports):
-                m.add_input(pin)
+            if pin not in data_inputs:
+                data_inputs.add(m.add_input(pin))
             net = m.add_net(f"n_w{w}_s{slot.session}")
             m.add_instance(
                 f"u_g_w{w}_s{slot.session}", "AND2",

@@ -75,8 +75,9 @@ class TestTreeCells:
 
 
 class TestHandBuiltBlocks:
-    """Shapes no scheduled chip produces: an empty schedule, and a bus
-    with idle TAM wires and sessions without a slot."""
+    """Shapes no scheduled chip produces: an empty schedule, a bus with
+    idle TAM wires and sessions without a slot, and two slots sharing a
+    mux data input (one task in two sessions)."""
 
     def test_empty_schedule_controller(self):
         schedule = ScheduleResult("empty", "session")
@@ -86,6 +87,7 @@ class TestHandBuiltBlocks:
         TamBus(width=0),
         TamBus(width=4, slots=[TamSlot(0, "a", "a.t", (0, 1)), TamSlot(3, "b", "b.t", (0,))]),
         TamBus(width=3, slots=[TamSlot(1, "a", "a.t", (2,)), TamSlot(1, "b", "b.x", (0,))]),
+        TamBus(width=2, slots=[TamSlot(0, "a", "a.t", (0,)), TamSlot(1, "a", "a.t", (1,))]),
     ])
     def test_tam_mux_with_idle_wires(self, bus):
         assert dict(tam_mux_cells(bus)) == make_tam_mux(bus).cell_counts()
@@ -255,8 +257,6 @@ REJECTIONS = {
                              chains=[ScanChain("wbc_x", 2, "si", "so")])],
                       "duplicate instance 'u_wbc_x_si' in module 'demo_wrapper'"),
     "clock-domain": ([_core(clock_domain="a-b")], "invalid port name: 'tclk_a-b'"),
-    "wpi-suffix": ([_core([Port("wpi_x", Direction.IN)])],
-                   "invalid literal for int() with base 10: '_x'"),
     "repeated-core": ([_core(), _core()], "duplicate module 'demo_wrapper'"),
 }
 
@@ -279,3 +279,30 @@ class TestRejectionParity:
         with pytest.raises(ValueError) as built:
             generate_wrapper(core, Netlist(), width=2)
         assert str(planned.value) == str(built.value) == message
+
+
+#: Core ports named like TAM ports that are not the wrapper's own
+#: ``wpi0..wpi{w-1}`` / ``wpo0..wpo{w-1}``, and the top net each is wired to.
+TAM_LOOKALIKES = {
+    "wpi-suffix": (Port("wpi_x", Direction.IN), "glue_demo_wpi_x"),
+    "wpi-beyond-width": (Port("wpi7", Direction.IN), "glue_demo_wpi7"),
+    "wpo-clock": (Port("wpo_clk", Direction.IN, SignalKind.CLOCK), "tclk_wpo_clk"),
+}
+
+
+class TestTamLookalikePorts:
+    @pytest.mark.parametrize("case", sorted(TAM_LOOKALIKES))
+    def test_integrates_validates_and_connects(self, case):
+        port, net = TAM_LOOKALIKES[case]
+        chains = [ScanChain("c0", 2, "si", "so"), ScanChain("c1", 2, "si2", "so2")]
+        soc = Soc("chip", cores=[_core([port], chains=chains)], test_pins=24)
+        result = Steac(SESSION).integrate(soc)
+        assert result.wrappers["demo"].plan.width == 2
+        top = result.netlist.top
+        assert top.validate(result.netlist) == []
+        (wrap,) = [inst for inst in top.instances if inst.name == "u_wrap_demo"]
+        assert wrap.conns[port.name] == net
+        assert [wrap.conns[f"wpi{k}"] for k in range(2)] == ["tam_in0", "tam_in1"]
+        assert [wrap.conns[f"wpo{k}"] for k in range(2)] == ["n_demo_wpo0", "n_demo_wpo1"]
+        if port.kind is SignalKind.CLOCK:
+            assert net in {p.name for p in top.ports}

@@ -264,15 +264,13 @@ class TestMetricsRegistry:
         text = reg.render_prometheus()
         assert r'path="a\"b\\c"' in text
 
-    def test_collector_and_extra_samples(self):
+    def test_extra_samples(self):
         reg = MetricsRegistry()
-        reg.collector(lambda: [("pulled.value", "gauge", None, 9.0)])
         text = reg.render_prometheus(
             extra=[("inst.jobs", "gauge", {"state": "done"}, 2.0)]
         )
-        assert "repro_pulled_value 9" in text
+        assert "# TYPE repro_inst_jobs gauge" in text
         assert 'repro_inst_jobs{state="done"} 2' in text
-        assert reg.snapshot()["pulled.value"] == 9.0
 
     def test_reset_zeroes_but_keeps_families(self):
         reg = MetricsRegistry()
@@ -282,7 +280,7 @@ class TestMetricsRegistry:
         assert reg.value("t.c", kind="x") == 0
         assert "t.c" in reg.snapshot()  # family survives
 
-    def test_global_registry_has_scan_time_collector(self):
+    def test_global_registry_has_scan_time_counters(self):
         # importing the scheduler's time models registers the counters
         import repro.sched.timecalc  # noqa: F401
 
