@@ -5,24 +5,28 @@ generate the BIST circuit using the GUI or command shell, and evaluate
 the memory test efficiency among different designs easily."
 
 :class:`Brains` compiles a list of memory specs into a
-:class:`BistEngine`: a grouped test plan, generated hardware (shared
-controller + sequencer + one TPG per memory) with measured areas, exact
-cycle counts, schedulable tasks for STEAC, and a behavioral runner that
+:class:`BistEngine`: a grouped test plan, the leaf cells of its hardware
+(shared controller + sequencer + one TPG per memory), exact cycle
+counts, schedulable tasks for STEAC, and a behavioral runner that
 actually executes the March test against (optionally fault-injected)
-memory models.
+memory models.  Cells are counted in placement order, so each area is
+the built module's to the bit; the ``netlist`` is built on first read,
+in one ``bist.netlist`` span.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.bist.controller import make_bist_controller
+from repro.bist.controller import bist_controller_cells, make_bist_controller
 from repro.bist.march import MARCH_C_MINUS, MarchTest
 from repro.bist.memory_model import FaultFreeMemory, FaultModel, FaultyMemory
 from repro.bist.scheduling import BistPlan, plan_bist
-from repro.bist.sequencer import make_sequencer
-from repro.bist.tpg import TpgRunResult, make_tpg, run_tpg
-from repro.netlist import Module, Netlist
+from repro.bist.sequencer import make_sequencer, sequencer_cells
+from repro.bist.tpg import TpgRunResult, make_tpg, run_tpg, tpg_cells
+from repro.netlist import Module, Netlist, cell_area
+from repro.obs import span
 from repro.soc.memory import MemorySpec
 from repro.util import Table, format_cycles, format_gates
 
@@ -68,15 +72,46 @@ class BistRunResult:
 
 @dataclass
 class BistEngine:
-    """A compiled BIST subsystem for one SOC's memories."""
+    """A compiled BIST subsystem for one SOC's memories: the leaf cells
+    of each TPG (by memory name), sequencer and the shared controller."""
 
     specs: list[MemorySpec]
     config: BrainsConfig
     plan: BistPlan
-    netlist: Netlist
-    tpg_modules: dict[str, Module]
-    controller_module: Module
-    sequencer_modules: list[Module]
+    tpg_cells: dict[str, Counter[str]]
+    sequencer_cells: list[Counter[str]]
+    controller_cells: Counter[str]
+    _netlist: Netlist | None = field(default=None, repr=False, compare=False)
+
+    # -- hardware ------------------------------------------------------------
+
+    @property
+    def netlist(self) -> Netlist:
+        """The generated BIST hardware, built on the first read only;
+        ``tpg_modules``, ``sequencer_modules`` and ``controller_module`` view it."""
+        if self._netlist is None:
+            with span("bist.netlist", memories=len(self.specs)):
+                netlist = Netlist()
+                for spec in self.specs:
+                    netlist.add(make_tpg(spec))
+                for i in range(len(self.sequencer_cells)):
+                    netlist.add(make_sequencer(self.march, name=f"sequencer{i}"))
+                controller = make_bist_controller(len(self.specs), max(1, len(self.plan.groups)))
+                netlist.top_name = netlist.add(controller).name
+                self._netlist = netlist
+        return self._netlist
+
+    @property
+    def tpg_modules(self) -> dict[str, Module]:
+        return {name: self.netlist.module(f"tpg_{name}") for name in self.tpg_cells}
+
+    @property
+    def sequencer_modules(self) -> list[Module]:
+        return [self.netlist.module(f"sequencer{i}") for i in range(len(self.sequencer_cells))]
+
+    @property
+    def controller_module(self) -> Module:
+        return self.netlist.top
 
     # -- figures -------------------------------------------------------------
 
@@ -97,9 +132,9 @@ class BistEngine:
     @property
     def total_area(self) -> float:
         """Generated BIST hardware in NAND2 equivalents."""
-        total = self.controller_module.area(self.netlist)
-        total += sum(s.area(self.netlist) for s in self.sequencer_modules)
-        total += sum(t.area(self.netlist) for t in self.tpg_modules.values())
+        total = cell_area(self.controller_cells)
+        total += sum(cell_area(cells) for cells in self.sequencer_cells)
+        total += sum(cell_area(cells) for cells in self.tpg_cells.values())
         return total
 
     def to_tasks(self):
@@ -155,13 +190,11 @@ class BistEngine:
             ["Block", "Instances", "Gates"],
             title=f"BRAINS-generated BIST hardware ({self.march.name})",
         )
-        table.add_row(
-            ["BIST controller", 1, f"{self.controller_module.area(self.netlist):.0f}"]
-        )
-        seq_area = sum(s.area(self.netlist) for s in self.sequencer_modules)
-        table.add_row(["Sequencer", len(self.sequencer_modules), f"{seq_area:.0f}"])
-        tpg_area = sum(t.area(self.netlist) for t in self.tpg_modules.values())
-        table.add_row(["TPGs", len(self.tpg_modules), f"{tpg_area:.0f}"])
+        table.add_row(["BIST controller", 1, f"{cell_area(self.controller_cells):.0f}"])
+        seq_area = sum(cell_area(cells) for cells in self.sequencer_cells)
+        table.add_row(["Sequencer", len(self.sequencer_cells), f"{seq_area:.0f}"])
+        tpg_area = sum(cell_area(cells) for cells in self.tpg_cells.values())
+        table.add_row(["TPGs", len(self.tpg_cells), f"{tpg_area:.0f}"])
         table.add_row(["Total", "", format_gates(self.total_area)])
         return table
 
@@ -183,7 +216,7 @@ class Brains:
     def compile(
         self, memories: list[MemorySpec], config: BrainsConfig | None = None
     ) -> BistEngine:
-        """Compile BIST for ``memories``: plan groups, generate hardware."""
+        """Compile BIST for ``memories``: plan groups, count the hardware."""
         if not memories:
             raise ValueError("BRAINS needs at least one memory")
         config = config or BrainsConfig()
@@ -194,26 +227,16 @@ class Brains:
             config.max_groups,
             word_oriented=config.word_oriented,
         )
-        netlist = Netlist()
-        tpgs: dict[str, Module] = {}
+        tpgs: dict[str, Counter[str]] = {}
         for spec in memories:
-            module = make_tpg(spec)
-            netlist.add(module)
-            tpgs[spec.name] = module
-        sequencers = []
-        for i in range(max(1, config.sequencers)):
-            module = make_sequencer(config.march, name=f"sequencer{i}")
-            netlist.add(module)
-            sequencers.append(module)
-        controller = make_bist_controller(len(memories), max(1, len(plan.groups)))
-        netlist.add(controller)
-        netlist.top_name = controller.name
+            if spec.name in tpgs:  # netlist module names are unique
+                raise ValueError(f"duplicate module {'tpg_' + spec.name!r}")
+            tpgs[spec.name] = tpg_cells(spec)
         return BistEngine(
             specs=list(memories),
             config=config,
             plan=plan,
-            netlist=netlist,
-            tpg_modules=tpgs,
-            controller_module=controller,
-            sequencer_modules=sequencers,
+            tpg_cells=tpgs,
+            sequencer_cells=[sequencer_cells(config.march)] * max(1, config.sequencers),
+            controller_cells=bist_controller_cells(len(memories), max(1, len(plan.groups))),
         )

@@ -6,12 +6,15 @@ Interface pins follow Fig. 2's naming: ``MBS`` (BIST start), ``MBR``
 ``MBO`` (pass/fail summary), ``MRD`` (result read strobe), ``MBC``
 (BIST clock).  Internally: a run FSM, a group counter that walks the
 BIST plan's groups, a per-memory result register, and a serial readout
-path.
+path.  BRAINS prices the controller from :func:`bist_controller_cells`,
+the closed-form count of the cells :func:`make_bist_controller` places.
 """
 
 from __future__ import annotations
 
-from repro.netlist.netlist import Module, add_tree
+from collections import Counter
+
+from repro.netlist.netlist import Module, add_tree, tree_cells
 
 
 def make_bist_controller(
@@ -82,3 +85,19 @@ def make_bist_controller(
     m.add_instance("u_mbo_inv", "INV", A=fail_any, Y="mbo")  # 1 = all pass
     return m
 
+
+def bist_controller_cells(n_memories: int, n_groups: int) -> Counter[str]:
+    """The leaf cells :func:`make_bist_controller` spends, in closed form
+    and in placement order: fixed run-FSM glue, four cells per group
+    counter bit, a decode tree and an AND2 per group plus the last-group
+    tree, four cells per memory and the fail OR tree."""
+    if n_memories < 1 or n_groups < 1:
+        raise ValueError("controller needs at least one memory and one group")
+    g_bits = max(1, (n_groups - 1).bit_length())
+    cells = Counter({"NOR2": 1, "AND2": 4 + n_groups, "INV": 2, "OR2": 2, "DFFR": 2, "BUF": 2})
+    cells.update(dict.fromkeys(("XOR2", "AND2", "DFFR", "INV"), g_bits))
+    for _ in range(n_groups + 1):
+        cells.update(tree_cells(g_bits, "AND"))
+    cells.update({"OR2": 2 * n_memories, "MUX2": n_memories, "DFFE": n_memories})
+    cells.update(tree_cells(n_memories, "OR"))
+    return cells

@@ -8,15 +8,18 @@ sequencer — the group advances when its slowest member finishes.
 
 The gate-level sequencer stores the program as two-level logic: minterm
 AND trees and output OR trees, both built by the shared
-:func:`repro.netlist.netlist.add_tree`.
+:func:`repro.netlist.netlist.add_tree`.  BRAINS prices a sequencer from
+:func:`sequencer_cells`, the closed-form count of the cells
+:func:`make_sequencer` places.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.bist.march import MarchTest, Op, Order
-from repro.netlist.netlist import Module, add_tree
+from repro.netlist.netlist import Module, add_tree, tree_cells
 
 #: Microcode encoding: 2 bits per op (00 r0, 01 r1, 10 w0, 11 w1).
 OP_CODES = {Op.R0: 0, Op.R1: 1, Op.W0: 2, Op.W1: 3}
@@ -122,3 +125,24 @@ def make_sequencer(march: MarchTest, name: str = "sequencer") -> Module:
     m.add_instance("u_done_and", "AND2", A=done_net, B="group_done", Y="seq_done")
     return m
 
+
+def sequencer_cells(march: MarchTest) -> Counter[str]:
+    """The leaf cells :func:`make_sequencer` spends on ``march``, in
+    closed form and in placement order: four cells per counter bit, a
+    minterm tree per down element and per asserted op bit, their OR
+    trees, and the done detector."""
+    e_bits = max(1, (len(march.elements) - 1).bit_length())
+    o_bits = max(1, (max(len(e.ops) for e in march.elements) - 1).bit_length())
+    cells = Counter(dict.fromkeys(("XOR2", "AND2", "DFFR", "INV"), e_bits + o_bits))
+    downs = sum(element.order is Order.DOWN for element in march.elements)
+    for _ in range(downs):
+        cells.update(tree_cells(e_bits, "AND"))
+    cells.update(tree_cells(downs, "OR"))
+    for bit in (0, 1):
+        terms = sum((OP_CODES[op] >> bit) & 1 for e in march.elements for op in e.ops)
+        for _ in range(terms):
+            cells.update(tree_cells(e_bits + o_bits, "AND"))
+        cells.update(tree_cells(terms, "OR"))
+    cells.update(tree_cells(e_bits, "AND"))
+    cells["AND2"] += 1
+    return cells

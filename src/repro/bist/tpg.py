@@ -8,18 +8,20 @@ Fig. 2).  Two faces:
   :class:`repro.bist.memory_model.MemoryInterface`, counting cycles
   exactly as the hardware would;
 * a **gate-level generator** producing the TPG netlist (address counter,
-  op decoder, read comparator, done logic) for area accounting; its
-  terminal-count AND tree comes from the shared
-  :func:`repro.netlist.netlist.add_tree`.
+  op decoder, read comparator, done logic); its terminal-count AND tree
+  comes from the shared :func:`repro.netlist.netlist.add_tree`.
+  BRAINS prices a TPG from :func:`tpg_cells`, the closed-form count of
+  the cells :func:`make_tpg` places.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.bist.march import MarchTest, Order
 from repro.bist.memory_model import MemoryInterface
-from repro.netlist.netlist import Module, add_tree
+from repro.netlist.netlist import Module, add_tree, tree_cells
 from repro.soc.memory import MemorySpec
 
 #: Cycles for BIST start-up handshake per memory run.
@@ -148,3 +150,14 @@ def make_tpg(spec: MemorySpec, name: str | None = None) -> Module:
     m.add_instance("u_err_buf", "BUF", A="n_err_q", Y="error")
     return m
 
+
+def tpg_cells(spec: MemorySpec) -> Counter[str]:
+    """The leaf cells :func:`make_tpg` spends on ``spec``, in closed form
+    and in placement order: five cells per address bit, the terminal-count
+    tree, and fixed op-decode and compare glue."""
+    bits = spec.address_bits
+    cells = Counter({"INV": 2, "XOR2": 2 * bits + 1, "AND2": bits,
+                     "DFFR": bits + 1, "BUF": bits + 3})
+    cells.update(tree_cells(bits, "AND"))
+    cells.update({"AND3": 1, "OR2": 1})
+    return cells

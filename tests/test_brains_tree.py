@@ -57,13 +57,26 @@ def test_add_tree_is_the_reference_tree(kind):
 def test_same_cells_as_the_reference_tree(chip, monkeypatch):
     memories = CORPUS[chip].memories
     engines = [Brains().compile(memories, config) for config in CONFIGS]
+    for engine in engines:
+        engine.netlist  # built on first read: build it now, with add_tree
+    reference_calls = []
+
+    def recording_reference(m, nets, out, kind, prefix):
+        reference_calls.append(m.name)
+        tree_reference(m, nets, out, kind, prefix)
+
     for module in (sequencer, tpg, controller):
-        monkeypatch.setattr(module, "add_tree", tree_reference)
+        monkeypatch.setattr(module, "add_tree", recording_reference)
     references = [Brains().compile(memories, config) for config in CONFIGS]
     for config, engine, reference in zip(CONFIGS, engines, references):
         case = f"{config.march.name}, {config.sequencers} sequencer(s)"
         assert engine.to_dict() == reference.to_dict(), case
-        assert engine.netlist.modules.keys() == reference.netlist.modules.keys(), case
-        for name, module in engine.netlist.modules.items():
-            assert module.cell_counts() == reference.netlist.module(name).cell_counts(), (case, name)
+        reference_calls.clear()
+        built = engine.netlist.modules
+        assert reference_calls == [], case  # built before the patch
+        modules = reference.netlist.modules
+        assert set(reference_calls) == set(modules), case  # every module built now, by the oracle
+        assert built.keys() == modules.keys(), case
+        for name, module in built.items():
+            assert module.cell_counts() == modules[name].cell_counts(), (case, name)
             assert module.validate(engine.netlist) == [], (case, name)

@@ -6,8 +6,9 @@ only when something reads it.  These tests hold each histogram equal to
 the built netlist's cell counts, and each area equal to the retained
 netlist walk (``tests/oracles/dft_area_ref.py``), over DSC, d695 and
 generated chips.  They also check that integrating, serializing and
-pickling build no module, and that malformed chips are rejected with
-the messages the netlist builder raised.
+pickling build no module, for the DFT netlist and for BRAINS's BIST
+netlist, and that malformed chips are rejected with the messages the
+netlist builder raised.
 """
 
 import dataclasses
@@ -221,6 +222,58 @@ class TestOnDemandNetlist:
         assert restored.to_dict()["wrappers"] == result.to_dict()["wrappers"]
         assert restored.netlist.top.validate(restored.netlist) == []
         assert restored.wrappers["s838"].module is restored.netlist.module("s838_wrapper")
+
+
+class TestOnDemandBistNetlist:
+    """BRAINS on DSC's 22 memories: integrating, serializing and pickling
+    build no BIST module; the first read builds all 24, once."""
+
+    def test_to_dict_builds_no_module(self, monkeypatch):
+        built = []
+        init = Module.__init__
+
+        def counting_init(self, name):
+            built.append(name)
+            init(self, name)
+
+        monkeypatch.setattr(Module, "__init__", counting_init)
+        result = Steac().integrate(build_dsc_chip())
+        result.to_dict()
+        result.report()
+        assert built == []
+        engine = result.bist_engine
+        assert engine.controller_module.validate(engine.netlist) == []
+        assert len(built) == 24  # 22 TPGs, the sequencer, the BIST controller
+
+    def test_pickle_carries_no_netlist(self):
+        result = Steac().integrate(build_dsc_chip())
+        data = pickle.dumps(result)
+        assert b"repro.netlist.netlist" not in data
+        assert len(data) < 50_000
+        engine = pickle.loads(data).bist_engine
+        assert engine.to_dict() == result.bist_engine.to_dict()
+        for module in engine.netlist.modules.values():
+            assert module.validate(engine.netlist) == [], module.name
+
+    def test_netlist_built_once_in_one_span(self):
+        engine = Steac(SESSION).integrate(build_dsc_chip()).bist_engine
+        TRACER.clear()
+        enable_tracing()
+        try:
+            netlist = engine.netlist
+            tpgs, sequencers = engine.tpg_modules, engine.sequencer_modules
+            controller = engine.controller_module
+            assert engine.netlist is netlist
+        finally:
+            disable_tracing()
+        names = [record["name"] for record in TRACER.records()]
+        TRACER.clear()
+        assert names == ["bist.netlist"]
+        assert len(tpgs) == 22
+        for name, module in tpgs.items():
+            assert module is netlist.module(f"tpg_{name}")
+        assert sequencers == [netlist.module("sequencer0")]
+        assert controller is netlist.module("bist_controller") is netlist.top
 
 
 def _core(extra=(), chains=None, clock_domain="demo_clk") -> Core:
