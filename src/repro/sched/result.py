@@ -131,10 +131,6 @@ class Session:
     def power(self) -> float:
         return sum(t.task.power for t in self.tests)
 
-    @property
-    def task_names(self) -> list[str]:
-        return [t.task.name for t in self.tests]
-
 
 @dataclass
 class ScheduleResult:

@@ -19,16 +19,18 @@ them, or as soon as the longest task is saturated at its maximum width.
 
 The search is **incremental**: a candidate move touches exactly two
 sessions, so only those two memberships are re-evaluated (through a
-memo keyed by ordered membership — the greedy seed's k-way trial
-placement and the O(n²) swap neighborhood revisit identical memberships
-constantly) and the running makespan is updated by delta instead of
-re-summed.  The candidate-``k`` loop and the local-search rounds are
-additionally pruned against the five-floor session lower bound
-(:func:`repro.sched.bounds.session_schedule_floor`): once the incumbent
-reaches the floor, nothing can *strictly* improve, so stopping early
-cannot change the answer.  The pre-incremental search is retained
-under ``tests/oracles/`` as the differential-test oracle — the two
-engines are bit-identical by construction and by test.
+memo keyed by the ordered tuple of the members' indices into the task
+list — the greedy seed's k-way trial placement and the O(n²) swap
+neighborhood revisit identical memberships constantly) and the running
+makespan is updated by delta instead of re-summed.  A memo miss reads
+the session length off the wire-pair grant's breakpoint chains instead
+of re-pricing each member.  The candidate-``k`` loop and the
+local-search rounds are additionally pruned against the five-floor
+session lower bound (:func:`repro.sched.bounds.session_schedule_floor`):
+once the incumbent reaches the floor, nothing can *strictly* improve,
+so stopping early cannot change the answer.  The pre-incremental search
+is retained under ``tests/oracles/`` as the differential-test oracle —
+the two engines are bit-identical by construction and by test.
 """
 
 from __future__ import annotations
@@ -79,6 +81,41 @@ _M_MEMO_MISSES = METRICS.counter(
 )
 
 
+def _grant(
+    scan_tasks: list[TestTask], data_pins: int
+) -> Optional[tuple[list[tuple[tuple[int, int], ...]], list[int]]]:
+    """The wire-pair grant loop of :func:`assign_widths`.
+
+    Returns each scan task's :attr:`TestTask.breakpoints` chain and its
+    final position on that chain, or ``None`` if the scan tasks cannot
+    all get one wire pair.  ``chains[i][steps[i]]`` is task ``i``'s
+    granted ``(width, time)``.
+    """
+    spare = data_pins // 2 - len(scan_tasks)
+    if spare < 0:
+        return None
+    chains = [t.breakpoints for t in scan_tasks]
+    steps = [0] * len(chains)  # each task's position on its chain
+    heap = [(-chain[0][1], i) for i, chain in enumerate(chains)]
+    heapq.heapify(heap)
+    skipped = False
+    while spare > 0 and heap:
+        i = heap[0][1]
+        chain, k = chains[i], steps[i]
+        if k + 1 < len(chain):
+            extra = chain[k + 1][0] - chain[k][0]
+            if extra <= spare:
+                spare -= extra
+                steps[i] = k + 1
+                heapq.heapreplace(heap, (-chain[k + 1][1], i))
+                continue
+        elif not skipped and chain[k][0] >= scan_tasks[i].max_width:
+            break  # the critical task is saturated
+        heapq.heappop(heap)
+        skipped = True
+    return chains, steps
+
+
 def assign_widths(tasks: list[TestTask], data_pins: int) -> Optional[dict[str, int]]:
     """Assign TAM wire pairs to the scan tasks of one session.
 
@@ -104,28 +141,10 @@ def assign_widths(tasks: list[TestTask], data_pins: int) -> Optional[dict[str, i
     scan_tasks = [t for t in tasks if t.is_scan]
     if not scan_tasks:
         return {}
-    spare = data_pins // 2 - len(scan_tasks)
-    if spare < 0:
+    granted = _grant(scan_tasks, data_pins)
+    if granted is None:
         return None
-    chains = [t.breakpoints for t in scan_tasks]
-    steps = [0] * len(chains)  # each task's position on its chain
-    heap = [(-chain[0][1], i) for i, chain in enumerate(chains)]
-    heapq.heapify(heap)
-    skipped = False
-    while spare > 0 and heap:
-        i = heap[0][1]
-        chain, k = chains[i], steps[i]
-        if k + 1 < len(chain):
-            extra = chain[k + 1][0] - chain[k][0]
-            if extra <= spare:
-                spare -= extra
-                steps[i] = k + 1
-                heapq.heapreplace(heap, (-chain[k + 1][1], i))
-                continue
-        elif not skipped and chain[k][0] >= scan_tasks[i].max_width:
-            break  # the critical task is saturated
-        heapq.heappop(heap)
-        skipped = True
+    chains, steps = granted
     return {t.name: chain[k][0] for t, chain, k in zip(scan_tasks, chains, steps)}
 
 
@@ -161,18 +180,6 @@ def build_session(
     return Session(index=index, tests=scheduled, control_pins=ctrl, data_pins=data)
 
 
-def _total_time(sessions: list[Session], reconfig: int) -> int:
-    """Makespan of a session sequence: lengths plus one reconfiguration
-    between consecutive *non-trivial* sessions.  A zero-length session
-    (every member test has zero patterns) applies no cycles, so the chip
-    is never actually reconfigured for it — charging it
-    ``SESSION_RECONFIG_CYCLES`` would inflate the makespan."""
-    used = [s for s in sessions if s.tests and s.length > 0]
-    if not used:
-        return 0
-    return sum(s.length for s in used) + reconfig * (len(used) - 1)
-
-
 def _finalize_sessions(
     sessions: list[Session], reconfig: int
 ) -> tuple[list[Session], int]:
@@ -183,8 +190,9 @@ def _finalize_sessions(
     Zero-length tests stay in the schedule (the verifier's coverage rule
     demands every input task placed exactly once) but cost nothing: the
     merged session sits at the makespan with zero duration and no
-    reconfiguration charge.  Returns ``(sessions, total_time)``;
-    ``total_time`` equals :func:`_total_time` on the input.
+    reconfiguration charge.  Returns ``(sessions, total_time)``, where
+    ``total_time`` is the non-trivial sessions' lengths plus one
+    reconfiguration between consecutive ones.
     """
     real = [s for s in sessions if s.tests and s.length > 0]
     zero_tests = [t for s in sessions if s.tests and s.length == 0 for t in s.tests]
@@ -209,42 +217,42 @@ def _finalize_sessions(
 class _SessionEvaluator:
     """Memoized membership → session length, the search's inner oracle.
 
-    ``length(members)`` answers the only two questions the search asks
-    of a membership — is it feasible, and how long is the session — by
-    running the same checks as :func:`build_session` (same call order,
-    same width assignment) without allocating ``Session`` /
-    ``ScheduledTest`` objects.  Results are memoized keyed by the
-    *ordered* identity tuple of the members: order is semantic (width
-    assignment breaks ties by membership order, and the final test list
-    preserves it), and the greedy seed's k-way trials, the O(n²) swap
-    neighborhood, and every post-improvement re-scan revisit identical
-    memberships, so the memo absorbs most of the search.  Task objects
-    are fixed for the lifetime of one scheduling run, so ``id()`` is a
-    stable, collision-free key component.
+    A membership is an ordered tuple of indices into the run's task
+    list ``tasks``.  ``length(key)`` answers the only two questions the
+    search asks of it — is it feasible, and how long is the session —
+    by running the same checks as :func:`build_session` (same call
+    order, same wire-pair grant) without allocating ``Session`` /
+    ``ScheduledTest`` objects or a name → width dict: the length is
+    read off the grant's breakpoint chains.  Results are memoized on
+    the index tuple itself: order is semantic (width assignment breaks
+    ties by membership order, and the final test list preserves it),
+    and the greedy seed's k-way trials, the O(n²) swap neighborhood,
+    and every post-improvement re-scan revisit identical memberships,
+    so the memo absorbs most of the search.
     """
 
-    __slots__ = ("soc", "policy", "_memo", "hits", "misses")
+    __slots__ = ("soc", "policy", "tasks", "_memo", "hits", "misses")
 
-    def __init__(self, soc: Soc, policy: SharingPolicy):
+    def __init__(self, soc: Soc, policy: SharingPolicy, tasks: list[TestTask]):
         self.soc = soc
         self.policy = policy
+        self.tasks = tasks
         self._memo: dict[tuple[int, ...], Optional[int]] = {}
         self.hits = 0
         self.misses = 0
 
-    def length(self, members: list[TestTask]) -> Optional[int]:
-        """Session length of ``members``, or ``None`` if infeasible."""
-        if not members:
+    def length(self, key: tuple[int, ...]) -> Optional[int]:
+        """Session length of the members ``key`` indexes, or ``None``
+        if infeasible."""
+        if not key:
             return 0
-        key = tuple(map(id, members))
         try:
             cached = self._memo[key]
             self.hits += 1
             return cached
         except KeyError:
             self.misses += 1
-        result = self._evaluate(members)
-        self._memo[key] = result
+        result = self._memo[key] = self._evaluate([self.tasks[i] for i in key])
         return result
 
     def _evaluate(self, members: list[TestTask]) -> Optional[int]:
@@ -259,10 +267,13 @@ class _SessionEvaluator:
         ctrl = control_pins(members, self.policy)
         if ctrl > self.soc.test_pins:
             return None
-        widths = assign_widths(members, self.soc.test_pins - ctrl)
-        if widths is None:
+        scan_tasks = [t for t in members if t.is_scan]
+        granted = _grant(scan_tasks, self.soc.test_pins - ctrl)
+        if granted is None:
             return None
-        return max(t.time(widths.get(t.name, 1)) for t in members)
+        chains, steps = granted
+        return max([t.fixed_time for t in members if not t.is_scan]
+                   + [chain[k][1] for chain, k in zip(chains, steps)])
 
 
 def _makespan(sum_len: int, active: int, reconfig: int) -> int:
@@ -276,25 +287,26 @@ def _greedy_seed(
     k: int,
     evaluator: _SessionEvaluator,
     reconfig: int,
-) -> Optional[tuple[list[list[TestTask]], list[int]]]:
+) -> Optional[tuple[list[tuple[int, ...]], list[int]]]:
     """Longest-first greedy placement over ``k`` sessions.
 
     Each trial placement touches exactly one session, so only that
     session is re-evaluated (the other ``k-1`` are unchanged and known
     feasible) and the trial makespan is the incumbent adjusted by the
     one session's length delta — O(1) bookkeeping per trial where the
-    reference rebuilds all ``k`` sessions.
+    reference rebuilds all ``k`` sessions.  Memberships are tuples of
+    indices into ``tasks``.
     """
-    members: list[list[TestTask]] = [[] for _ in range(k)]
+    members: list[tuple[int, ...]] = [()] * k
     lengths = [0] * k
     sum_len = 0
     active = 0
-    for task in sorted(tasks, key=lambda t: -t.min_time):
+    for task in sorted(range(len(tasks)), key=lambda i: -tasks[i].min_time):
         best_idx: Optional[int] = None
         best_total: Optional[int] = None
         best_len = 0
         for i in range(k):
-            new_len = evaluator.length(members[i] + [task])
+            new_len = evaluator.length(members[i] + (task,))
             if new_len is None:
                 continue
             s, a = sum_len, active
@@ -316,19 +328,19 @@ def _greedy_seed(
             sum_len += best_len
             active += 1
         lengths[best_idx] = best_len
-        members[best_idx].append(task)
+        members[best_idx] += (task,)
     return members, lengths
 
 
 def _local_search(
-    members: list[list[TestTask]],
+    members: list[tuple[int, ...]],
     lengths: list[int],
     evaluator: _SessionEvaluator,
     reconfig: int,
     floor: int,
     max_rounds: int = 60,
     stats: Optional[dict] = None,
-) -> tuple[list[list[TestTask]], int]:
+) -> tuple[list[tuple[int, ...]], int]:
     """First-improvement local search (moves, then swaps), incremental.
 
     A move or swap touches two sessions: only those two memberships are
@@ -374,7 +386,7 @@ def _local_search(
                 len_src = evaluator.length(new_src)
                 if len_src is None:
                     continue
-                new_dst = members[dst] + [task]
+                new_dst = members[dst] + (task,)
                 len_dst = evaluator.length(new_dst)
                 if len_dst is None:
                     continue
@@ -405,11 +417,11 @@ def _local_search(
                 for tj in range(len(members[sb])):
                     moves += 1
                     tb = members[sb][tj]
-                    new_a = base_a + [tb]
+                    new_a = base_a + (tb,)
                     len_a = evaluator.length(new_a)
                     if len_a is None:
                         continue
-                    new_b = members[sb][:tj] + members[sb][tj + 1:] + [ta]
+                    new_b = members[sb][:tj] + members[sb][tj + 1:] + (ta,)
                     len_b = evaluator.length(new_b)
                     if len_b is None:
                         continue
@@ -490,12 +502,12 @@ def schedule_sessions(
         # a window of max_sessions candidate counts starting at the floor
         # (degenerates to the classic 1..max_sessions for small chips)
         candidates = list(range(forced, min(len(tasks), forced + max_sessions - 1) + 1))
-    evaluator = _SessionEvaluator(soc, policy)
+    evaluator = _SessionEvaluator(soc, policy, tasks)
     floor = session_schedule_floor(soc, tasks, reconfig)
     stats = {"rounds": 0, "moves": 0, "moves_pruned": 0,
              "exits": {"floor": 0, "converged": 0, "max_rounds": 0}}
     candidates_pruned = 0
-    best_members: Optional[list[list[TestTask]]] = None
+    best_members: Optional[list[tuple[int, ...]]] = None
     best_total: Optional[int] = None
     sp = span("sched.session_search", soc=soc.name, tasks=len(tasks))
     try:
@@ -542,7 +554,7 @@ def schedule_sessions(
         )
     best_sessions = []
     for i, membership in enumerate(best_members):
-        session = build_session(i, membership, soc, policy)
+        session = build_session(i, [tasks[t] for t in membership], soc, policy)
         if session is None:  # pragma: no cover — search only keeps feasible sets
             raise InfeasibleScheduleError(
                 f"internal error: winning membership infeasible for {soc.name!r}"

@@ -14,10 +14,11 @@ and deliberately slow, which makes it the perfect oracle:
   gate, via ``BENCH_sched.json``) the incremental engine's speedup.
 
 Both engines share the leaf computations (:func:`build_session`,
-``_total_time``, ``_finalize_sessions``) — what differs is the *search*:
-how candidate memberships are evaluated and how the running makespan is
-maintained.  Do not "optimize" this module; its value is being the
-unoptimized baseline.
+``_finalize_sessions``) — what differs is the *search*: how candidate
+memberships are evaluated and how the running makespan is maintained.
+The reference re-sums the makespan with :func:`_total_time`, which
+lives here because only this search needs it.  Do not "optimize" this
+module; its value is being the unoptimized baseline.
 """
 
 from __future__ import annotations
@@ -30,11 +31,22 @@ from repro.sched.result import ScheduleResult, Session, TestTask
 from repro.sched.session import (
     InfeasibleScheduleError,
     _finalize_sessions,
-    _total_time,
     build_session,
 )
 from repro.sched.timecalc import SESSION_RECONFIG_CYCLES
 from repro.soc.soc import Soc
+
+
+def _total_time(sessions: list[Session], reconfig: int) -> int:
+    """Makespan of a session sequence: lengths plus one reconfiguration
+    between consecutive *non-trivial* sessions.  A zero-length session
+    (every member test has zero patterns) applies no cycles, so the chip
+    is never actually reconfigured for it — charging it
+    ``SESSION_RECONFIG_CYCLES`` would inflate the makespan."""
+    used = [s for s in sessions if s.tests and s.length > 0]
+    if not used:
+        return 0
+    return sum(s.length for s in used) + reconfig * (len(used) - 1)
 
 
 def _materialize(

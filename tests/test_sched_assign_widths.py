@@ -6,18 +6,33 @@ assign_widths_ref.py`` keeps the original loop, which re-sorts every
 scan task on each grant and probes wider widths one at a time.  The two
 must agree on every input: the same ``None``, the same widths and the
 same key order.  The session-search differential suite cannot see an
-allocator change, because the reference search calls the same
-``assign_widths`` through ``build_session``.
+allocator change, because the reference search reaches the same grant
+loop through ``build_session``.
+
+The search's ``_SessionEvaluator`` reads a session's length off that
+grant loop's breakpoint chains instead of pricing each member at its
+assigned width.  The reference search prices members through
+``build_session`` (``assign_widths``, then ``TestTask.time`` per
+member), so the session differential suite does see an error in how the
+evaluator computes a length.  ``TestSessionLength`` races the evaluator
+against ``build_session(...).length`` directly, one membership at a
+time.
 """
 
+import dataclasses
+import functools
 import itertools
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sched import TestTask, assign_widths
+from repro.core import CompileBist, FlowContext, SteacConfig
+from repro.gen import SocGenerator
+from repro.sched import SharingPolicy, TestTask, assign_widths, build_session
+from repro.sched.session import _SessionEvaluator
 from repro.sched.timecalc import ScanTimeModel
-from repro.soc import TestKind
+from repro.soc import Soc, TestKind
+from repro.soc.dsc import build_dsc_chip
 
 from oracles.assign_widths_ref import assign_widths_reference
 
@@ -123,3 +138,52 @@ class TestBreakpoints:
     def test_built_once_per_task(self):
         task = table_task("a", [100, 60], 2)
         assert task.breakpoints is task.breakpoints
+
+
+CHIPS = {
+    "dsc": build_dsc_chip,
+    "large": lambda: SocGenerator(4, "large").generate(),
+    "small": lambda: SocGenerator(5, "small").generate(),
+}
+
+
+@functools.cache
+def chip_tasks(name):
+    soc = CHIPS[name]()
+    ctx = FlowContext(soc=soc, config=SteacConfig(compare_strategies=False))
+    CompileBist().run(ctx)
+    return soc, ctx.tasks
+
+
+def assert_length_matches(soc, tasks, key):
+    session = build_session(0, [tasks[i] for i in key], soc)
+    expected = None if session is None else session.length
+    evaluator = _SessionEvaluator(soc, SharingPolicy(), tasks)
+    assert evaluator.length(key) == expected
+    assert evaluator.length(key) == expected  # answered by the memo
+
+
+class TestSessionLength:
+    """``_SessionEvaluator.length`` equals ``build_session(...).length``,
+    or ``None`` where ``build_session`` returns ``None``."""
+
+    @settings(max_examples=300, **COMMON)
+    @given(session=sessions())
+    def test_generated_sessions_match_build_session(self, session):
+        tasks, data_pins = session
+        soc = Soc(name="chip", test_pins=max(1, data_pins))
+        assert_length_matches(soc, tasks, tuple(range(len(tasks))))
+
+    @settings(max_examples=600, **COMMON)
+    @given(data=st.data())
+    def test_index_tuples_match_build_session(self, data):
+        """Ordered index tuples, repeats allowed, over real CompileBist
+        tasks and the chip's pin budget or a smaller one.  They reach
+        every rejection (same core, two functional tests, power, control
+        and data pins) and sessions with no scan task (DSC's ``*_func``
+        and ``MBIST.g*``)."""
+        soc, tasks = chip_tasks(data.draw(st.sampled_from(sorted(CHIPS))))
+        pins = data.draw(st.one_of(st.just(soc.test_pins), st.integers(1, soc.test_pins)))
+        key = data.draw(st.lists(st.integers(0, len(tasks) - 1), max_size=8,
+                                 unique=data.draw(st.booleans())))
+        assert_length_matches(dataclasses.replace(soc, test_pins=pins), tasks, tuple(key))

@@ -22,6 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.core import CompileBist, FlowContext, SteacConfig  # noqa: E402
 from repro.gen import SocGenerator  # noqa: E402
+from repro.obs import METRICS  # noqa: E402
 from repro.sched import (  # noqa: E402
     InfeasibleScheduleError,
     forced_session_floor,
@@ -36,6 +37,7 @@ from repro.sched.timecalc import (  # noqa: E402
     best_width_time,
     core_scan_time,
 )
+from repro.soc.dsc import build_dsc_chip  # noqa: E402
 from repro.soc.itc02 import d695_soc  # noqa: E402
 
 from oracles.session_ref import schedule_sessions_reference  # noqa: E402
@@ -141,6 +143,38 @@ class TestGoldenAnchor:
         doc = result.to_dict()
         assert doc["total_time"] == golden["total_time"]
         assert doc["sessions"] == golden["sessions"]
+
+
+class TestTraversal:
+    """The search's path, not just its answer: rounds, moves evaluated,
+    memo hits and misses, and the makespan are pinned per chip.  A drift
+    in the neighbourhood, its order, or the memo's accounting (seeding
+    the memo with the empty membership, say) fails here even when the
+    schedule survives."""
+
+    COUNTERS = ("sched.rounds", "sched.moves.evaluated",
+                "cache.evaluator_memo.hits", "cache.evaluator_memo.misses")
+
+    def traversal(self, soc, tasks):
+        before = [METRICS.value(name) for name in self.COUNTERS]
+        result = schedule_sessions(soc, tasks)
+        after = [METRICS.value(name) for name in self.COUNTERS]
+        return [a - b for a, b in zip(after, before)] + [result.total_time]
+
+    def test_d695(self):
+        soc = d695_soc(test_pins=48)
+        assert self.traversal(soc, tasks_from_soc(soc)) == \
+            [43, 1_539, 3_241, 232, 31_073]
+
+    def test_dsc(self):
+        soc = build_dsc_chip()
+        assert self.traversal(soc, tasks_for(soc)) == \
+            [3, 222, 490, 73, 2_410_258]
+
+    def test_large(self):
+        soc = SocGenerator(4, "large").generate()
+        assert self.traversal(soc, tasks_for(soc)) == \
+            [16, 2_660, 5_623, 365, 169_575]
 
 
 class TestBounds:
