@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 
@@ -98,6 +99,14 @@ def _soc_builders() -> dict:
     return {"dsc": build_dsc_chip, "d695": d695_soc}
 
 
+def _finite_float(text: str) -> float:
+    """``float(text)`` refusing ``nan`` and ``inf``, which would run and print non-JSON."""
+    with contextlib.suppress(ValueError):
+        if math.isfinite(value := float(text)):
+            return value
+    raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+
+
 def _build_work_item(spec: str):
     """Parse a batch SOC spec: ``name[:pins[:power]]``.
 
@@ -119,13 +128,13 @@ def _build_work_item(spec: str):
         if len(rest) >= 1:
             kwargs["test_pins"] = int(rest[0])
         if len(rest) >= 2:
-            kwargs["power_budget"] = float(rest[1])
+            kwargs["power_budget"] = _finite_float(rest[1])
         if len(rest) >= 3:
             raise ValueError("too many fields")
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise SystemExit(
             f"bad SOC spec {spec!r}: {exc} (format: name[:pins[:power]], "
-            "pins an int, power a float)"
+            "pins an int, power a finite float)"
         ) from None
     if name.startswith("gen-"):
         from repro.gen import ScenarioSpec, available_profiles, get_profile
@@ -612,7 +621,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_dsc = sub.add_parser("dsc", help="integrate the DSC case-study chip")
     p_dsc.add_argument("--pins", type=int, default=28, help="tester pin budget")
-    p_dsc.add_argument("--power", type=float, default=8.0, help="power budget")
+    p_dsc.add_argument("--power", type=_finite_float, default=8.0, help="power budget")
     p_dsc.add_argument("--strategy", choices=strategies, default="session",
                        help="scheduling strategy (registry name)")
     p_dsc.add_argument("--headroom", action="store_true",
@@ -681,7 +690,7 @@ def main(argv: list[str] | None = None) -> int:
                           help="repair allocator (registry name)")
     p_repair.add_argument("--defects", type=int, default=3,
                           help="defects injected per memory in the diagnosis table")
-    p_repair.add_argument("--defect-density", type=float, default=0.3,
+    p_repair.add_argument("--defect-density", type=_finite_float, default=0.3,
                           help="mean defects per Mbit (Monte-Carlo section)")
     p_repair.add_argument("--spare-rows", type=int, default=None,
                           help="spare rows per memory (default: 2)")

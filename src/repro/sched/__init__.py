@@ -17,8 +17,8 @@ from repro.sched.bounds import (
 from repro.sched.ioalloc import (
     BIST_PORT_PINS,
     SharingPolicy,
+    control_pin_count,
     control_pins,
-    data_pins_available,
     io_sharing_report,
 )
 from repro.sched.nonsession import schedule_nonsession
@@ -61,8 +61,8 @@ __all__ = [
     "task_width_cap",
     "task_wire_cycles_floor",
     "SharingPolicy",
+    "control_pin_count",
     "control_pins",
-    "data_pins_available",
     "io_sharing_report",
     "schedule_nonsession",
     "available_strategies",

@@ -47,11 +47,13 @@ def task_floor_time(task: TestTask, test_pins: int) -> int:
 
 def task_wire_cycles_floor(task: TestTask, test_pins: int) -> int:
     """min over feasible widths of ``w * time(w)`` — the cheapest
-    wire-pair x cycles budget the task can be run in (0 for non-scan)."""
+    wire-pair x cycles budget the task can be run in (0 for non-scan).
+    Only :attr:`TestTask.breakpoints` can attain it: a width between two
+    runs no faster than the one before it and is wider."""
     if not task.is_scan:
         return 0
     cap = task_width_cap(task, test_pins)
-    return min(w * task.time(w) for w in range(1, cap + 1))
+    return min(w * t for w, t in task.breakpoints if w <= cap)
 
 
 def forced_session_floor(tasks: list[TestTask]) -> int:

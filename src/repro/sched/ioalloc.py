@@ -5,7 +5,8 @@ Section 3 of the paper: "The total test IOs of the three large cores are
 and 2 SE signals.  With shared test IOs, the test control IO counts are
 reduced."
 
-The sharing rules implemented here (each is a policy knob):
+The sharing rules implemented here (each is a policy knob), applied to
+a concurrent set's totals by the one function :func:`control_pin_count`:
 
 * **clocks** — one chip pin per distinct clock *domain* among the cores
   concurrently under test (domains cannot share a pin; identical domains
@@ -48,21 +49,12 @@ class SharingPolicy:
         return cls(share_resets=False, share_scan_enables=False, te_from_controller=False)
 
 
-def control_pins(tasks: Iterable[TestTask], policy: SharingPolicy = SharingPolicy()) -> int:
-    """Chip control pins needed while ``tasks`` run concurrently."""
-    tasks = list(tasks)
-    domains: set[str] = set()
-    resets = 0
-    scan_enables = 0
-    test_enables = 0
-    bist = False
-    for task in tasks:
-        domains.update(task.clock_domains)
-        resets += task.control.resets
-        scan_enables += task.control.scan_enables
-        test_enables += task.control.test_enables
-        bist = bist or task.uses_bist_port
-    pins = len(domains)
+def control_pin_count(domains: int, resets: int, scan_enables: int, test_enables: int,
+                      bist: bool, policy: SharingPolicy = SharingPolicy()) -> int:
+    """Chip control pins for a concurrent set's totals (distinct clock
+    domains, resets, scan enables, test enables, any BIST task), the rule
+    both :func:`control_pins` and the session search's memo misses apply."""
+    pins = domains
     if policy.share_resets:
         pins += 1 if resets else 0
     else:
@@ -78,9 +70,18 @@ def control_pins(tasks: Iterable[TestTask], policy: SharingPolicy = SharingPolic
     return pins
 
 
-def data_pins_available(test_pins: int, tasks: Iterable[TestTask], policy: SharingPolicy = SharingPolicy()) -> int:
-    """TAM data pins left after control allocation (>= 0)."""
-    return max(0, test_pins - control_pins(tasks, policy))
+def control_pins(tasks: Iterable[TestTask], policy: SharingPolicy = SharingPolicy()) -> int:
+    """Chip control pins needed while ``tasks`` run concurrently."""
+    domains: set[str] = set()
+    resets = scan_enables = test_enables = 0
+    bist = False
+    for task in tasks:
+        domains.update(task.clock_domains)
+        resets += task.control.resets
+        scan_enables += task.control.scan_enables
+        test_enables += task.control.test_enables
+        bist = bist or task.uses_bist_port
+    return control_pin_count(len(domains), resets, scan_enables, test_enables, bist, policy)
 
 
 def io_sharing_report(tasks: Iterable[TestTask], policy: SharingPolicy = SharingPolicy()):

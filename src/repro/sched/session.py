@@ -17,31 +17,42 @@ scan task that the spare pairs can still shorten, ties in membership
 order, and granting stops once the pairs run out or nothing can use
 them, or as soon as the longest task is saturated at its maximum width.
 
+The greedy's length is the session's *level*: the smallest scan-member
+breakpoint time ``L`` at which the narrowest widths finishing every scan
+member by ``L`` fit in the wire pairs.  Until its longest task stops
+shortening, the greedy widens only tasks at least as long as its final
+length, each to the narrowest width that shortens it, so any shorter
+level needs those pairs and more than are left.  Tie order only picks
+which equally long task is refused a pair, never the level, so the
+search prices memberships by level and runs the greedy for widths only.
+
 The search is **incremental**: a candidate move touches exactly two
 sessions, so only those two memberships are re-evaluated (through a
 memo keyed by the ordered tuple of the members' indices into the task
 list — the greedy seed's k-way trial placement and the O(n²) swap
 neighborhood revisit identical memberships constantly) and the running
-makespan is updated by delta instead of re-summed.  A memo miss reads
-the session length off the wire-pair grant's breakpoint chains instead
-of re-pricing each member.  The candidate-``k`` loop and the
-local-search rounds are additionally pruned against the five-floor
-session lower bound (:func:`repro.sched.bounds.session_schedule_floor`):
-once the incumbent reaches the floor, nothing can *strictly* improve,
-so stopping early cannot change the answer.  The pre-incremental search
-is retained under ``tests/oracles/`` as the differential-test oracle —
-the two engines are bit-identical by construction and by test.
+makespan is updated by delta instead of re-summed.  A memo miss is one
+pass over per-task records built once per search plus a binary search
+of the level table (:class:`_SessionEvaluator`).  The candidate-``k``
+loop and the local-search rounds are additionally pruned against the
+five-floor session lower bound
+(:func:`repro.sched.bounds.session_schedule_floor`): once the incumbent
+reaches the floor, nothing can *strictly* improve, so stopping early
+cannot change the answer.  The pre-incremental search is retained under
+``tests/oracles/`` as the differential-test oracle — the two engines
+are bit-identical by construction and by test.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Optional
 
 from repro.obs import METRICS, span
 from repro.sched.bounds import session_schedule_floor
-from repro.sched.ioalloc import SharingPolicy, control_pins
+from repro.sched.ioalloc import SharingPolicy, control_pin_count, control_pins
 from repro.sched.power import fits_power_budget
 from repro.sched.result import ScheduledTest, ScheduleResult, Session, TestTask
 from repro.sched.timecalc import SESSION_RECONFIG_CYCLES
@@ -81,16 +92,36 @@ _M_MEMO_MISSES = METRICS.counter(
 )
 
 
-def _grant(
-    scan_tasks: list[TestTask], data_pins: int
-) -> Optional[tuple[list[tuple[tuple[int, int], ...]], list[int]]]:
-    """The wire-pair grant loop of :func:`assign_widths`.
+def assign_widths(tasks: list[TestTask], data_pins: int) -> Optional[dict[str, int]]:
+    """Assign TAM wire pairs to the scan tasks of one session.
 
-    Returns each scan task's :attr:`TestTask.breakpoints` chain and its
-    final position on that chain, or ``None`` if the scan tasks cannot
-    all get one wire pair.  ``chains[i][steps[i]]`` is task ``i``'s
-    granted ``(width, time)``.
+    A width-``w`` connection costs ``2w`` data pins (w in + w out).
+    Returns task-name → width in membership order, or ``None`` if the
+    scan tasks cannot all get at least one wire pair.
+
+    Every scan task starts at width 1.  Each grant goes to the first
+    scan task, by time at its current width descending and then
+    membership order, that the spare pairs can shorten, and moves it to
+    its next strictly shorter width (:attr:`TestTask.breakpoints`).
+    Granting stops when the spare pairs are spent or no task can use
+    them, or at once when the critical (longest) task is saturated: its
+    width has reached its ``max_width``, so the session cannot get
+    shorter.
+
+    Spare pairs only shrink, so a task they cannot shorten leaves the
+    ``(-time, index)`` heap for the rest of the call, and each grant is
+    O(log n).  A skipped task keeps its time and sorts ahead of every
+    task left in the heap, so it stays the critical task: the
+    saturation stop can only fire while nothing has been skipped.
+
+    The length reached is the session's *level* (module docstring): the
+    smallest member breakpoint time whose narrowest widths fit in
+    ``data_pins // 2`` pairs.  Tie order changes the widths returned,
+    never the length, which :class:`_SessionEvaluator` prices directly.
     """
+    scan_tasks = [t for t in tasks if t.is_scan]
+    if not scan_tasks:
+        return {}
     spare = data_pins // 2 - len(scan_tasks)
     if spare < 0:
         return None
@@ -113,38 +144,6 @@ def _grant(
             break  # the critical task is saturated
         heapq.heappop(heap)
         skipped = True
-    return chains, steps
-
-
-def assign_widths(tasks: list[TestTask], data_pins: int) -> Optional[dict[str, int]]:
-    """Assign TAM wire pairs to the scan tasks of one session.
-
-    A width-``w`` connection costs ``2w`` data pins (w in + w out).
-    Returns task-name → width in membership order, or ``None`` if the
-    scan tasks cannot all get at least one wire pair.
-
-    Every scan task starts at width 1.  Each grant goes to the first
-    scan task, by time at its current width descending and then
-    membership order, that the spare pairs can shorten, and moves it to
-    its next strictly shorter width (:attr:`TestTask.breakpoints`).
-    Granting stops when the spare pairs are spent or no task can use
-    them, or at once when the critical (longest) task is saturated: its
-    width has reached its ``max_width``, so the session cannot get
-    shorter.
-
-    Spare pairs only shrink, so a task they cannot shorten leaves the
-    ``(-time, index)`` heap for the rest of the call, and each grant is
-    O(log n).  A skipped task keeps its time and sorts ahead of every
-    task left in the heap, so it stays the critical task: the
-    saturation stop can only fire while nothing has been skipped.
-    """
-    scan_tasks = [t for t in tasks if t.is_scan]
-    if not scan_tasks:
-        return {}
-    granted = _grant(scan_tasks, data_pins)
-    if granted is None:
-        return None
-    chains, steps = granted
     return {t.name: chain[k][0] for t, chain, k in zip(scan_tasks, chains, steps)}
 
 
@@ -218,25 +217,52 @@ class _SessionEvaluator:
     """Memoized membership → session length, the search's inner oracle.
 
     A membership is an ordered tuple of indices into the run's task
-    list ``tasks``.  ``length(key)`` answers the only two questions the
-    search asks of it — is it feasible, and how long is the session —
-    by running the same checks as :func:`build_session` (same call
-    order, same wire-pair grant) without allocating ``Session`` /
-    ``ScheduledTest`` objects or a name → width dict: the length is
-    read off the grant's breakpoint chains.  Results are memoized on
-    the index tuple itself: order is semantic (width assignment breaks
-    ties by membership order, and the final test list preserves it),
-    and the greedy seed's k-way trials, the O(n²) swap neighborhood,
-    and every post-improvement re-scan revisit identical memberships,
-    so the memo absorbs most of the search.
+    list.  ``length(key)`` says whether it is feasible and how long the
+    session is, as :func:`build_session` would, without the wire-pair
+    grant: the length is the session's level (module docstring), which
+    the greedy's tie order cannot change.  Once per search each task
+    becomes a flat record (mutex bits for its core and the functional
+    interface, clock-domain mask, reset / scan-enable / test-enable
+    counts, BIST flag, power, fixed time), and ``levels`` holds every
+    scan task's breakpoint times, sorted, with a row per scan task of
+    the narrowest width finishing it within each level.  A memo miss is
+    one pass over its records (power summed in membership order and
+    compared as :func:`~repro.sched.power.fits_power_budget` does,
+    control pins by :func:`~repro.sched.ioalloc.control_pin_count`) and
+    a binary search for the smallest level whose widths fit the spare
+    pairs, between the members' largest last and largest first
+    breakpoint.  The greedy seed's trials, the swap neighborhood and
+    every re-scan revisit identical memberships, so the memo absorbs
+    most of the search.
     """
 
-    __slots__ = ("soc", "policy", "tasks", "_memo", "hits", "misses")
+    __slots__ = ("test_pins", "power_budget", "policy", "levels", "records",
+                 "_memo", "hits", "misses")
 
     def __init__(self, soc: Soc, policy: SharingPolicy, tasks: list[TestTask]):
-        self.soc = soc
+        self.test_pins = soc.test_pins
+        self.power_budget = soc.power_budget
         self.policy = policy
-        self.tasks = tasks
+        chains = [t.breakpoints if t.is_scan else None for t in tasks]
+        self.levels = sorted({time for chain in chains if chain for _, time in chain})
+        at = {time: j for j, time in enumerate(self.levels)}
+        cores: dict[str, int] = {}  # bit 0 is the functional interface
+        domains: dict[str, int] = {}  # a set of distinct bits sums to their mask
+        self.records: list[tuple] = []
+        for task, chain in zip(tasks, chains):
+            scan = None
+            if chain is not None:
+                first, last = at[chain[0][1]], at[chain[-1][1]]
+                row = [0] * last  # never probed: the search starts at ``last``
+                for k in range(len(chain) - 1, 0, -1):
+                    row += [chain[k][0]] * (at[chain[k - 1][1]] - at[chain[k][1]])
+                scan = (last, first, row + [1] * (len(self.levels) - first))
+            self.records.append((
+                cores.setdefault(task.core_name, 2 << len(cores)) | task.uses_functional_pins,
+                sum({domains.setdefault(d, 1 << len(domains)) for d in task.clock_domains}),
+                task.control.resets, task.control.scan_enables, task.control.test_enables,
+                task.uses_bist_port, task.power, task.fixed_time, scan,
+            ))
         self._memo: dict[tuple[int, ...], Optional[int]] = {}
         self.hits = 0
         self.misses = 0
@@ -252,28 +278,54 @@ class _SessionEvaluator:
             return cached
         except KeyError:
             self.misses += 1
-        result = self._memo[key] = self._evaluate([self.tasks[i] for i in key])
+        result = self._memo[key] = self._evaluate(key)
         return result
 
-    def _evaluate(self, members: list[TestTask]) -> Optional[int]:
-        # mirrors build_session's feasibility checks exactly
-        cores = [t.core_name for t in members]
-        if len(cores) != len(set(cores)):
+    def _evaluate(self, key: tuple[int, ...]) -> Optional[int]:
+        mutex = clocks = resets = scan_enables = test_enables = lo = hi = 0
+        bist = False
+        fixed = -math.inf  # the longest non-scan member
+        powers, rows = [], []
+        for i in key:
+            bits, clk, rst, se, te, bi, power, time, scan = self.records[i]
+            if mutex & bits:
+                return None  # a second test of one core or of the functional pins
+            mutex |= bits
+            clocks |= clk
+            resets += rst
+            scan_enables += se
+            test_enables += te
+            bist = bist or bi
+            powers.append(power)
+            if scan is None:
+                fixed = time if time > fixed else fixed
+            else:
+                last, first, row = scan
+                lo = last if last > lo else lo
+                hi = first if first > hi else hi
+                rows.append(row)
+        budget = self.power_budget
+        if not (budget <= 0 or sum(powers) <= budget):
             return None
-        if sum(1 for t in members if t.uses_functional_pins) > 1:
+        ctrl = control_pin_count(clocks.bit_count(), resets, scan_enables,
+                                 test_enables, bist, self.policy)
+        pairs = (self.test_pins - ctrl) // 2  # negative if ctrl > test_pins
+        if len(rows) > pairs:
             return None
-        if not fits_power_budget(members, self.soc.power_budget):
-            return None
-        ctrl = control_pins(members, self.policy)
-        if ctrl > self.soc.test_pins:
-            return None
-        scan_tasks = [t for t in members if t.is_scan]
-        granted = _grant(scan_tasks, self.soc.test_pins - ctrl)
-        if granted is None:
-            return None
-        chains, steps = granted
-        return max([t.fixed_time for t in members if not t.is_scan]
-                   + [chain[k][1] for chain, k in zip(chains, steps)])
+        if not rows:
+            return fixed
+        mid = lo  # probe ``lo`` first: over half of all sessions end there
+        while lo < hi:
+            need = 0
+            for row in rows:
+                need += row[mid]
+            if need <= pairs:
+                hi = mid
+            else:
+                lo = mid + 1
+            mid = (lo + hi) // 2
+        level = self.levels[lo]
+        return level if level >= fixed else fixed
 
 
 def _makespan(sum_len: int, active: int, reconfig: int) -> int:

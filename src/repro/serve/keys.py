@@ -23,6 +23,8 @@ each optionally carrying ``test_pins`` / ``power_budget`` overrides.
 
 from __future__ import annotations
 
+import math
+
 from repro.core.batch import BACKENDS
 from repro.soc.digest import digest_document
 
@@ -44,7 +46,8 @@ def _require_mapping(value, what: str) -> dict:
 
 
 def _take(payload: dict, key: str, default, kinds: tuple, what: str):
-    """Pop ``key`` with a type check (bool is not an int here)."""
+    """Pop ``key`` with a type check (bool is not an int here, and a float
+    must be finite: ``json.loads`` accepts ``NaN`` and ``Infinity``)."""
     value = payload.pop(key, default)
     if value is default:
         return value
@@ -53,6 +56,8 @@ def _take(payload: dict, key: str, default, kinds: tuple, what: str):
     if not isinstance(value, kinds):
         names = "/".join(k.__name__ for k in kinds)
         raise JobError(f"{what}.{key} must be {names}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise JobError(f"{what}.{key} must be a finite number, got {value!r}")
     return value
 
 

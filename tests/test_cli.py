@@ -73,6 +73,20 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("argv", [
+        ["dsc", "--power", "nan"],
+        ["dsc", "--power", "inf", "--json"],
+        ["dsc", "--power=-Infinity"],
+        ["repair", "--defect-density", "nan", "--trials", "2"],
+    ])
+    def test_non_finite_float_option_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not a finite number" in captured.err
+
 
 class TestJsonOutput:
     def test_dsc_json_is_schema_v2(self, capsys):
@@ -339,6 +353,12 @@ class TestBatchCommand:
         assert doc["ok"] is True
         assert len(doc["items"]) == 2
         assert [i["index"] for i in doc["items"]] == [0, 1]
+
+    @pytest.mark.parametrize("spec", ["dsc:24:nan", "dsc:24:inf", "gen-tiny-3:64:-inf"])
+    def test_non_finite_power_spec_rejected(self, capsys, spec):
+        with pytest.raises(SystemExit, match="is not a finite number"):
+            main(["batch", spec])
+        assert capsys.readouterr().out == ""
 
     def test_batch_failure_sets_exit_code(self, capsys):
         assert main(["batch", "dsc:28", "dsc:6"]) == 1

@@ -9,14 +9,20 @@ same key order.  The session-search differential suite cannot see an
 allocator change, because the reference search reaches the same grant
 loop through ``build_session``.
 
-The search's ``_SessionEvaluator`` reads a session's length off that
-grant loop's breakpoint chains instead of pricing each member at its
-assigned width.  The reference search prices members through
-``build_session`` (``assign_widths``, then ``TestTask.time`` per
-member), so the session differential suite does see an error in how the
-evaluator computes a length.  ``TestSessionLength`` races the evaluator
-against ``build_session(...).length`` directly, one membership at a
-time.
+The search's ``_SessionEvaluator`` does not run that grant loop: it
+prices a membership as the smallest breakpoint level whose narrowest
+widths fit the spare pairs, over per-task records and a level table
+built once per search.  The reference search prices members through
+``build_session`` (``assign_widths``'s greedy, then ``TestTask.time``
+per member), so the session differential suite does see an error in how
+the evaluator computes a length.  ``TestSessionLength`` races the
+evaluator against ``build_session(...).length`` directly, one
+membership at a time and under every sharing policy.  That oracle runs
+the greedy heap loop itself, so no copy of the old evaluator is kept
+under ``tests/oracles/``.
+
+``TestWireCyclesFloor`` holds ``task_wire_cycles_floor``, which prices
+only breakpoints, equal to the per-width loop it replaced.
 """
 
 import dataclasses
@@ -28,7 +34,14 @@ from hypothesis import strategies as st
 
 from repro.core import CompileBist, FlowContext, SteacConfig
 from repro.gen import SocGenerator
-from repro.sched import SharingPolicy, TestTask, assign_widths, build_session
+from repro.sched import (
+    SharingPolicy,
+    TestTask,
+    assign_widths,
+    build_session,
+    task_width_cap,
+    task_wire_cycles_floor,
+)
 from repro.sched.session import _SessionEvaluator
 from repro.sched.timecalc import ScanTimeModel
 from repro.soc import Soc, TestKind
@@ -140,6 +153,22 @@ class TestBreakpoints:
         assert task.breakpoints is task.breakpoints
 
 
+class TestWireCyclesFloor:
+    """``task_wire_cycles_floor`` prices breakpoints only; the per-width
+    loop it replaced must give the same number on every task."""
+
+    @settings(max_examples=300, **COMMON)
+    @given(session=sessions(), test_pins=st.integers(0, 40))
+    def test_breakpoints_match_every_width(self, session, test_pins):
+        for task in session[0]:
+            if task.is_scan:
+                cap = task_width_cap(task, test_pins)
+                expected = min(w * task.time(w) for w in range(1, cap + 1))
+            else:
+                expected = 0
+            assert task_wire_cycles_floor(task, test_pins) == expected
+
+
 CHIPS = {
     "dsc": build_dsc_chip,
     "large": lambda: SocGenerator(4, "large").generate(),
@@ -155,10 +184,15 @@ def chip_tasks(name):
     return soc, ctx.tasks
 
 
-def assert_length_matches(soc, tasks, key):
-    session = build_session(0, [tasks[i] for i in key], soc)
+POLICIES = st.builds(SharingPolicy, share_resets=st.booleans(),
+                     share_scan_enables=st.booleans(),
+                     te_from_controller=st.booleans())
+
+
+def assert_length_matches(soc, tasks, key, policy=SharingPolicy()):
+    session = build_session(0, [tasks[i] for i in key], soc, policy)
     expected = None if session is None else session.length
-    evaluator = _SessionEvaluator(soc, SharingPolicy(), tasks)
+    evaluator = _SessionEvaluator(soc, policy, tasks)
     assert evaluator.length(key) == expected
     assert evaluator.length(key) == expected  # answered by the memo
 
@@ -178,12 +212,35 @@ class TestSessionLength:
     @given(data=st.data())
     def test_index_tuples_match_build_session(self, data):
         """Ordered index tuples, repeats allowed, over real CompileBist
-        tasks and the chip's pin budget or a smaller one.  They reach
-        every rejection (same core, two functional tests, power, control
-        and data pins) and sessions with no scan task (DSC's ``*_func``
-        and ``MBIST.g*``)."""
+        tasks, the chip's pin budget or a smaller one, and any sharing
+        policy.  They reach every rejection (same core, two functional
+        tests, power, control and data pins) and sessions with no scan
+        task (DSC's ``*_func`` and ``MBIST.g*``); the policy decides
+        how the evaluator's reset, scan-enable and test-enable totals
+        turn into control pins."""
         soc, tasks = chip_tasks(data.draw(st.sampled_from(sorted(CHIPS))))
+        policy = data.draw(POLICIES)
         pins = data.draw(st.one_of(st.just(soc.test_pins), st.integers(1, soc.test_pins)))
         key = data.draw(st.lists(st.integers(0, len(tasks) - 1), max_size=8,
                                  unique=data.draw(st.booleans())))
-        assert_length_matches(dataclasses.replace(soc, test_pins=pins), tasks, tuple(key))
+        assert_length_matches(dataclasses.replace(soc, test_pins=pins), tasks,
+                              tuple(key), policy)
+
+    def test_dsc_pairs_under_every_policy_and_pin_budget(self):
+        """Every DSC membership of one or two tasks, in both orders, at
+        every pin budget up to the chip's and under all eight sharing
+        policies.  USB and TV carry resets, scan enables and test
+        enables, so each of the policy's three rules decides some of
+        these answers."""
+        soc, tasks = chip_tasks("dsc")
+        keys = [key for r in (1, 2)
+                for key in itertools.permutations(range(len(tasks)), r)]
+        for flags in itertools.product((False, True), repeat=3):
+            policy = SharingPolicy(*flags)
+            for pins in range(1, soc.test_pins + 1):
+                chip = dataclasses.replace(soc, test_pins=pins)
+                evaluator = _SessionEvaluator(chip, policy, tasks)
+                for key in keys:
+                    session = build_session(0, [tasks[i] for i in key], chip, policy)
+                    expected = None if session is None else session.length
+                    assert evaluator.length(key) == expected, (key, pins, policy)

@@ -25,6 +25,7 @@ from repro.gen import SocGenerator  # noqa: E402
 from repro.obs import METRICS  # noqa: E402
 from repro.sched import (  # noqa: E402
     InfeasibleScheduleError,
+    SharingPolicy,
     forced_session_floor,
     scan_time_cache_stats,
     schedule_lower_bound,
@@ -64,14 +65,19 @@ class TestDifferential:
 
     @settings(max_examples=15, **COMMON)
     @given(seed=st.integers(min_value=0, max_value=10_000),
-           profile=st.sampled_from(["tiny", "small"]))
-    def test_generated_corpora_bit_identical(self, seed, profile):
+           profile=st.sampled_from(["tiny", "small"]),
+           policy=st.builds(SharingPolicy, share_resets=st.booleans(),
+                            share_scan_enables=st.booleans(),
+                            te_from_controller=st.booleans()))
+    def test_generated_corpora_bit_identical(self, seed, profile, policy):
         soc = SocGenerator(seed, profile).generate()
         tasks = tasks_for(soc)
-        fast = schedule_sessions(soc, tasks)
-        slow = schedule_sessions_reference(soc, tasks)
+        # the generator's pin floor keeps every policy feasible
+        fast = schedule_sessions(soc, tasks, policy=policy)
+        slow = schedule_sessions_reference(soc, tasks, policy=policy)
         assert canonical(fast) == canonical(slow), (
-            f"incremental engine diverged on seed={seed} profile={profile}"
+            f"incremental engine diverged on seed={seed} profile={profile} "
+            f"policy={policy}"
         )
 
     @settings(max_examples=8, **COMMON)

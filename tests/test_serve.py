@@ -94,6 +94,23 @@ class TestJobLifecycle:
             assert err.value.status == 400
         assert len(server.jobs()) == before
 
+    def test_non_finite_float_is_400_and_creates_no_job(self, server):
+        """The client's ``json.dumps`` writes ``Infinity`` and ``NaN``;
+        the server refuses them instead of storing a non-JSON result or
+        failing the job."""
+        before = len(server.jobs())
+        for payload in (
+            {"kind": "integrate", "soc": {"name": "dsc", "power_budget": float("inf")}},
+            {"kind": "integrate", "soc": {"name": "dsc", "power_budget": float("nan")}},
+            {"kind": "repair", "soc": {"name": "dsc"}, "trials": 2,
+             "defect_density": float("nan")},
+        ):
+            with pytest.raises(ServeError) as err:
+                server.submit(payload)
+            assert err.value.status == 400
+            assert "must be a finite number" in err.value.detail
+        assert len(server.jobs()) == before
+
     def test_unknown_backend_is_400_even_when_cached(self, server):
         """An unknown ``backend`` is refused at submit for every kind:
         a batch whose result is already cached, and an integrate job,

@@ -159,6 +159,18 @@ class TestNormalization:
                 "kind": "fuzz", "seeds": True,
             })
 
+    @pytest.mark.parametrize("body", [
+        '{"kind": "integrate", "soc": {"name": "dsc", "power_budget": Infinity}}',
+        '{"kind": "integrate", "soc": {"name": "dsc", "power_budget": NaN}}',
+        '{"kind": "batch", "socs": [{"name": "dsc", "power_budget": -Infinity}]}',
+        '{"kind": "repair", "soc": {"name": "dsc"}, "defect_density": NaN}',
+        '{"kind": "repair", "soc": {"name": "dsc"}, "defect_density": 1e400}',
+    ])
+    def test_non_finite_float_rejected(self, body):
+        # json.loads accepts NaN, Infinity and overflowing literals
+        with pytest.raises(JobError, match="must be a finite number"):
+            normalize_payload(json.loads(body))
+
     def test_empty_batch_rejected(self):
         with pytest.raises(JobError, match="non-empty"):
             normalize_payload({"kind": "batch", "socs": []})
