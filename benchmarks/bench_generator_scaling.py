@@ -6,7 +6,8 @@ Sweeps the `repro.gen` profile ladder x every registered scheduling
 strategy, recording wall clock, makespan, and the makespan / lower-bound
 ratio (`repro.sched.bounds`) in the pytest-benchmark `extra_info`.
 Every schedule is invariant-checked before it is reported — a fast
-wrong answer is not a data point.
+wrong answer is not a data point — and at every size the session
+heuristic must not lose to the serial baseline.
 
 Gates keep the matrix honest about algorithmic reach: the exact MILP
 only sees the `tiny` end, and the session heuristic's local search is
@@ -21,6 +22,7 @@ import pytest
 from repro.core import CompileBist, FlowContext, SteacConfig
 from repro.gen import SocGenerator
 from repro.sched import resolve_schedule, schedule_lower_bound
+from repro.util import Table
 from repro.verify import verify_schedule
 
 SEED = 11
@@ -71,6 +73,32 @@ def test_strategy_scaling(benchmark, profile, strategy):
     print(f"\n{profile:>10} x {strategy:<10} {len(soc.cores):>3} cores "
           f"{len(tasks):>3} tasks  makespan {result.total_time:>10,}  "
           f"LB ratio {result.total_time / bound:.2f}")
+
+
+def test_session_beats_serial_at_every_size(benchmark):
+    """Across the profile ladder the session heuristic never loses to
+    the serial baseline it generalizes."""
+
+    def sweep():
+        rows = []
+        for profile in STRATEGY_REACH["session"]:
+            soc, tasks = case(profile)
+            session = resolve_schedule("session", soc, tasks).total_time
+            serial = resolve_schedule("serial", soc, tasks).total_time
+            rows.append((profile, len(soc.cores), len(tasks), session, serial))
+        return rows
+
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    table = Table(
+        ["Profile", "Cores", "Tasks", "Session total", "Serial total"],
+        title=f"Session vs serial over generated chip size (seed {SEED})",
+    )
+    for profile, cores, n_tasks, session, serial in rows:
+        table.add_row([profile, cores, n_tasks, f"{session:,}", f"{serial:,}"])
+    print()
+    print(table.render())
+    for profile, _, _, session, serial in rows:
+        assert session <= serial, f"session lost to serial at {profile!r}"
 
 
 def test_session_wall_at_scale(benchmark):

@@ -1,12 +1,13 @@
 """Synthetic SOC workload generation (the SAIBERSOC posture for STEAC).
 
 Seeded, profile-driven generation of valid :class:`repro.soc.Soc`
-instances, an ITC'02 ``.soc`` writer that round-trips through the
-existing parser, and a corpus API yielding reproducible scenario
-streams — the substrate the differential fuzz harness
-(``python -m repro fuzz``), the property-based tests, and the scaling
-benchmarks all draw from.  On top of the one-shot sweep,
-:mod:`repro.gen.campaign` runs resumable, checkpointed soaks
+instances (``SocGenerator(seed, profile).generate(index)``, the one
+synthetic-chip source), the transferable coordinates that rebuild a chip
+(:class:`ScenarioSpec`, :func:`scenario_specs`), and an ITC'02 ``.soc``
+writer that round-trips through the existing parser — the substrate the
+differential fuzz harness (``python -m repro fuzz``), the property-based
+tests, and the scaling benchmarks all draw from.  On top of the one-shot
+sweep, :mod:`repro.gen.campaign` runs resumable, checkpointed soaks
 (``python -m repro campaign``) with violation dedupe and greedy failure
 shrinking (:mod:`repro.gen.shrink`).
 """
@@ -22,15 +23,9 @@ from repro.gen.campaign import (
     resume_campaign,
     run_campaign,
 )
-from repro.gen.corpus import (
-    DEFAULT_PROFILES,
-    Scenario,
-    ScenarioSpec,
-    scenario_specs,
-    scenarios,
-)
+from repro.gen.corpus import DEFAULT_PROFILES, ScenarioSpec, scenario_specs
 from repro.gen.fuzzing import FUZZ_SCHEMA, fuzz_scenario, run_fuzz
-from repro.gen.generator import SocGenerator, chip_name, generate_soc
+from repro.gen.generator import SocGenerator, chip_name
 from repro.gen.profiles import (
     GenProfile,
     available_profiles,
@@ -60,7 +55,6 @@ __all__ = [
     "FUZZ_SCHEMA",
     "GenProfile",
     "ViolationSignature",
-    "Scenario",
     "ScenarioSpec",
     "SocGenerator",
     "apply_ops",
@@ -69,7 +63,6 @@ __all__ = [
     "chip_name",
     "core_to_module",
     "fuzz_scenario",
-    "generate_soc",
     "get_profile",
     "load_repro",
     "register_profile",
@@ -80,7 +73,6 @@ __all__ = [
     "run_campaign",
     "run_fuzz",
     "scenario_specs",
-    "scenarios",
     "shrink_scenario",
     "shrink_soc",
     "soc_to_modules",

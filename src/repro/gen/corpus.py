@@ -1,23 +1,24 @@
-"""Reproducible scenario streams over the generator.
+"""Transferable coordinates over the generator.
 
-A *scenario* is one generated chip plus the coordinates that recreate
-it — ``(profile, seed, index)``.  The corpus API is how harnesses
-consume the generator at scale: the CLI ``fuzz`` command walks a
-:func:`scenarios` stream, and any failure it reports is replayed with
-:meth:`Scenario.regenerate` (or ``python -m repro generate --profile P
---seed S``) from the printed coordinates alone.
+A generated chip is named by its coordinates ``(profile, seed,
+index)``: :class:`ScenarioSpec` is those few integers plus optional
+budget overrides, and ``build()`` turns them into the chip
+(``SocGenerator(seed, profile).generate(index)``), bit-identically on
+every platform.  A failure a harness reports is replayed from the
+printed coordinates alone (or with ``python -m repro generate --profile
+P --seed S``).
 
 For batch execution the coordinates themselves are the work unit:
-:class:`ScenarioSpec` is a few integers that ``build()`` into the chip
-on demand, so ``repro.core.batch``'s process backend ships specs to
-workers (cheap to pickle) and materializes each SOC inside the worker
-instead of serializing live models across the process boundary.
+:func:`scenario_specs` lays out a corpus without generating any chip,
+and ``repro.core.batch``'s process backend ships specs to workers
+(cheap to pickle) and materializes each SOC inside the worker instead
+of serializing live models across the process boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.gen.generator import SocGenerator, chip_name
 from repro.gen.profiles import GenProfile, get_profile
@@ -57,47 +58,19 @@ class ScenarioSpec:
             soc.power_budget = self.power_budget
         return soc
 
-    def describe(self) -> str:
-        """Replay coordinates for failure reports."""
-        return (
-            f"{self.name} (profile={self.profile} seed={self.seed} "
-            f"index={self.index})"
-        )
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One corpus entry: a chip and the seed coordinates that rebuild it."""
-
-    profile: str
-    seed: int
-    index: int
-    soc: Soc
-
-    @property
-    def spec(self) -> ScenarioSpec:
-        """The transferable coordinates of this scenario."""
-        return ScenarioSpec(profile=self.profile, seed=self.seed, index=self.index)
-
-    def regenerate(self) -> Soc:
-        """Rebuild the chip from coordinates (bit-identical to ``soc``)."""
-        return SocGenerator(self.seed, self.profile).generate(self.index)
-
-    def describe(self) -> str:
-        """Replay coordinates for failure reports."""
-        return f"{self.soc.name} (profile={self.profile} seed={self.seed} index={self.index})"
-
 
 def scenario_specs(
     count: int,
     profiles: Sequence[GenProfile | str] = DEFAULT_PROFILES,
     base_seed: int = 0,
 ) -> list[ScenarioSpec]:
-    """The coordinates of :func:`scenarios` without generating any chip.
+    """The coordinates of ``count`` chips, cycling through ``profiles``,
+    without generating any chip.
 
-    Use these as batch work items: ``integrate_many(scenario_specs(64,
-    ["d695-like"]), backend="process")`` ships only coordinates to the
-    worker processes.
+    Seeds run ``base_seed .. base_seed+count-1``; profile ``i % len``
+    gets seed ``base_seed + i``, each at index 0.  Use these as batch
+    work items: ``integrate_many(scenario_specs(64, ["d695-like"]),
+    backend="process")`` ships only coordinates to the worker processes.
     """
     resolved = [get_profile(p) if isinstance(p, str) else p for p in profiles]
     if not resolved:
@@ -107,23 +80,3 @@ def scenario_specs(
         for i in range(count)
     ]
 
-
-def scenarios(
-    count: int,
-    profiles: Sequence[GenProfile | str] = DEFAULT_PROFILES,
-    base_seed: int = 0,
-) -> Iterator[Scenario]:
-    """Yield ``count`` scenarios, cycling through ``profiles``.
-
-    Seeds run ``base_seed .. base_seed+count-1``; profile ``i % len``
-    gets seed ``base_seed + i``.  The stream is fully reproducible:
-    equal arguments yield structurally identical chips in the same
-    order.
-    """
-    for spec in scenario_specs(count, profiles, base_seed):
-        yield Scenario(
-            profile=spec.profile,
-            seed=spec.seed,
-            index=spec.index,
-            soc=spec.build(),
-        )

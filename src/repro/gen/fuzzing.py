@@ -25,30 +25,68 @@ from typing import Optional, Sequence
 FUZZ_SCHEMA = "repro/fuzz-report/v2"
 
 
+def strategy_cell(
+    soc, tasks: list, strategy: str, ilp_max_tasks: int
+) -> tuple[dict, int]:
+    """Race one strategy on a compiled chip: the ILP task gate,
+    scheduling, the infeasible / crashed / skipped outcomes, and
+    ``verify_schedule``.  Returns ``(the scenario document's cell for
+    this strategy, its violation count)``.
+
+    This is the one definition of "strategy X failed on this chip":
+    :func:`fuzz_scenario` loops over it and the failure shrinker
+    (:func:`repro.gen.shrink.signature_fires`) re-runs it on each cut.
+    """
+    from repro.sched import InfeasibleScheduleError, resolve_schedule
+    from repro.verify import verify_schedule
+
+    if strategy == "ilp" and len(tasks) > ilp_max_tasks:
+        return {"skipped": f"> {ilp_max_tasks} tasks"}, 0
+    try:
+        result = resolve_schedule(strategy, soc, tasks)
+    except InfeasibleScheduleError as exc:
+        return {"infeasible": str(exc)}, 1
+    except ImportError as exc:
+        # an optional dependency (scipy for "ilp") is absent — not a
+        # scheduling violation, skip like the pipeline does
+        return {"skipped": f"optional dependency: {exc}"}, 0
+    except Exception as exc:
+        # a crashing scheduler is the defect class a differential
+        # harness exists to report: record it in the cell (the scenario
+        # document carries the replay coordinates) instead of sinking
+        # the whole sweep
+        return {"crashed": f"{type(exc).__name__}: {exc}"}, 1
+    report = verify_schedule(soc, result, tasks=tasks)
+    # errors and warnings ride in separate lists: only errors count
+    # toward the verdict, and consumers must never have to re-filter a
+    # mixed list to learn why "ok" said what it said
+    return {
+        "total_time": result.total_time,
+        "sessions": result.session_count,
+        "ok": report.ok,
+        "errors": [v.to_dict() for v in report.errors],
+        "warnings": [v.to_dict() for v in report.warnings],
+    }, len(report.errors)
+
+
 def fuzz_scenario(
     profile: str, seed: int, strategies: tuple, ilp_max_tasks: int
 ) -> tuple[dict, int]:
     """One fuzz scenario: generate the chip from its coordinates, race
-    every strategy, invariant-check each schedule, round-trip the
-    ``.soc`` writer/parser.  Returns ``(scenario doc, violation count)``.
+    every strategy (:func:`strategy_cell`), round-trip the ``.soc``
+    writer/parser.  Returns ``(scenario doc, violation count)``.
     """
     from repro.core import CompileBist, FlowContext, SteacConfig
     from repro.gen.generator import SocGenerator
     from repro.gen.writer import roundtrip_errors
-    from repro.sched import (
-        InfeasibleScheduleError,
-        resolve_schedule,
-        schedule_lower_bound,
-    )
-    from repro.verify import verify_schedule
+    from repro.sched import schedule_lower_bound
 
     soc = SocGenerator(seed, profile).generate()
-    violation_count = 0
     ctx = FlowContext(soc=soc, config=SteacConfig(compare_strategies=False))
     CompileBist().run(ctx)
     bound = schedule_lower_bound(soc, ctx.tasks)
     rt_errors = roundtrip_errors(soc)
-    violation_count += len(rt_errors)
+    violation_count = len(rt_errors)
     doc = {
         "soc": soc.name,
         "seed": seed,
@@ -59,39 +97,9 @@ def fuzz_scenario(
         "strategies": {},
     }
     for strategy in strategies:
-        if strategy == "ilp" and len(ctx.tasks) > ilp_max_tasks:
-            doc["strategies"][strategy] = {"skipped": f"> {ilp_max_tasks} tasks"}
-            continue
-        try:
-            result = resolve_schedule(strategy, soc, ctx.tasks)
-        except InfeasibleScheduleError as exc:
-            violation_count += 1
-            doc["strategies"][strategy] = {"infeasible": str(exc)}
-            continue
-        except ImportError as exc:
-            # an optional dependency (scipy for "ilp") is absent —
-            # not a scheduling violation, skip like the pipeline does
-            doc["strategies"][strategy] = {"skipped": f"optional dependency: {exc}"}
-            continue
-        except Exception as exc:
-            # a crashing scheduler is the defect class a differential
-            # harness exists to report: record it (with the replay
-            # coordinates) instead of sinking the whole sweep
-            violation_count += 1
-            doc["strategies"][strategy] = {"crashed": f"{type(exc).__name__}: {exc}"}
-            continue
-        report = verify_schedule(soc, result, tasks=ctx.tasks)
-        violation_count += len(report.errors)
-        # errors and warnings ride in separate lists: only errors count
-        # toward the verdict, and consumers must never have to re-filter
-        # a mixed list to learn why "ok" said what it said
-        doc["strategies"][strategy] = {
-            "total_time": result.total_time,
-            "sessions": result.session_count,
-            "ok": report.ok,
-            "errors": [v.to_dict() for v in report.errors],
-            "warnings": [v.to_dict() for v in report.warnings],
-        }
+        cell, violations = strategy_cell(soc, ctx.tasks, strategy, ilp_max_tasks)
+        doc["strategies"][strategy] = cell
+        violation_count += violations
     return doc, violation_count
 
 

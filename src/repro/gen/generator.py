@@ -28,7 +28,6 @@ benchmark uses — so every generated SOC round-trips through the
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
 from repro.gen.profiles import GenProfile, get_profile
 from repro.sched.ioalloc import BIST_PORT_PINS, SharingPolicy, control_pins
@@ -88,11 +87,6 @@ class SocGenerator:
         soc.test_pins = self._feasible_pins(soc) + rng.randint(*profile.extra_pins)
         soc.power_budget = self._draw_power_budget(rng, soc)
         return soc
-
-    def stream(self, count: int, start: int = 0) -> Iterator[Soc]:
-        """Yield chips ``start .. start+count-1`` of the stream."""
-        for index in range(start, start + count):
-            yield self.generate(index)
 
     # -- draws (fixed order: cores, memories, glue, pins, power) -----------
 
@@ -178,8 +172,3 @@ class SocGenerator:
         if peak <= 0.0:
             return 0.0
         return round(max(1.3 * peak, rng.uniform(0.35, 0.9) * total), 2)
-
-
-def generate_soc(seed: int, profile: GenProfile | str = "small", index: int = 0) -> Soc:
-    """One-call convenience: ``SocGenerator(seed, profile).generate(index)``."""
-    return SocGenerator(seed, profile).generate(index)

@@ -107,10 +107,11 @@ def scenario_signatures(doc: dict) -> list[ViolationSignature]:
 def signature_fires(soc: Soc, sig: ViolationSignature, ilp_max_tasks: int) -> bool:
     """Does ``sig`` reproduce on ``soc``?
 
-    Runs exactly the slice of the fuzz scenario the signature needs (the
-    round-trip check alone, or compile + the one strategy + verify) and
-    matches the outcome against the signature.  Any *other* failure —
-    a different rule, a crash during compile, an exception from a
+    Runs exactly the slice of the fuzz scenario the signature needs: the
+    round-trip check alone, or compile plus fuzz's own
+    :func:`repro.gen.fuzzing.strategy_cell` for the one strategy, read
+    back through :func:`scenario_signatures`.  Any *other* failure — a
+    different rule, a crash during compile, an exception from a
     malformed mutant — is "does not fire": the shrinker must never trade
     one bug for another.
     """
@@ -121,23 +122,12 @@ def signature_fires(soc: Soc, sig: ViolationSignature, ilp_max_tasks: int) -> bo
             return bool(roundtrip_errors(soc))
 
         from repro.core import CompileBist, FlowContext, SteacConfig
-        from repro.sched import InfeasibleScheduleError, resolve_schedule
-        from repro.verify import verify_schedule
+        from repro.gen.fuzzing import strategy_cell
 
         ctx = FlowContext(soc=soc, config=SteacConfig(compare_strategies=False))
         CompileBist().run(ctx)
-        if sig.strategy == "ilp" and len(ctx.tasks) > ilp_max_tasks:
-            return False
-        try:
-            result = resolve_schedule(sig.strategy, soc, ctx.tasks)
-        except InfeasibleScheduleError:
-            return sig.kind == "infeasible"
-        except Exception as exc:
-            return sig.kind == "crashed" and type(exc).__name__ == sig.rule
-        if sig.kind != "verify":
-            return False
-        report = verify_schedule(soc, result, tasks=ctx.tasks)
-        return any(v.rule == sig.rule for v in report.errors)
+        cell, _ = strategy_cell(soc, ctx.tasks, sig.strategy, ilp_max_tasks)
+        return sig in scenario_signatures({"strategies": {sig.strategy: cell}})
     except Exception:
         # the mutant broke something upstream of the signature (task
         # compilation, verification itself): not a reproduction

@@ -57,7 +57,7 @@ def functional_test_time(patterns: int, setup: int = FUNCTIONAL_SETUP_CYCLES) ->
 
 
 _M_TABLE_HITS = METRICS.counter(
-    "cache.scan_time.hits", "scan-time tables served from a core's memo"
+    "cache.scan_time.hits", "always 0: no scan-time table is cached"
 )
 _M_TABLE_MISSES = METRICS.counter(
     "cache.scan_time.misses", "scan-time tables built"
@@ -65,15 +65,15 @@ _M_TABLE_MISSES = METRICS.counter(
 
 
 def scan_time_cache_stats() -> dict:
-    """The table memo's counters: ``hits`` (a core's memo answered) and
-    ``misses`` (a table was built)."""
+    """The scan-time table counters: ``misses`` counts tables built.
+    No table is cached, so ``hits`` stays 0; it is kept because
+    ``/stats`` and perfbench read both keys."""
     return {"hits": int(_M_TABLE_HITS.get()), "misses": int(_M_TABLE_MISSES.get())}
 
 
 def clear_scan_time_cache() -> None:
-    """Nothing to drop: every table lives in its core's memo and dies
-    with the core.  Kept because perfbench resets caches between ops
-    through this name."""
+    """Nothing to drop: no scan-time table is cached.  Kept because
+    perfbench resets caches between ops through this name."""
 
 
 def core_scan_time(core: Core, width: int, patterns: int | None = None) -> int:
@@ -129,12 +129,11 @@ class ScanTimeModel:
         Each width prices the plan :func:`design_wrapper` would build:
         the same :func:`internal_loads`, and the same :func:`fill_cells`
         pass for the wrapper cells, which are counted once per core.
-        The table is memoized **on the core object** (keyed by
-        ``(patterns, max_width)``), so repeat calls for a live core are
-        free; that memo assumes the core's wrapper-relevant structure
-        (ports, chains, core type) is not mutated between calls.
-        ``cache.scan_time.hits`` / ``.misses`` in :data:`repro.obs.METRICS`
-        count memo answers and table builds.
+        The table is built on every call and never cached on the core:
+        a core is mutable (the failure shrinker deep-copies an evaluated
+        chip, then drops a chain), and a memo keyed by ``(patterns,
+        max_width)`` cannot see such a cut.  ``cache.scan_time.misses``
+        in :data:`repro.obs.METRICS` counts table builds.
         """
         if patterns is None:
             patterns = core.scan_patterns
@@ -142,12 +141,6 @@ class ScanTimeModel:
             from repro.sched.tasks import scan_max_width
 
             max_width = scan_max_width(core)
-        cache = core.__dict__.setdefault("_scan_time_models", {})
-        key = (patterns, max_width)
-        model = cache.get(key)
-        if model is not None:
-            _M_TABLE_HITS.inc()
-            return model
         n_in_cells, n_out_cells = wrapper_cell_counts(core)
         times = []
         for width in range(1, max(1, max_width) + 1):
@@ -155,9 +148,8 @@ class ScanTimeModel:
             si = max(map(add, loads, fill_cells(loads, n_in_cells)))
             so = max(map(add, loads, fill_cells(loads, n_out_cells)))
             times.append(scan_test_time(si, so, patterns))
-        model = cache[key] = cls(core_name=core.name, patterns=patterns, times=tuple(times))
         _M_TABLE_MISSES.inc()
-        return model
+        return cls(core_name=core.name, patterns=patterns, times=tuple(times))
 
     @property
     def max_width(self) -> int:
@@ -178,10 +170,9 @@ def best_width_time(core: Core, max_width: int, patterns: int | None = None) -> 
     ``max_width`` — but the function also returns the *smallest* width
     achieving that time (extra wires that buy nothing are wasted pins).
 
-    Reads the :class:`ScanTimeModel` table memoized on ``core`` instead
-    of designing a wrapper per width: the first call per
-    ``(core, patterns, max_width)`` builds the table, every later one is
-    tuple indexing.
+    Reads one :class:`ScanTimeModel` table over ``1..max_width``,
+    built for this call in closed form, instead of designing a wrapper
+    per width.
     """
     model = ScanTimeModel.for_core(core, patterns, max_width=max_width)
     best_time = model(max_width)

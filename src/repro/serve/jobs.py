@@ -16,7 +16,8 @@ request's digest and the generator profiles its specs resolve to), so
 a hit costs a digest and a cache read.  Chips are built — by
 :func:`repro.serve.runners.content_address` — only for a request seen
 for the first time or one whose result has left both cache tiers, and
-then the queued job carries the built work items.
+then the queued job carries the built chips, so the worker runs the
+very chips the cache key names; a finished job releases them.
 
 The worker pool is a handful of daemon threads feeding off one queue;
 each job's *internal* parallelism (batch fan-out, fuzz sweeps,
@@ -140,6 +141,9 @@ class Job:
     def mark_finished(self) -> None:
         self.finished_at = time.time()  # detlint: ignore[DET002] -- display checkpoint; durations use the _mono twin
         self.finished_mono = time.monotonic()
+        # nothing reads the chips after execution, and a retained chip
+        # is not small (a d695-like one is over half a megabyte)
+        self.work = []
         if self.started_at is None:
             # born-terminal paths (cache hit, submit-time failure)
             # start and finish at the same instant

@@ -1,28 +1,24 @@
 """From normalized job documents to result documents.
 
-:func:`content_address` materializes a job's chip references into batch
-work items and folds their :meth:`repro.soc.Soc.digest` content
-addresses into the cache key; :func:`execute` dispatches the job to the
-same library entry points the CLI uses (``Steac.integrate``,
-``integrate_many``, ``run_fuzz``, ``repair_report``), so a served
-result is the verbatim wire document of the matching shell command.
-Both raise :class:`repro.serve.keys.JobError` for user-caused failures
-(a malformed ``.soc``, an unknown strategy) — the job manager records
+:func:`content_address` builds each of a job's chip references into a
+:class:`repro.soc.Soc` once, at submit, and folds their
+:meth:`repro.soc.Soc.digest` content addresses into the cache key;
+:func:`execute` runs the job on those same chips, through the library
+entry points the CLI uses (``Steac.integrate``, ``integrate_many``,
+``run_fuzz``, ``repair_report``), so a served result is the verbatim
+wire document of the matching shell command, and the chip a cache key
+names is the chip the result was computed on (a generator profile
+re-registered while the job is queued changes neither).  Both raise
+:class:`repro.serve.keys.JobError` for user-caused failures (a
+malformed ``.soc``, an unknown strategy) — the job manager records
 those as *failed jobs*, distinct from server bugs.
 """
 
 from __future__ import annotations
 
-from typing import Union
-
 from repro.gen import ScenarioSpec
 from repro.serve.keys import JobError, cache_key, soc_refs
 from repro.soc import Soc
-
-#: A job's unit of chip work: a live model, or coordinates built in the
-#: worker (kept as a spec so the process backend pickles bytes, not
-#: models).
-WorkItem = Union[Soc, ScenarioSpec]
 
 
 def result_schema(kind: str) -> str:
@@ -47,10 +43,11 @@ def result_schema(kind: str) -> str:
     raise JobError(f"unknown job kind {kind!r}")
 
 
-def build_work_item(ref: dict) -> WorkItem:
-    """Materialize one normalized chip reference (raising
+def build_work_item(ref: dict) -> Soc:
+    """Build the chip one normalized reference names (raising
     :class:`JobError` on semantic problems, e.g. unparsable ``.soc``
-    text or an unknown generator profile)."""
+    text or an unknown generator profile).  A ``spec`` is built here,
+    under the profile registered now."""
     test_pins = ref.get("test_pins")
     power_budget = ref.get("power_budget")
     if "soc_text" in ref:
@@ -79,7 +76,7 @@ def build_work_item(ref: dict) -> WorkItem:
             index=spec["index"],
             test_pins=test_pins,
             power_budget=power_budget,
-        )
+        ).build()
     name = ref["name"]
     overrides = {}
     if test_pins is not None:
@@ -95,33 +92,20 @@ def build_work_item(ref: dict) -> WorkItem:
     return build_dsc_chip(**overrides)
 
 
-def work_digest(item: WorkItem) -> str:
-    """The content address of a work item's chip (specs are built —
-    generation is deterministic, so the digest names the same chip the
-    worker will build)."""
-    if isinstance(item, ScenarioSpec):
-        return item.build().digest()
-    return item.digest()
+def content_address(normalized: dict) -> tuple[str, list[Soc]]:
+    """Build a normalized job's chips and its cache key.
 
-
-def content_address(normalized: dict) -> tuple[str, list[WorkItem]]:
-    """Build a normalized job's work items and its cache key.
-
-    Returns ``(key, work)``; the work items are reused for execution so
-    inline ``.soc`` text is parsed exactly once.  Raises
-    :class:`JobError` if any chip reference cannot be materialized.
+    Returns ``(key, work)``; the chips are reused for execution, so each
+    is built (and inline ``.soc`` text parsed) exactly once.  Raises
+    :class:`JobError` if any chip reference cannot be built.
     """
     work = [build_work_item(ref) for ref in soc_refs(normalized)]
-    digests = [work_digest(item) for item in work]
+    digests = [soc.digest() for soc in work]
     return cache_key(normalized, digests, result_schema(normalized["kind"])), work
 
 
-def _as_soc(item: WorkItem) -> Soc:
-    return item.build() if isinstance(item, ScenarioSpec) else item
-
-
 def execute(
-    normalized: dict, work: list[WorkItem], execution: dict, progress=None
+    normalized: dict, work: list[Soc], execution: dict, progress=None
 ) -> dict:
     """Run a normalized job, returning its wire document.
 
@@ -150,7 +134,7 @@ def execute(
 
 
 def _dispatch(
-    normalized: dict, work: list[WorkItem], kind, backend, workers, progress
+    normalized: dict, work: list[Soc], kind, backend, workers, progress
 ) -> dict:
     if kind == "integrate":
         from repro.core import Steac, SteacConfig
@@ -160,7 +144,7 @@ def _dispatch(
             compare_strategies=normalized["compare"],
             verify_schedule=normalized["verify"],
         )
-        return Steac(config).integrate(_as_soc(work[0])).to_dict()
+        return Steac(config).integrate(work[0]).to_dict()
     if kind == "batch":
         from repro.core import Steac, SteacConfig
 
@@ -193,7 +177,7 @@ def _dispatch(
         from repro.repair import repair_report
 
         return repair_report(
-            _as_soc(work[0]),
+            work[0],
             seed=normalized["seed"],
             trials=normalized["trials"],
             workers=workers or 0,

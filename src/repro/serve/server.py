@@ -13,10 +13,10 @@ Endpoints::
     POST /shutdown           drain in-flight jobs and exit      -> 200
 
 ``GET /metrics`` renders the process-wide :data:`repro.obs.METRICS`
-registry (scheduler counters, evaluator-memo and scan-time caches,
-pipeline stage histograms, job counters) plus this server's own result
-cache and job table as extra samples — one scrape covers all three
-caches.  While a batch or fuzz job runs, its live scenario counters
+registry (scheduler counters, the evaluator-memo cache, scan-time table
+builds, pipeline stage histograms, job counters) plus this server's own
+result cache and job table as extra samples — one scrape covers every
+cache.  While a batch or fuzz job runs, its live scenario counters
 also appear on ``GET /jobs/<id>`` under ``progress``.
 
 ``POST /jobs`` answers with the full job document, so a submit that

@@ -11,10 +11,10 @@ from repro.soc.clocks import ClockDomain, Pll
 from repro.soc.core import ControlNeeds, Core, CoreType
 from repro.soc.digest import canonical_soc, soc_digest
 from repro.soc.memory import MemorySpec, MemoryType, RedundancySpec
-from repro.soc.ports import Direction, Port, PortCounts, SignalKind, make_bus
+from repro.soc.ports import Direction, Port, PortCounts, SignalKind
 from repro.soc.scan import ScanChain, rebalance_lengths, total_flops
 from repro.soc.soc import Soc
-from repro.soc.tests import CoreTest, TestKind, bist_test, functional_test, scan_test
+from repro.soc.tests import CoreTest, TestKind, functional_test, scan_test
 
 __all__ = [
     "ClockDomain",
@@ -29,14 +29,12 @@ __all__ = [
     "Port",
     "PortCounts",
     "SignalKind",
-    "make_bus",
     "ScanChain",
     "rebalance_lengths",
     "total_flops",
     "Soc",
     "CoreTest",
     "TestKind",
-    "bist_test",
     "canonical_soc",
     "functional_test",
     "scan_test",

@@ -132,8 +132,3 @@ class PortCounts:
                 else:
                     counts.po += w
         return counts
-
-
-def make_bus(name: str, direction: Direction, width: int, **kwargs) -> Port:
-    """Convenience constructor for a multi-bit functional port."""
-    return Port(name=name, direction=direction, width=width, **kwargs)

@@ -72,8 +72,3 @@ def functional_test(patterns: int, name: str = "func", power: float = 0.0, vecto
     return CoreTest(
         name=name, kind=TestKind.FUNCTIONAL, patterns=patterns, power=power, vectors=vectors
     )
-
-
-def bist_test(patterns: int = 0, name: str = "mbist", power: float = 0.0) -> CoreTest:
-    """Shorthand for a memory BIST test entry."""
-    return CoreTest(name=name, kind=TestKind.BIST, patterns=patterns, power=power)

@@ -26,6 +26,7 @@ from repro.gen.campaign import (
     resume_campaign,
     run_campaign,
 )
+from repro.gen.fuzzing import run_fuzz
 from repro.gen.generator import SocGenerator
 from repro.gen.shrink import (
     ViolationSignature,
@@ -34,9 +35,10 @@ from repro.gen.shrink import (
     scenario_signatures,
     shrink_scenario,
     shrink_soc,
+    signature_fires,
 )
 from repro.obs import JobProgress
-from repro.sched import SharingPolicy
+from repro.sched import InfeasibleScheduleError, SharingPolicy
 from repro.sched.registry import _REGISTRY, register_scheduler
 from repro.sched.session import schedule_serial
 
@@ -75,6 +77,18 @@ def lossy_strategy():
 
     yield "lossy"
     _REGISTRY.pop("lossy", None)
+
+
+@pytest.fixture
+def refusing_strategy():
+    """A plugin strategy that declares every chip infeasible."""
+
+    @register_scheduler("refusing")
+    def refusing(soc, tasks, *, n_sessions=None, policy=None):
+        raise InfeasibleScheduleError("deliberate refusal")
+
+    yield "refusing"
+    _REGISTRY.pop("refusing", None)
 
 
 class TestCampaignLifecycle:
@@ -465,6 +479,25 @@ class TestShrinker:
         assert signature_fires(minimized, sig, 6)
         # and is strictly smaller than the original
         assert len(minimized.cores) < len(soc.cores)
+
+    def test_every_fuzz_signature_fires_on_its_chip(
+        self, broken_strategy, lossy_strategy, refusing_strategy
+    ):
+        """Fuzz and the shrinker agree on what a failure is: every
+        signature read off a scenario document fires on that chip."""
+        strategies = ["serial", broken_strategy, lossy_strategy, refusing_strategy]
+        kinds = set()
+        for profile in ("tiny", "small"):
+            report = run_fuzz(profile=profile, seeds=3, strategies=strategies,
+                              backend="serial")
+            for doc in report["scenarios"]:
+                soc = SocGenerator(doc["seed"], profile).generate()
+                for sig in scenario_signatures(doc):
+                    kinds.add(sig.kind)
+                    assert signature_fires(soc, sig, report["ilp_max_tasks"]), (
+                        f"{sig.describe()} did not fire on {doc['soc']}"
+                    )
+        assert kinds == {"verify", "infeasible", "crashed"}
 
     def test_scenario_signatures_severity_split(self):
         """Only error-severity violations become signatures — warnings

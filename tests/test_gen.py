@@ -6,15 +6,14 @@ import pytest
 
 from repro.gen import (
     GenProfile,
-    Scenario,
+    ScenarioSpec,
     SocGenerator,
     available_profiles,
-    generate_soc,
     get_profile,
     register_profile,
     roundtrip_errors,
     roundtrips,
-    scenarios,
+    scenario_specs,
     soc_to_modules,
     soc_to_text,
 )
@@ -88,16 +87,11 @@ class TestDeterminism:
 
     def test_stream_indices_differ_and_replay(self):
         gen = SocGenerator(seed=2, profile="tiny")
-        stream = list(gen.stream(4))
+        stream = [gen.generate(index) for index in range(4)]
         assert len({s.name for s in stream}) == 4
         # index replay is exact
         again = SocGenerator(seed=2, profile="tiny").generate(2)
         assert soc_fingerprint(again) == soc_fingerprint(stream[2])
-
-    def test_generate_soc_convenience(self):
-        assert soc_fingerprint(generate_soc(5, "tiny")) == soc_fingerprint(
-            SocGenerator(5, "tiny").generate()
-        )
 
 
 class TestGeneratedValidity:
@@ -176,30 +170,31 @@ class TestItc02Writer:
 
 class TestCorpus:
     def test_stream_is_reproducible(self):
-        a = [s.soc.name for s in scenarios(6, base_seed=10)]
-        b = [s.soc.name for s in scenarios(6, base_seed=10)]
+        a = [spec.name for spec in scenario_specs(6, base_seed=10)]
+        b = [spec.name for spec in scenario_specs(6, base_seed=10)]
         assert a == b and len(set(a)) == 6
 
     def test_profiles_cycle(self):
-        stream = list(scenarios(4, profiles=("tiny", "small")))
-        assert [s.profile for s in stream] == ["tiny", "small", "tiny", "small"]
+        specs = scenario_specs(4, profiles=("tiny", "small"))
+        assert [s.profile for s in specs] == ["tiny", "small", "tiny", "small"]
+        assert [s.seed for s in specs] == [0, 1, 2, 3]
 
     def test_scenario_regenerates_identically(self):
-        scenario = next(iter(scenarios(1, profiles=("small",), base_seed=42)))
-        assert soc_fingerprint(scenario.regenerate()) == soc_fingerprint(scenario.soc)
-        assert "seed=42" in scenario.describe()
+        spec = scenario_specs(1, profiles=("small",), base_seed=42)[0]
+        first = spec.build()
+        assert first.name == spec.name
+        assert soc_fingerprint(spec.build()) == soc_fingerprint(first)
 
     def test_scenario_is_replayable_from_coordinates_alone(self):
-        scenario = list(scenarios(3, profiles=("tiny",), base_seed=7))[2]
-        rebuilt = SocGenerator(scenario.seed, scenario.profile).generate(scenario.index)
-        assert soc_fingerprint(rebuilt) == soc_fingerprint(scenario.soc)
+        spec = ScenarioSpec(profile="tiny", seed=7, index=2)
+        rebuilt = SocGenerator(spec.seed, spec.profile).generate(spec.index)
+        assert soc_fingerprint(rebuilt) == soc_fingerprint(spec.build())
 
     def test_empty_profiles_rejected(self):
         with pytest.raises(ValueError, match="at least one profile"):
-            list(scenarios(1, profiles=()))
+            scenario_specs(1, profiles=())
 
     def test_scenario_is_frozen(self):
-        scenario = next(iter(scenarios(1)))
-        assert isinstance(scenario, Scenario)
+        spec = scenario_specs(1)[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
-            scenario.seed = 99
+            spec.seed = 99

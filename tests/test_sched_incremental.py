@@ -12,6 +12,7 @@ generated corpora and on the d695 golden workload, comparing the
 canonical JSON serialization bit for bit.
 """
 
+import copy
 import json
 
 import pytest
@@ -21,23 +22,19 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.core import CompileBist, FlowContext, SteacConfig  # noqa: E402
-from repro.gen import SocGenerator  # noqa: E402
+from repro.gen import SocGenerator, apply_ops  # noqa: E402
+from repro.gen.shrink import apply_op  # noqa: E402
 from repro.obs import METRICS  # noqa: E402
 from repro.sched import (  # noqa: E402
     InfeasibleScheduleError,
     SharingPolicy,
     forced_session_floor,
-    scan_time_cache_stats,
     schedule_lower_bound,
     schedule_sessions,
     session_schedule_floor,
     tasks_from_soc,
 )
-from repro.sched.timecalc import (  # noqa: E402
-    ScanTimeModel,
-    best_width_time,
-    core_scan_time,
-)
+from repro.sched.timecalc import best_width_time, core_scan_time  # noqa: E402
 from repro.soc.dsc import build_dsc_chip  # noqa: E402
 from repro.soc.itc02 import d695_soc  # noqa: E402
 
@@ -211,24 +208,30 @@ class TestBounds:
         assert session_schedule_floor(d695_soc(), []) == 0
 
 
-class TestScanTimeProcessCache:
-    """The per-core scan-time table memo and the process-wide
-    ``cache.scan_time`` counters that report it."""
+class TestScanTimeTables:
+    """Scan-time tables are never cached on a core, so a mutated core is
+    priced as it is now."""
 
-    def test_per_object_memo_still_works(self):
-        """A repeat lookup on a live core is answered by its memo: one
-        hit, no table built."""
-        core = d695_soc(test_pins=48).cores[0]
-        before = scan_time_cache_stats()
-        first = ScanTimeModel.for_core(core, max_width=8)
-        built = scan_time_cache_stats()
-        again = ScanTimeModel.for_core(core, max_width=8)
-        assert again is first
-        after = scan_time_cache_stats()
-        assert (built["hits"], built["misses"]) == \
-            (before["hits"], before["misses"] + 1)
-        assert (after["hits"], after["misses"]) == \
-            (built["hits"] + 1, built["misses"])
+    def test_copied_chip_cut_reads_fresh_tables(self):
+        """The shrinker deep-copies a chip it has already evaluated, then
+        cuts it.  Dropping a chain of soft core ``c0`` (4 chains, 410
+        flops) changes neither its patterns nor its useful width
+        ``min(16, flops)``, so a table memo keyed by those two would
+        serve the uncut table.  The cut copy must price like a chip built
+        fresh with the same cut, which is what ``replay_repro`` runs."""
+        soc = SocGenerator(0, "small").generate()
+        tasks_from_soc(soc)
+        cut = {"op": "drop_chain", "core": "c0", "name": "c0_c0"}
+        copied = copy.deepcopy(soc)
+        apply_op(copied, cut)
+        fresh = apply_ops(SocGenerator(0, "small").generate(), [cut])
+        assert copied.core("c0").scan_flops == fresh.core("c0").scan_flops == 380
+
+        def tables(chip):
+            return {t.name: t.time_fn.times for t in tasks_from_soc(chip) if t.is_scan}
+
+        assert tables(copied) == tables(fresh)
+        assert tables(copied)["c0.c0_scan"][0] == 50_497
 
 
 class TestBestWidthTime:

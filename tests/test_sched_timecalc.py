@@ -9,6 +9,7 @@ from repro.sched import (
     functional_test_time,
     scan_max_width,
     scan_test_time,
+    scan_time_cache_stats,
     tasks_from_core,
     tasks_from_soc,
 )
@@ -111,10 +112,18 @@ class TestScanTimeModel:
         assert model.patterns == usb.scan_patterns
         assert model.max_width == scan_max_width(usb)
 
-    def test_table_memoized_per_core_and_patterns(self):
+    def test_every_call_builds_a_table(self):
+        """No table is cached: equal calls build equal but distinct
+        tables, and each build counts as a ``cache.scan_time`` miss."""
         usb = build_usb_core()
-        assert ScanTimeModel.for_core(usb, 716) is ScanTimeModel.for_core(usb, 716)
-        assert ScanTimeModel.for_core(usb, 716) is not ScanTimeModel.for_core(usb, 10)
+        before = scan_time_cache_stats()
+        first = ScanTimeModel.for_core(usb, 716)
+        again = ScanTimeModel.for_core(usb, 716)
+        assert again == first and again is not first
+        assert ScanTimeModel.for_core(usb, 10) != first
+        after = scan_time_cache_stats()
+        assert (after["hits"], after["misses"]) == \
+            (before["hits"], before["misses"] + 3)
 
     def test_accounting_only_tasks_skip_time_models(self):
         """tasks_from_soc(time_models=False) keeps the control-IO fields

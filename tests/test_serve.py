@@ -473,7 +473,6 @@ class TestRequestKeyMemo:
             manager.close(drain=True)
         assert _memo_counts()[0] - hits0 == 1
         assert len(address_calls) == 2
-        assert again.work, "a queued job must carry its work items"
         assert again.status == "done" and again.cached is False
         assert again.cache_key == first.cache_key
         # a second run repeats the document apart from its own timings
@@ -509,6 +508,46 @@ class TestRequestKeyMemo:
         assert after.cache_key != before.cache_key
         assert json.loads(before.result_text)["soc"]["cores"] == 2
         assert json.loads(after.result_text)["soc"]["cores"] == 5
+
+    def test_profile_reregistered_while_queued_keeps_the_keyed_chip(
+        self, monkeypatch
+    ):
+        """A queued spec job runs the chip its cache key names, even if
+        its profile is re-registered before a worker picks it up."""
+        from repro.gen import GenProfile, profiles
+        from repro.serve import jobs
+        from repro.serve.keys import normalize_payload
+        from repro.serve.runners import content_address
+
+        monkeypatch.setattr(profiles, "_REGISTRY", dict(profiles._REGISTRY))
+        release = threading.Event()
+        real_execute = jobs.execute
+
+        def held(normalized, work, execution, progress=None):
+            assert release.wait(timeout=30)
+            return real_execute(normalized, work, execution, progress=progress)
+
+        monkeypatch.setattr(jobs, "execute", held)
+        payload = {
+            "kind": "integrate",
+            "soc": {"spec": {"profile": "queue-guard", "seed": 1}},
+        }
+        manager = JobManager(workers=1)
+        try:
+            profiles.register_profile(GenProfile(name="queue-guard", cores=(2, 2)))
+            job = manager.submit(payload)
+            profiles.register_profile(GenProfile(name="queue-guard", cores=(6, 6)))
+            release.set()
+            _settle(job)
+        finally:
+            release.set()
+            manager.close()
+        assert job.status == "done", job.error
+        assert json.loads(job.result_text)["soc"]["cores"] == 2
+        assert json.loads(manager.cache.get(job.cache_key))["soc"]["cores"] == 2
+        profiles.register_profile(GenProfile(name="queue-guard", cores=(2, 2)))
+        assert job.cache_key == content_address(normalize_payload(payload)[0])[0]
+        assert job.work == [], "a finished job releases its chips"
 
     @pytest.mark.parametrize("payload, detail", [
         (BAD_SOC, "unparsable soc_text"),
