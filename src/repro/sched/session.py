@@ -33,14 +33,20 @@ list — the greedy seed's k-way trial placement and the O(n²) swap
 neighborhood revisit identical memberships constantly) and the running
 makespan is updated by delta instead of re-summed.  A memo miss is one
 pass over per-task records built once per search plus a binary search
-of the level table (:class:`_SessionEvaluator`).  The candidate-``k``
-loop and the local-search rounds are additionally pruned against the
-five-floor session lower bound
+of the level table (:class:`_SessionEvaluator`).  Most candidates need
+no lookup at all: adding a test never shortens a session, nor leaves it
+shorter than the test's own floor, so a lower bound on the candidate's
+makespan, priced from each session's drop-one lengths (built once per
+membership) and the per-task floors, dismisses every candidate that
+could not beat the incumbent.  Such a candidate is still counted as
+evaluated; the scan accepts the same candidates in the same rounds.
+The candidate-``k`` loop and the local-search rounds are additionally
+pruned against the five-floor session lower bound
 (:func:`repro.sched.bounds.session_schedule_floor`): once the incumbent
 reaches the floor, nothing can *strictly* improve, so stopping early
-cannot change the answer.  The pre-incremental search is retained under
-``tests/oracles/`` as the differential-test oracle — the two engines
-are bit-identical by construction and by test.
+cannot change the answer.  The pre-incremental search and the unbounded
+local search are retained under ``tests/oracles/`` as differential-test
+oracles — the engines are bit-identical by construction and by test.
 """
 
 from __future__ import annotations
@@ -70,6 +76,10 @@ _M_RUNS = METRICS.counter("sched.runs", "session-search invocations")
 _M_ROUNDS = METRICS.counter("sched.rounds", "local-search improvement rounds run")
 _M_MOVES = METRICS.counter(
     "sched.moves.evaluated", "single-task moves and pairwise swaps evaluated"
+)
+_M_MOVES_BOUNDED = METRICS.counter(
+    "sched.moves.bounded",
+    "move and swap candidates dismissed by the session-length bound without a memo lookup",
 )
 _M_MOVES_PRUNED = METRICS.counter(
     "sched.moves.pruned",
@@ -234,16 +244,22 @@ class _SessionEvaluator:
     breakpoint.  The greedy seed's trials, the swap neighborhood and
     every re-scan revisit identical memberships, so the memo absorbs
     most of the search.
+
+    ``floors[i]`` is task ``i``'s time at its widest width for a scan
+    task (where its level search starts), else its fixed time: no
+    session holding the task is shorter.
     """
 
     __slots__ = ("test_pins", "power_budget", "policy", "levels", "records",
-                 "_memo", "hits", "misses")
+                 "floors", "_memo", "hits", "misses")
 
     def __init__(self, soc: Soc, policy: SharingPolicy, tasks: list[TestTask]):
         self.test_pins = soc.test_pins
         self.power_budget = soc.power_budget
         self.policy = policy
         chains = [t.breakpoints if t.is_scan else None for t in tasks]
+        self.floors = [chain[-1][1] if chain else task.fixed_time
+                       for task, chain in zip(tasks, chains)]
         self.levels = sorted({time for chain in chains if chain for _, time in chain})
         at = {time: j for j, time in enumerate(self.levels)}
         cores: dict[str, int] = {}  # bit 0 is the functional interface
@@ -396,28 +412,59 @@ def _local_search(
     """First-improvement local search (moves, then swaps), incremental.
 
     A move or swap touches two sessions: only those two memberships are
-    evaluated (memoized) and the makespan is updated by delta.  Rounds
-    stop early once the incumbent reaches ``floor`` — every feasible
-    makespan is ≥ the floor, so no *strict* improvement exists and the
-    reference search's remaining rounds would scan and accept nothing.
-    Returns the improved memberships and their makespan.
+    evaluated (memoized) and the makespan is updated by delta.  A
+    session's drop-one memberships and their lengths are built once, on
+    its first use as a source, and kept until a candidate changes the
+    session; moves and swaps both read them.
+
+    Every candidate is first priced by a lower bound.  A session never
+    gets shorter when a member is added (its mutex bits, power, control
+    pins, the rows needing wire pairs and the level search's lower end
+    only grow), nor shorter than any member's floor
+    (:class:`_SessionEvaluator`), so a move's destination is at least
+    ``max(its length, the task's floor)`` and a swap's session at least
+    ``max(its drop-one length, the incoming task's floor)``.  With
+    a non-negative ``reconfig`` the makespan only grows with a session's
+    length, so a candidate whose bounded makespan is not below the
+    incumbent could not be accepted, and it is dismissed with no memo
+    lookup.  The scan accepts the same first improving candidate as the
+    unbounded search, round for round.  Rounds stop early once the
+    incumbent reaches ``floor`` — every feasible makespan is ≥ the
+    floor, so no *strict* improvement exists and the reference search's
+    remaining rounds would scan and accept nothing.  Returns the
+    improved memberships and their makespan.
 
     ``stats`` (when given) accumulates search telemetry — plain local
     integer counters, flushed by the caller, so the hot loop never
     touches a lock: ``rounds``, ``moves`` (move and swap candidates
-    evaluated), ``moves_pruned`` (on a floor exit, the size of the
-    neighborhood — ``(k-1)·n`` single-task moves plus the pairwise swap
-    space — that the reference search would have scanned next without
-    accepting anything), and ``exits[reason]`` for reason ``floor`` /
-    ``converged`` / ``max_rounds``.  Telemetry never influences the
-    search — bit-identity with the reference is unconditional.
+    scanned, bound-dismissed ones included), ``moves_bounded`` (those
+    the bound dismissed), ``moves_pruned`` (on a floor exit, the size of
+    the neighborhood — ``(k-1)·n`` single-task moves plus the pairwise
+    swap space — that the reference search would have scanned next
+    without accepting anything), and ``exits[reason]`` for reason
+    ``floor`` / ``converged`` / ``max_rounds``.  Telemetry never
+    influences the search — bit-identity with the reference is
+    unconditional.
     """
     k = len(members)
+    length, floors = evaluator.length, evaluator.floors
     sum_len = sum(ln for ln in lengths if ln)
     active = sum(1 for ln in lengths if ln)
     best_total = _makespan(sum_len, active, reconfig)
-    rounds = moves = pruned = 0
+    rounds = moves = bounded = pruned = 0
     exit_reason = "max_rounds"
+    drops: list = [None] * k
+
+    def dropped(i: int) -> tuple[list[tuple[int, ...]], list]:
+        """Session ``i``'s drop-one memberships and their lengths.  Only a
+        negative power can make one infeasible (``None``): a move out of
+        it is skipped, and it bounds a swap by the incoming floor alone."""
+        if drops[i] is None:
+            key = members[i]
+            keys = [key[:j] + key[j + 1:] for j in range(len(key))]
+            drops[i] = keys, [length(d) for d in keys]
+        return drops[i]
+
     for _ in range(max_rounds):
         if best_total <= floor:
             exit_reason = "floor"
@@ -431,30 +478,32 @@ def _local_search(
         improved = False
         # single-task moves
         for src, dst in itertools.permutations(range(k), 2):
-            for ti in range(len(members[src])):
+            keys, lens = dropped(src)
+            old_dst = lengths[dst]
+            # the makespan terms of the other k - 2 sessions
+            s0 = sum_len - lengths[src] - old_dst
+            a0 = active - (lengths[src] > 0) - (old_dst > 0)
+            for ti, task in enumerate(members[src]):
                 moves += 1
-                task = members[src][ti]
-                new_src = members[src][:ti] + members[src][ti + 1:]
-                len_src = evaluator.length(new_src)
+                len_src = lens[ti]
                 if len_src is None:
                     continue
+                low = floors[task] if floors[task] > old_dst else old_dst
+                a = a0 + (len_src > 0) + (low > 0)
+                if (s0 + len_src + low + reconfig * (a - 1) if a else 0) >= best_total:
+                    bounded += 1
+                    continue
                 new_dst = members[dst] + (task,)
-                len_dst = evaluator.length(new_dst)
+                len_dst = length(new_dst)
                 if len_dst is None:
                     continue
-                s, a = sum_len, active
-                for i, new_len in ((src, len_src), (dst, len_dst)):
-                    if lengths[i]:
-                        s -= lengths[i]
-                        a -= 1
-                    if new_len:
-                        s += new_len
-                        a += 1
-                total = _makespan(s, a, reconfig)
+                a = a0 + (len_src > 0) + (len_dst > 0)
+                total = s0 + len_src + len_dst + reconfig * (a - 1) if a else 0
                 if total < best_total:
-                    members[src], members[dst] = new_src, new_dst
+                    members[src], members[dst] = keys[ti], new_dst
                     lengths[src], lengths[dst] = len_src, len_dst
-                    sum_len, active, best_total = s, a, total
+                    sum_len, active, best_total = s0 + len_src + len_dst, a, total
+                    drops[src] = drops[dst] = None
                     improved = True
                     break
             if improved:
@@ -463,33 +512,36 @@ def _local_search(
             continue
         # pairwise swaps
         for sa, sb in itertools.combinations(range(k), 2):
-            for ti in range(len(members[sa])):
-                ta = members[sa][ti]
-                base_a = members[sa][:ti] + members[sa][ti + 1:]
-                for tj in range(len(members[sb])):
+            keys_a, lens_a = dropped(sa)
+            keys_b, lens_b = dropped(sb)
+            s0 = sum_len - lengths[sa] - lengths[sb]
+            a0 = active - (lengths[sa] > 0) - (lengths[sb] > 0)
+            for ti, ta in enumerate(members[sa]):
+                drop_a, floor_a = lens_a[ti] or 0, floors[ta]
+                for tj, tb in enumerate(members[sb]):
                     moves += 1
-                    tb = members[sb][tj]
-                    new_a = base_a + (tb,)
-                    len_a = evaluator.length(new_a)
+                    drop_b = lens_b[tj] or 0
+                    low_a = floors[tb] if floors[tb] > drop_a else drop_a
+                    low_b = floor_a if floor_a > drop_b else drop_b
+                    a = a0 + (low_a > 0) + (low_b > 0)
+                    if (s0 + low_a + low_b + reconfig * (a - 1) if a else 0) >= best_total:
+                        bounded += 1
+                        continue
+                    new_a = keys_a[ti] + (tb,)
+                    len_a = length(new_a)
                     if len_a is None:
                         continue
-                    new_b = members[sb][:tj] + members[sb][tj + 1:] + (ta,)
-                    len_b = evaluator.length(new_b)
+                    new_b = keys_b[tj] + (ta,)
+                    len_b = length(new_b)
                     if len_b is None:
                         continue
-                    s, a = sum_len, active
-                    for i, new_len in ((sa, len_a), (sb, len_b)):
-                        if lengths[i]:
-                            s -= lengths[i]
-                            a -= 1
-                        if new_len:
-                            s += new_len
-                            a += 1
-                    total = _makespan(s, a, reconfig)
+                    a = a0 + (len_a > 0) + (len_b > 0)
+                    total = s0 + len_a + len_b + reconfig * (a - 1) if a else 0
                     if total < best_total:
                         members[sa], members[sb] = new_a, new_b
                         lengths[sa], lengths[sb] = len_a, len_b
-                        sum_len, active, best_total = s, a, total
+                        sum_len, active, best_total = s0 + len_a + len_b, a, total
+                        drops[sa] = drops[sb] = None
                         improved = True
                         break
                 if improved:
@@ -502,6 +554,7 @@ def _local_search(
     if stats is not None:
         stats["rounds"] += rounds
         stats["moves"] += moves
+        stats["moves_bounded"] += bounded
         stats["moves_pruned"] += pruned
         stats["exits"][exit_reason] += 1
     return members, best_total
@@ -556,7 +609,7 @@ def schedule_sessions(
         candidates = list(range(forced, min(len(tasks), forced + max_sessions - 1) + 1))
     evaluator = _SessionEvaluator(soc, policy, tasks)
     floor = session_schedule_floor(soc, tasks, reconfig)
-    stats = {"rounds": 0, "moves": 0, "moves_pruned": 0,
+    stats = {"rounds": 0, "moves": 0, "moves_bounded": 0, "moves_pruned": 0,
              "exits": {"floor": 0, "converged": 0, "max_rounds": 0}}
     candidates_pruned = 0
     best_members: Optional[list[tuple[int, ...]]] = None
@@ -582,6 +635,7 @@ def schedule_sessions(
                 sp.set(
                     floor=floor, makespan=best_total,
                     rounds=stats["rounds"], moves=stats["moves"],
+                    moves_bounded=stats["moves_bounded"],
                     moves_pruned=stats["moves_pruned"],
                     candidates_pruned=candidates_pruned,
                     memo_hits=evaluator.hits, memo_misses=evaluator.misses,
@@ -592,6 +646,7 @@ def schedule_sessions(
         _M_RUNS.inc()
         _M_ROUNDS.inc(stats["rounds"])
         _M_MOVES.inc(stats["moves"])
+        _M_MOVES_BOUNDED.inc(stats["moves_bounded"])
         _M_MOVES_PRUNED.inc(stats["moves_pruned"])
         _M_CANDIDATES_PRUNED.inc(candidates_pruned)
         for reason, count in stats["exits"].items():

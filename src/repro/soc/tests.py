@@ -10,6 +10,7 @@ through the pattern translator.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +39,7 @@ class CoreTest:
             algorithm and memory size).
         power: abstract test-power units consumed while this test runs
             (used by power-constrained scheduling; 0 = unconstrained).
+            Finite and non-negative.
         vectors: optional concrete pattern payload (``repro.patterns``
             containers); ``None`` when only counts are known.
     """
@@ -52,6 +54,8 @@ class CoreTest:
         check_name(self.name, "test name")
         check_non_negative(self.patterns, "pattern count")
         check_non_negative(self.power, "test power")
+        if not math.isfinite(self.power):  # ``nan < 0`` is false
+            raise ValueError(f"test power must be finite, got {self.power!r}")
 
     @property
     def is_scan(self) -> bool:

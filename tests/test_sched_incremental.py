@@ -3,17 +3,23 @@ the retained reference implementation.
 
 ``repro.sched.session`` evaluates candidate moves by delta — only the
 one or two sessions a move touches are re-evaluated, memoized session
-lengths are reused corpus-wide, and the search short-circuits once the
-incumbent reaches the computable floor.  None of that may change a
-single byte of output: ``schedule_sessions_reference``
+lengths are reused corpus-wide, candidates a session-length lower bound
+rules out are dismissed without a lookup, and the search short-circuits
+once the incumbent reaches the computable floor.  None of that may
+change a single byte of output: ``schedule_sessions_reference``
 (``tests/oracles/session_ref.py``) keeps the original full-
 rematerialization search verbatim, and these tests race the two on
 generated corpora and on the d695 golden workload, comparing the
-canonical JSON serialization bit for bit.
+canonical JSON serialization bit for bit.  The unbounded local search
+(``tests/oracles/local_search_ref.py``) races the bounded one on the
+search's own counters too.
 """
 
 import copy
+import dataclasses
+import itertools
 import json
+from unittest import mock
 
 import pytest
 
@@ -28,16 +34,21 @@ from repro.obs import METRICS  # noqa: E402
 from repro.sched import (  # noqa: E402
     InfeasibleScheduleError,
     SharingPolicy,
+    TestTask,
     forced_session_floor,
     schedule_lower_bound,
     schedule_sessions,
     session_schedule_floor,
     tasks_from_soc,
 )
-from repro.sched.timecalc import best_width_time, core_scan_time  # noqa: E402
+from repro.sched import session as session_module  # noqa: E402
+from repro.sched.session import _SessionEvaluator  # noqa: E402
+from repro.sched.timecalc import ScanTimeModel, best_width_time, core_scan_time  # noqa: E402
+from repro.soc import Soc, TestKind  # noqa: E402
 from repro.soc.dsc import build_dsc_chip  # noqa: E402
 from repro.soc.itc02 import d695_soc  # noqa: E402
 
+from oracles.local_search_ref import local_search_reference  # noqa: E402
 from oracles.session_ref import schedule_sessions_reference  # noqa: E402
 
 COMMON = dict(
@@ -45,6 +56,39 @@ COMMON = dict(
     suppress_health_check=[HealthCheck.too_slow],
     derandomize=True,  # tier-1 must be reproducible run to run
 )
+
+POLICIES = st.builds(SharingPolicy, share_resets=st.booleans(),
+                     share_scan_enables=st.booleans(),
+                     te_from_controller=st.booleans())
+
+
+@st.composite
+def short_chips(draw):
+    """A chip of a few tasks lasting at most five cycles each, and a
+    reconfiguration of at most two, so improving candidates often win by
+    a single cycle and a bound one cycle too high dismisses one.
+    Cores repeat (mutexes), clock domains cost control pins, and power
+    may bind.  A hand-built task may carry a negative power, which can
+    make a session's drop-one infeasible."""
+    tasks = []
+    for i in range(draw(st.integers(3, 10))):
+        core = f"c{draw(st.integers(0, 5))}"
+        common = dict(name=f"t{i}", core_name=core,
+                      clock_domains=(f"clk{draw(st.integers(0, 2))}",),
+                      power=draw(st.sampled_from([0.0, 1.0, 2.0, -1.0])))
+        if draw(st.booleans()):
+            first = draw(st.integers(0, 5))
+            drops = draw(st.lists(st.integers(0, 2), max_size=4))
+            times = list(itertools.accumulate(drops, lambda t, d: max(0, t - d),
+                                              initial=first))
+            tasks.append(TestTask(kind=TestKind.SCAN, max_width=len(times), time_fn=ScanTimeModel(
+                core_name=core, patterns=1, times=tuple(times)), **common))
+        else:
+            tasks.append(TestTask(kind=TestKind.FUNCTIONAL, fixed_time=draw(st.integers(0, 5)),
+                                  uses_functional_pins=draw(st.booleans()), **common))
+    soc = Soc(name="chip", test_pins=draw(st.integers(2, 16)),
+              power_budget=draw(st.sampled_from([0.0, 3.0, 5.0])))
+    return soc, tasks, draw(st.integers(0, 2))
 
 
 def tasks_for(soc):
@@ -63,9 +107,7 @@ class TestDifferential:
     @settings(max_examples=15, **COMMON)
     @given(seed=st.integers(min_value=0, max_value=10_000),
            profile=st.sampled_from(["tiny", "small"]),
-           policy=st.builds(SharingPolicy, share_resets=st.booleans(),
-                            share_scan_enables=st.booleans(),
-                            te_from_controller=st.booleans()))
+           policy=POLICIES)
     def test_generated_corpora_bit_identical(self, seed, profile, policy):
         soc = SocGenerator(seed, profile).generate()
         tasks = tasks_for(soc)
@@ -109,6 +151,93 @@ class TestDifferential:
             canonical(schedule_sessions_reference(soc, []))
 
 
+class TestBoundedSearch:
+    """The bounded local search against the unbounded one it replaced
+    (``tests/oracles/local_search_ref.py``, patched in as
+    ``repro.sched.session._local_search``): the same schedule or the
+    same refusal, and the same ``rounds`` and ``moves`` counts, since a
+    dismissed candidate is still scanned and could not have been
+    accepted."""
+
+    COUNTERS = ("sched.rounds", "sched.moves.evaluated")
+
+    def race(self, soc, tasks, **kwargs):
+        """``schedule_sessions`` under the shipped search, then under the
+        unbounded one: each outcome (canonical schedule or refusal) with
+        its rounds and moves."""
+        runs = []
+        for search in (session_module._local_search, local_search_reference):
+            before = [METRICS.value(name) for name in self.COUNTERS]
+            with mock.patch.object(session_module, "_local_search", search):
+                try:
+                    outcome = canonical(schedule_sessions(soc, tasks, **kwargs))
+                except InfeasibleScheduleError as exc:
+                    outcome = str(exc)
+            after = [METRICS.value(name) for name in self.COUNTERS]
+            runs.append((outcome, [a - b for a, b in zip(after, before)]))
+        return runs
+
+    @settings(max_examples=30, **COMMON)
+    @given(chip=st.one_of(
+               st.tuples(st.sampled_from(["tiny", "small"]),
+                         st.integers(min_value=0, max_value=10_000)),
+               st.tuples(st.just("large"), st.integers(min_value=0, max_value=7))),
+           policy=POLICIES,
+           k=st.one_of(st.none(), st.integers(min_value=2, max_value=6)))
+    def test_same_schedules_rounds_and_moves_as_unbounded_search(self, chip, policy, k):
+        profile, seed = chip
+        soc = SocGenerator(seed, profile).generate()
+        bounded, unbounded = self.race(soc, tasks_for(soc), n_sessions=k, policy=policy)
+        assert bounded == unbounded, f"{profile} seed={seed} k={k} policy={policy}"
+
+    @settings(max_examples=300, **COMMON)
+    @given(chip=short_chips(), policy=POLICIES,
+           k=st.one_of(st.none(), st.integers(min_value=2, max_value=5)))
+    def test_one_cycle_wins_survive_the_bound(self, chip, policy, k):
+        soc, tasks, reconfig = chip
+        bounded, unbounded = self.race(soc, tasks, n_sessions=k, policy=policy,
+                                       reconfig=reconfig)
+        assert bounded == unbounded
+
+
+class TestLengthBound:
+    """The contract the search's bound rests on, on real CompileBist
+    tasks under any sharing policy and pin budget: adding a task to a
+    feasible session never makes it shorter, nor shorter than the task's
+    floor, and dropping a member never makes it infeasible or longer."""
+
+    CHIPS = {"dsc": build_dsc_chip, "d695": lambda: d695_soc(test_pins=48)}
+
+    @settings(max_examples=40, **COMMON)
+    @given(chip=st.one_of(
+               st.tuples(st.sampled_from(["tiny", "small", "large"]),
+                         st.integers(min_value=0, max_value=10_000)),
+               st.tuples(st.sampled_from(sorted(CHIPS)), st.just(0))),
+           policy=POLICIES, data=st.data())
+    def test_adding_a_task_never_shortens_a_session(self, chip, policy, data):
+        name, seed = chip
+        soc = self.CHIPS[name]() if name in self.CHIPS else SocGenerator(seed, name).generate()
+        tasks = tasks_for(soc)
+        pins = data.draw(st.one_of(st.just(soc.test_pins),
+                                   st.integers(min_value=1, max_value=soc.test_pins)))
+        evaluator = _SessionEvaluator(dataclasses.replace(soc, test_pins=pins),
+                                      policy, tasks)
+        members: tuple[int, ...] = ()
+        for task in data.draw(st.permutations(range(len(tasks)))):
+            base = evaluator.length(members)
+            for t in range(len(tasks)):
+                if t in members:
+                    continue
+                grown = evaluator.length(members + (t,))
+                if grown is not None:
+                    assert grown >= max(base, evaluator.floors[t]), (members, t)
+            for j in range(len(members)):
+                shrunk = evaluator.length(members[:j] + members[j + 1:])
+                assert shrunk is not None and shrunk <= base, (members, j)
+            if evaluator.length(members + (task,)) is not None:
+                members += (task,)
+
+
 class TestGoldenAnchor:
     """Both engines must reproduce the committed d695 fixture — the
     differential pair cannot drift together unnoticed."""
@@ -150,13 +279,16 @@ class TestGoldenAnchor:
 
 class TestTraversal:
     """The search's path, not just its answer: rounds, moves evaluated,
-    memo hits and misses, and the makespan are pinned per chip.  A drift
-    in the neighbourhood, its order, or the memo's accounting (seeding
-    the memo with the empty membership, say) fails here even when the
-    schedule survives."""
+    memo hits and misses, candidates the session-length bound dismissed,
+    and the makespan are pinned per chip.  A drift in the neighbourhood,
+    its order, the bound, or the memo's accounting (seeding the memo with
+    the empty membership, say) fails here even when the schedule
+    survives.  Rounds, moves and makespans are those of the unbounded
+    search; the bound removes memo lookups only."""
 
     COUNTERS = ("sched.rounds", "sched.moves.evaluated",
-                "cache.evaluator_memo.hits", "cache.evaluator_memo.misses")
+                "cache.evaluator_memo.hits", "cache.evaluator_memo.misses",
+                "sched.moves.bounded")
 
     def traversal(self, soc, tasks):
         before = [METRICS.value(name) for name in self.COUNTERS]
@@ -167,17 +299,17 @@ class TestTraversal:
     def test_d695(self):
         soc = d695_soc(test_pins=48)
         assert self.traversal(soc, tasks_from_soc(soc)) == \
-            [43, 1_539, 3_241, 232, 31_073]
+            [43, 1_539, 1_449, 193, 850, 31_073]
 
     def test_dsc(self):
         soc = build_dsc_chip()
         assert self.traversal(soc, tasks_for(soc)) == \
-            [3, 222, 490, 73, 2_410_258]
+            [3, 222, 288, 47, 129, 2_410_258]
 
     def test_large(self):
         soc = SocGenerator(4, "large").generate()
         assert self.traversal(soc, tasks_for(soc)) == \
-            [16, 2_660, 5_623, 365, 169_575]
+            [16, 2_660, 1_914, 98, 2_476, 169_575]
 
 
 class TestBounds:

@@ -615,6 +615,7 @@ class TestObservability:
             # ...and the scheduler counters
             "repro_sched_runs",
             "repro_sched_moves_evaluated",
+            "repro_sched_moves_bounded",
             "repro_sched_moves_pruned",
             # plus the serve layer's own families
             "repro_serve_jobs_submitted",

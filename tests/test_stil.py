@@ -4,7 +4,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.patterns.core_patterns import CorePatternSet, FunctionalVector, ScanVector
-from repro.soc import Core, CoreType, Direction, Port, ScanChain, SignalKind, functional_test, scan_test
+from repro.soc import (
+    Core,
+    CoreTest,
+    CoreType,
+    Direction,
+    Port,
+    ScanChain,
+    SignalKind,
+    TestKind,
+    functional_test,
+    scan_test,
+)
 from repro.soc.dsc import build_jpeg_core, build_tv_core, build_usb_core
 from repro.stil import (
     StilError,
@@ -278,3 +289,21 @@ class TestSemanticErrors:
         assert ex.core.tests[0].patterns == 1234
         assert ex.core.tests[0].power == 2.0
         assert ex.patterns.functional_vectors == []
+
+    @pytest.mark.parametrize("power", ["nan", "NaN", "inf", "Infinity", "-inf"])
+    def test_non_finite_power_refused(self, power):
+        """``float()`` reads these, and ``nan < 0`` is false: without the
+        finiteness check a NaN power reached the schedule document as
+        ``"power": NaN``, which is not JSON."""
+        text = (
+            'STIL 1.0; Signals { "a" In; } '
+            f'Pattern "p" {{ Ann {{* test=functional patterns=1 power={power} *}} }}'
+        )
+        with pytest.raises(ValueError, match="test power must be"):
+            core_from_stil(text)
+
+    @pytest.mark.parametrize("power", [float("nan"), float("inf")])
+    def test_core_test_refuses_non_finite_power(self, power):
+        with pytest.raises(ValueError, match="test power must be finite"):
+            CoreTest(name="t", kind=TestKind.SCAN, patterns=1, power=power)
+        assert CoreTest(name="t", kind=TestKind.SCAN, patterns=1, power=1e300).power == 1e300
