@@ -228,6 +228,10 @@ def _cmd_march(args: argparse.Namespace) -> int:
 def _cmd_coverage(args: argparse.Namespace) -> int:
     from repro.bist import ALGORITHMS, coverage_table
 
+    if args.size < 2:
+        raise SystemExit(f"--size must be at least 2, got {args.size}")
+    if args.pairs < 0:
+        raise SystemExit(f"--pairs must be non-negative, got {args.pairs}")
     print(coverage_table(list(ALGORITHMS), size=args.size, coupling_pairs=args.pairs).render())
     return 0
 

@@ -1,71 +1,47 @@
 """Combinational evaluation engines for ATPG.
 
-Two evaluators over the same levelized gate order:
+Two evaluators over the same levelized gate order, from the simulator's
+:func:`repro.netlist.sim.levelize`:
 
 * :class:`CombEngine` — 3-valued (0/1/X) single-pattern evaluation with
   optional net forcing (the faulty machine pins the fault site); PODEM
   runs a good and a faulty engine side by side.
 * :class:`ParallelSim` — bit-parallel 2-valued evaluation packing up to
   64 patterns per Python int, used for fault simulation with fault
-  dropping.
+  dropping.  Each gate runs its library cell's ``word`` function.
 """
 
 from __future__ import annotations
 
 from repro.netlist.cells import LIBRARY, X
 from repro.netlist.netlist import Module
+from repro.netlist.sim import levelize
 
 
-def _levelize(module: Module):
-    """Topological order of (instance, cell); rejects sequential cells."""
-    comb = []
-    for inst in module.instances:
-        cell = LIBRARY.get(inst.ref)
-        if cell is None:
-            raise ValueError(f"{inst.name}: not a library cell ({inst.ref}); flatten first")
-        if cell.sequential:
-            raise ValueError(
-                f"{inst.name}: sequential cell {inst.ref} in combinational view; "
-                "use repro.atpg.scan.combinational_view first"
-            )
-        comb.append((inst, cell))
-    driver_of = {}
-    for inst, cell in comb:
-        net = inst.conns.get(cell.output)
-        if net is not None:
-            driver_of[net] = inst.name
-    indeg = {}
-    deps: dict[str, list] = {}
-    for inst, cell in comb:
-        count = 0
-        for pin in cell.inputs:
-            net = inst.conns.get(pin)
-            if net in driver_of:
-                count += 1
-                deps.setdefault(driver_of[net], []).append((inst, cell))
-        indeg[inst.name] = count
-    ready = [(i, c) for i, c in comb if indeg[i.name] == 0]
-    order = []
-    while ready:
-        inst, cell = ready.pop()
-        order.append((inst, cell))
-        for succ in deps.get(inst.name, []):
-            indeg[succ[0].name] -= 1
-            if indeg[succ[0].name] == 0:
-                ready.append(succ)
-    if len(order) != len(comb):
-        raise ValueError("combinational loop in ATPG view")
-    return order
-
-
-class CombEngine:
-    """3-valued evaluator with optional stuck-net forcing."""
+class _Engine:
+    """A combinational module: its ports and its gates in levelized order.
+    Rejects non-library and sequential cells."""
 
     def __init__(self, module: Module):
+        comb = []
+        for inst in module.instances:
+            cell = LIBRARY.get(inst.ref)
+            if cell is None:
+                raise ValueError(f"{inst.name}: not a library cell ({inst.ref}); flatten first")
+            if cell.sequential:
+                raise ValueError(
+                    f"{inst.name}: sequential cell {inst.ref} in combinational view; "
+                    "use repro.atpg.scan.combinational_view first"
+                )
+            comb.append((inst, cell))
         self.module = module
-        self.order = _levelize(module)
+        self.order = levelize(comb)
         self.inputs = module.input_ports
         self.outputs = module.output_ports
+
+
+class CombEngine(_Engine):
+    """3-valued evaluator with optional stuck-net forcing."""
 
     def evaluate(
         self,
@@ -93,16 +69,11 @@ class CombEngine:
 _MASK = (1 << 64) - 1
 
 
-class ParallelSim:
+class ParallelSim(_Engine):
     """64-way bit-parallel 2-valued fault simulator."""
 
-    def __init__(self, module: Module):
-        self.module = module
-        self.order = _levelize(module)
-        self.inputs = module.input_ports
-        self.outputs = module.output_ports
-
-    def _eval(self, pi_words: dict[str, int], force: tuple[str, int] | None) -> dict[str, int]:
+    def run(self, pi_words: dict[str, int], force: tuple[str, int] | None = None) -> dict[str, int]:
+        """Evaluate a packed batch; returns output-port words."""
         values: dict[str, int] = {}
         for pin in self.inputs:
             values[pin] = pi_words.get(pin, 0) & _MASK
@@ -114,47 +85,8 @@ class ParallelSim:
                 continue
             if force is not None and out_net == force[0]:
                 continue
-            a = [values.get(inst.conns.get(p, ""), 0) for p in cell.inputs]
-            name = cell.name
-            if name == "INV":
-                v = ~a[0]
-            elif name == "BUF":
-                v = a[0]
-            elif name == "NAND2":
-                v = ~(a[0] & a[1])
-            elif name == "NAND3":
-                v = ~(a[0] & a[1] & a[2])
-            elif name == "NOR2":
-                v = ~(a[0] | a[1])
-            elif name == "NOR3":
-                v = ~(a[0] | a[1] | a[2])
-            elif name == "AND2":
-                v = a[0] & a[1]
-            elif name == "AND3":
-                v = a[0] & a[1] & a[2]
-            elif name == "OR2":
-                v = a[0] | a[1]
-            elif name == "OR3":
-                v = a[0] | a[1] | a[2]
-            elif name == "XOR2":
-                v = a[0] ^ a[1]
-            elif name == "XNOR2":
-                v = ~(a[0] ^ a[1])
-            elif name == "MUX2":
-                d0, d1, s = a
-                v = (d0 & ~s) | (d1 & s)
-            elif name == "TIE0":
-                v = 0
-            elif name == "TIE1":
-                v = _MASK
-            else:
-                raise ValueError(f"no parallel model for cell {name}")
-            values[out_net] = v & _MASK
-        return values
-
-    def run(self, pi_words: dict[str, int], force: tuple[str, int] | None = None) -> dict[str, int]:
-        """Evaluate a packed batch; returns output-port words."""
-        values = self._eval(pi_words, force)
+            args = [values.get(inst.conns.get(p, ""), 0) for p in cell.inputs]
+            values[out_net] = cell.word(*args) & _MASK
         return {po: values.get(po, 0) for po in self.outputs}
 
     @staticmethod

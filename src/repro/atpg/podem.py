@@ -15,10 +15,6 @@ from repro.atpg.engine import CombEngine
 from repro.atpg.faults import StuckFault
 from repro.netlist.cells import LIBRARY, X
 
-#: Objective inversion parity through each cell type (None = pick any).
-_INVERTING = {"INV", "NAND2", "NAND3", "NOR2", "NOR3", "XNOR2"}
-_NON_INVERTING = {"BUF", "AND2", "AND3", "OR2", "OR3", "XOR2", "MUX2"}
-
 
 @dataclass
 class PodemResult:
@@ -112,16 +108,9 @@ def _pick_objective(engine, fault, good, faulty, driver_pin):
                 x_input = net
         if has_d and x_input is not None:
             # drive the X side input to the gate's non-controlling value
-            return (x_input, _non_controlling(cell.name))
+            # (XOR/MUX have none: either value propagates; pick 0)
+            return (x_input, 0 if cell.controlling is None else 1 - cell.controlling)
     return None
-
-
-def _non_controlling(cell_name: str) -> int:
-    if cell_name in ("AND2", "AND3", "NAND2", "NAND3"):
-        return 1
-    if cell_name in ("OR2", "OR3", "NOR2", "NOR3"):
-        return 0
-    return 0  # XOR/MUX: either propagates; pick 0
 
 
 def _backtrace(engine, objective, good, driver_pin):
@@ -136,7 +125,7 @@ def _backtrace(engine, objective, good, driver_pin):
         if entry is None:
             return None, None  # undriven internal net
         inst, cell = entry
-        if cell.name in _INVERTING:
+        if cell.inverting:
             value ^= 1
         # choose an X-valued input to pursue
         x_net = None

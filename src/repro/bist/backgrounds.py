@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bist.march import MarchTest, Order
+from repro.bist.march import MarchTest
 
 
 def standard_backgrounds(bits: int) -> list[int]:
@@ -165,12 +165,7 @@ def run_word_march(
     for background in backgrounds:
         complement = (~background) & memory.mask
         for element in march.elements:
-            addresses = (
-                range(memory.words)
-                if element.order is not Order.DOWN
-                else range(memory.words - 1, -1, -1)
-            )
-            for addr in addresses:
+            for addr in element.addresses(memory.words):
                 for op in element.ops:
                     operations += 1
                     if op.is_write:

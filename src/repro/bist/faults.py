@@ -259,6 +259,13 @@ def fault_population(
     random pairs per variant (the full O(N²) population is impractical —
     adjacency dominates real defects).
     """
+    if coupling_pairs < 0:
+        raise ValueError(f"coupling_pairs must be non-negative, got {coupling_pairs}")
+    coupling = [c for c in ("CFin", "CFid", "CFst") if c in classes]
+    if coupling and size < 2:
+        raise ValueError(
+            f"size must be at least 2 for coupling faults ({', '.join(coupling)}), got {size}"
+        )
     rng = random.Random(seed)
     population: list[FaultModel] = []
 

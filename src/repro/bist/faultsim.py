@@ -4,33 +4,47 @@ This is BRAINS's "evaluate the memory test efficiency among different
 designs" capability (paper, Section 2): for a fault population and a
 March algorithm, report per-class coverage and the test-time/coverage
 trade-off.
+
+:func:`mismatches` is the one loop that applies a March test to a
+bit-oriented memory.  Go/no-go detection, bitmap capture and the
+behavioral TPG all read it, so the detector coverage is scored on is the
+code a BIST run executes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.bist.faults import FAULT_CLASSES, FaultModel, classify, fault_population
-from repro.bist.march import MarchTest, Order
+from repro.bist.march import MarchTest, Op
 from repro.bist.memory_model import FaultFreeMemory, FaultyMemory, MemoryInterface
 from repro.util import Table
 
 
-def run_march(memory: MemoryInterface, march: MarchTest) -> bool:
-    """Apply ``march`` to ``memory``; True = all reads matched (pass)."""
-    size = memory.size
+def mismatches(memory: MemoryInterface, march: MarchTest) -> Iterator[tuple[int, Op]]:
+    """Apply ``march`` to ``memory``, retention pauses included, and
+    yield ``(address, op)`` for each read that mismatches, as it happens.
+
+    The one March loop: go/no-go (:func:`run_march`), bitmap capture
+    (:func:`diagnose_march`) and the TPG (:func:`repro.bist.tpg.run_tpg`)
+    all consume it.  The sweep runs only as far as the caller reads.
+    """
     for element in march.elements:
         if element.pause_before:
             memory.pause()
-        addresses = range(size) if element.order is not Order.DOWN else range(size - 1, -1, -1)
-        for addr in addresses:
+        for addr in element.addresses(memory.size):
             for op in element.ops:
                 if op.is_write:
                     memory.write(addr, op.value_bit)
-                else:
-                    if memory.read(addr) != op.value_bit:
-                        return False
-    return True
+                elif memory.read(addr) != op.value_bit:
+                    yield addr, op
+
+
+def run_march(memory: MemoryInterface, march: MarchTest) -> bool:
+    """Apply ``march`` to ``memory``; True = all reads matched (pass).
+    Stops at the first mismatch."""
+    return next(mismatches(memory, march), None) is None
 
 
 def diagnose_march(memory: MemoryInterface, march: MarchTest) -> list[int]:
@@ -43,19 +57,7 @@ def diagnose_march(memory: MemoryInterface, march: MarchTest) -> list[int]:
     (:mod:`repro.repair`).  Returns the sorted distinct addresses whose
     reads mismatched; an empty list means the memory passed.
     """
-    failing: set[int] = set()
-    size = memory.size
-    for element in march.elements:
-        if element.pause_before:
-            memory.pause()
-        addresses = range(size) if element.order is not Order.DOWN else range(size - 1, -1, -1)
-        for addr in addresses:
-            for op in element.ops:
-                if op.is_write:
-                    memory.write(addr, op.value_bit)
-                elif memory.read(addr) != op.value_bit:
-                    failing.add(addr)
-    return sorted(failing)
+    return sorted({addr for addr, _op in mismatches(memory, march)})
 
 
 def detects(march: MarchTest, fault: FaultModel, size: int, seed: int = 1) -> bool:

@@ -65,6 +65,11 @@ class MarchElement:
         if not self.ops:
             raise ValueError("a March element needs at least one operation")
 
+    def addresses(self, size: int) -> range:
+        """The sweep over a ``size``-cell array: descending for ``v``,
+        ascending for ``^`` and ``*``."""
+        return range(size - 1, -1, -1) if self.order is Order.DOWN else range(size)
+
     def format(self) -> str:
         body = ",".join(op.value for op in self.ops)
         prefix = "pause," if self.pause_before else ""

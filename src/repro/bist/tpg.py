@@ -4,9 +4,10 @@
 the March-based test commands to the respective RAM signals" (paper,
 Fig. 2).  Two faces:
 
-* a **behavioral** executor that runs a March test against a
-  :class:`repro.bist.memory_model.MemoryInterface`, counting cycles
-  exactly as the hardware would;
+* a **behavioral** run of a March test against a
+  :class:`repro.bist.memory_model.MemoryInterface`, through the one
+  March loop (:func:`repro.bist.faultsim.mismatches`), reporting the
+  first failing read and the hardware's cycle count, :func:`march_cycles`;
 * a **gate-level generator** producing the TPG netlist (address counter,
   op decoder, read comparator, done logic); its terminal-count AND tree
   comes from the shared :func:`repro.netlist.netlist.add_tree`.
@@ -18,8 +19,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
-from repro.bist.march import MarchTest, Order
+from repro.bist.faultsim import mismatches
+from repro.bist.march import MarchTest
 from repro.bist.memory_model import MemoryInterface
 from repro.netlist.netlist import Module, add_tree, tree_cells
 from repro.soc.memory import MemorySpec
@@ -65,40 +68,19 @@ def run_tpg(
     march: MarchTest,
     name: str = "mem",
     two_port: bool = False,
-    stop_on_fail: bool = False,
 ) -> TpgRunResult:
-    """Behavioral TPG: apply ``march``, count cycles, record first fail.
-
-    The cycle count always equals :func:`march_cycles` when
-    ``stop_on_fail`` is False — an invariant the tests pin.
-    """
-    cycles = TPG_SETUP_CYCLES
-    passed = True
-    fail_addr = fail_op = None
-    passes = 2 if two_port else 1
-    for _ in range(passes):
-        for element in march.elements:
-            if element.pause_before:
-                memory.pause()
-                cycles += PAUSE_CYCLES
-            cycles += ELEMENT_SWITCH_CYCLES
-            addresses = (
-                range(memory.size)
-                if element.order is not Order.DOWN
-                else range(memory.size - 1, -1, -1)
-            )
-            for addr in addresses:
-                for op in element.ops:
-                    cycles += 1
-                    if op.is_write:
-                        memory.write(addr, op.value_bit)
-                    elif memory.read(addr) != op.value_bit:
-                        if passed:
-                            fail_addr, fail_op = addr, op.value
-                        passed = False
-                        if stop_on_fail:
-                            return TpgRunResult(name, False, cycles, fail_addr, fail_op)
-    return TpgRunResult(name, passed, cycles, fail_addr, fail_op)
+    """Behavioral TPG: apply ``march`` (once per port) and record the
+    first failing read.  A run takes :func:`march_cycles` whether or not
+    it fails: the hardware finishes the sweep either way."""
+    fails = mismatches(memory, march)
+    if two_port:
+        fails = chain(fails, mismatches(memory, march))
+    cycles = march_cycles(march, memory.size, two_port)
+    first = next(fails, None)
+    if first is None:
+        return TpgRunResult(name, True, cycles)
+    addr, op = first
+    return TpgRunResult(name, False, cycles, addr, op.value)
 
 
 def make_tpg(spec: MemorySpec, name: str | None = None) -> Module:

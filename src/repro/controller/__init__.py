@@ -1,6 +1,10 @@
-"""Test Controller: session-sequencing FSM, behavioral and gate-level."""
+"""Test Controller: the gate-level session-sequencing FSM.
 
-from repro.controller.fsm import SessionConfig, TestControllerModel
+The generated netlist is the only controller model: the tests step its
+gates through a session walk with :class:`repro.netlist.Simulator`, and
+integration prices it from :func:`repro.controller.generator.controller_cells`.
+"""
+
 from repro.controller.generator import make_test_controller
 
-__all__ = ["SessionConfig", "TestControllerModel", "make_test_controller"]
+__all__ = ["make_test_controller"]

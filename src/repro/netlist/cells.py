@@ -6,9 +6,11 @@ mux "require about 371 and 132 gates").  We therefore measure every
 generated circuit in NAND2 equivalents, using a small library with
 representative area ratios for a 0.25 µm standard-cell process.
 
-Combinational cells carry an evaluation function over 3-valued logic
-(0, 1, X); sequential cells (DFF variants, latches) are state elements
-handled by the simulator.
+Combinational cells carry their logic twice: ``func`` over 3-valued
+logic (0, 1, X) for the simulator and PODEM, and ``word`` over 64
+patterns packed into one integer for bit-parallel fault simulation.
+Sequential cells (DFF variants, latches) are state elements handled by
+the simulator.  This table is the one place that knows what a cell does.
 """
 
 from __future__ import annotations
@@ -70,9 +72,22 @@ class Cell:
         area: NAND2-equivalent gate count.
         func: for combinational cells, maps input values (in pin order)
             to the output value; ``None`` for sequential cells.
+        word: for combinational cells, ``func``'s logic on 0/1 values
+            packed one pattern per bit into integers; the result may set
+            bits above the packed patterns (``~`` makes it negative), so
+            callers mask it.  ``None`` for sequential cells.
+        inverting: the cell inverts its inputs' polarity (INV, NAND,
+            NOR, XNOR): a backtrace through it flips its objective.
+        controlling: the input value that alone decides the output (0
+            for AND/NAND, 1 for OR/NOR); ``None`` if no single input does.
         sequential: True for flip-flops and latches.
+        transparent: True for a latch, which passes ``data_pin`` while
+            its ``clock_pin`` is high instead of sampling it on an edge.
         clock_pin / data_pin / reset_pin / enable_pin: pin roles for
             sequential cells (reset is active-low asynchronous).
+        scan_in_pin / scan_enable_pin: a scan flip-flop's SI and SE
+            pins; it captures ``scan_in_pin`` while ``scan_enable_pin``
+            is high.
     """
 
     name: str
@@ -80,11 +95,17 @@ class Cell:
     outputs: tuple[str, ...]
     area: float
     func: Optional[Callable[..., int]] = None
+    word: Optional[Callable[..., int]] = None
+    inverting: bool = False
+    controlling: Optional[int] = None
     sequential: bool = False
+    transparent: bool = False
     clock_pin: Optional[str] = None
     data_pin: Optional[str] = None
     reset_pin: Optional[str] = None
     enable_pin: Optional[str] = None
+    scan_in_pin: Optional[str] = None
+    scan_enable_pin: Optional[str] = None
 
     @property
     def output(self) -> str:
@@ -96,10 +117,6 @@ class Cell:
         return self.inputs + self.outputs
 
 
-def _comb(name: str, inputs: tuple[str, ...], area: float, func) -> Cell:
-    return Cell(name=name, inputs=inputs, outputs=("Y",), area=area, func=func)
-
-
 #: The library, keyed by cell name.  Areas in NAND2 equivalents.
 LIBRARY: dict[str, Cell] = {}
 
@@ -109,85 +126,45 @@ def _register(cell: Cell) -> Cell:
     return cell
 
 
-INV = _register(_comb("INV", ("A",), 0.7, _not))
-BUF = _register(_comb("BUF", ("A",), 1.0, lambda a: a))
-NAND2 = _register(_comb("NAND2", ("A", "B"), 1.0, lambda a, b: _not(_and2(a, b))))
-NAND3 = _register(
-    _comb("NAND3", ("A", "B", "C"), 1.5, lambda a, b, c: _not(_and2(_and2(a, b), c)))
-)
-NOR2 = _register(_comb("NOR2", ("A", "B"), 1.0, lambda a, b: _not(_or2(a, b))))
-NOR3 = _register(_comb("NOR3", ("A", "B", "C"), 1.5, lambda a, b, c: _not(_or2(_or2(a, b), c))))
-AND2 = _register(_comb("AND2", ("A", "B"), 1.5, _and2))
-AND3 = _register(_comb("AND3", ("A", "B", "C"), 2.0, lambda a, b, c: _and2(_and2(a, b), c)))
-OR2 = _register(_comb("OR2", ("A", "B"), 1.5, _or2))
-OR3 = _register(_comb("OR3", ("A", "B", "C"), 2.0, lambda a, b, c: _or2(_or2(a, b), c)))
-XOR2 = _register(_comb("XOR2", ("A", "B"), 2.5, _xor2))
-XNOR2 = _register(_comb("XNOR2", ("A", "B"), 2.5, lambda a, b: _not(_xor2(a, b))))
-MUX2 = _register(
-    Cell(name="MUX2", inputs=("D0", "D1", "S"), outputs=("Y",), area=2.5, func=_mux2)
-)
-TIE0 = _register(Cell(name="TIE0", inputs=(), outputs=("Y",), area=0.5, func=lambda: LOW))
-TIE1 = _register(Cell(name="TIE1", inputs=(), outputs=("Y",), area=0.5, func=lambda: HIGH))
+def _comb(name: str, inputs: tuple[str, ...], area: float, func, word, **roles) -> Cell:
+    return _register(Cell(name, inputs, ("Y",), area, func=func, word=word, **roles))
 
-DFF = _register(
-    Cell(
-        name="DFF",
-        inputs=("D", "CK"),
-        outputs=("Q",),
-        area=7.0,
-        sequential=True,
-        clock_pin="CK",
-        data_pin="D",
-    )
-)
-DFFR = _register(
-    Cell(
-        name="DFFR",
-        inputs=("D", "CK", "RN"),
-        outputs=("Q",),
-        area=8.0,
-        sequential=True,
-        clock_pin="CK",
-        data_pin="D",
-        reset_pin="RN",
-    )
-)
-DFFE = _register(
-    Cell(
-        name="DFFE",
-        inputs=("D", "CK", "E"),
-        outputs=("Q",),
-        area=9.0,
-        sequential=True,
-        clock_pin="CK",
-        data_pin="D",
-        enable_pin="E",
-    )
-)
-SDFF = _register(
-    # Scan flip-flop: D/SI muxed by SE in front of a DFF.
-    Cell(
-        name="SDFF",
-        inputs=("D", "SI", "SE", "CK"),
-        outputs=("Q",),
-        area=9.5,
-        sequential=True,
-        clock_pin="CK",
-        data_pin="D",  # effective D resolved by the simulator from SE
-    )
-)
-DLATCH = _register(
-    # Transparent-high latch (used as the WBC update stage).
-    Cell(
-        name="DLATCH",
-        inputs=("D", "G"),
-        outputs=("Q",),
-        area=4.0,
-        sequential=True,
-        clock_pin="G",
-        data_pin="D",
-    )
-)
+
+def _seq(name: str, inputs: tuple[str, ...], area: float, **pins) -> Cell:
+    return _register(Cell(name, inputs, ("Q",), area, sequential=True, **pins))
+
+
+INV = _comb("INV", ("A",), 0.7, _not, lambda a: ~a, inverting=True)
+BUF = _comb("BUF", ("A",), 1.0, lambda a: a, lambda a: a)
+NAND2 = _comb("NAND2", ("A", "B"), 1.0, lambda a, b: _not(_and2(a, b)),
+              lambda a, b: ~(a & b), inverting=True, controlling=LOW)
+NAND3 = _comb("NAND3", ("A", "B", "C"), 1.5, lambda a, b, c: _not(_and2(_and2(a, b), c)),
+              lambda a, b, c: ~(a & b & c), inverting=True, controlling=LOW)
+NOR2 = _comb("NOR2", ("A", "B"), 1.0, lambda a, b: _not(_or2(a, b)),
+             lambda a, b: ~(a | b), inverting=True, controlling=HIGH)
+NOR3 = _comb("NOR3", ("A", "B", "C"), 1.5, lambda a, b, c: _not(_or2(_or2(a, b), c)),
+             lambda a, b, c: ~(a | b | c), inverting=True, controlling=HIGH)
+AND2 = _comb("AND2", ("A", "B"), 1.5, _and2, lambda a, b: a & b, controlling=LOW)
+AND3 = _comb("AND3", ("A", "B", "C"), 2.0, lambda a, b, c: _and2(_and2(a, b), c),
+             lambda a, b, c: a & b & c, controlling=LOW)
+OR2 = _comb("OR2", ("A", "B"), 1.5, _or2, lambda a, b: a | b, controlling=HIGH)
+OR3 = _comb("OR3", ("A", "B", "C"), 2.0, lambda a, b, c: _or2(_or2(a, b), c),
+            lambda a, b, c: a | b | c, controlling=HIGH)
+XOR2 = _comb("XOR2", ("A", "B"), 2.5, _xor2, lambda a, b: a ^ b)
+XNOR2 = _comb("XNOR2", ("A", "B"), 2.5, lambda a, b: _not(_xor2(a, b)),
+              lambda a, b: ~(a ^ b), inverting=True)
+MUX2 = _comb("MUX2", ("D0", "D1", "S"), 2.5, _mux2, lambda d0, d1, s: (d0 & ~s) | (d1 & s))
+TIE0 = _comb("TIE0", (), 0.5, lambda: LOW, lambda: 0)
+TIE1 = _comb("TIE1", (), 0.5, lambda: HIGH, lambda: -1)
+
+DFF = _seq("DFF", ("D", "CK"), 7.0, clock_pin="CK", data_pin="D")
+DFFR = _seq("DFFR", ("D", "CK", "RN"), 8.0, clock_pin="CK", data_pin="D", reset_pin="RN")
+DFFE = _seq("DFFE", ("D", "CK", "E"), 9.0, clock_pin="CK", data_pin="D", enable_pin="E")
+# Scan flip-flop: D/SI muxed by SE in front of a DFF.
+SDFF = _seq("SDFF", ("D", "SI", "SE", "CK"), 9.5, clock_pin="CK", data_pin="D",
+            scan_in_pin="SI", scan_enable_pin="SE")
+# Transparent-high latch (used as the WBC update stage).
+DLATCH = _seq("DLATCH", ("D", "G"), 4.0, transparent=True, clock_pin="G", data_pin="D")
 
 
 def cell(name: str) -> Cell:

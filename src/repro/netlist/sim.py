@@ -1,8 +1,10 @@
 """Levelized 3-valued (0/1/X) logic simulator for flat netlists.
 
 Used to *verify* generated DFT logic rather than to race it: the wrapper
-tests shift bits through generated WBR chains, the controller tests step
-the session FSM, and the ATPG package runs it underneath PODEM.
+tests shift bits through generated WBR chains and the controller tests
+step the session FSM.  The ATPG engines (:mod:`repro.atpg.engine`) do not
+run this simulator, but share its gate order: :func:`levelize` orders
+the combinational cells here and under PODEM and fault simulation alike.
 
 The simulator is full-sweep levelized (every evaluation recomputes the
 whole combinational cloud in topological order), which is simple, exact
@@ -14,12 +16,49 @@ are resolved to a fixpoint inside :meth:`Simulator.evaluate`.
 
 from __future__ import annotations
 
-from repro.netlist.cells import HIGH, LIBRARY, LOW, X, Cell
-from repro.netlist.netlist import Module
+from repro.netlist.cells import HIGH, LIBRARY, LOW, MUX2, X, Cell
+from repro.netlist.netlist import Instance, Module
 
 
 class CombLoopError(ValueError):
     """Raised when the combinational part of a netlist has a cycle."""
+
+
+def levelize(comb: list[tuple[Instance, Cell]]) -> list[tuple[Instance, Cell]]:
+    """Topologically order combinational ``(instance, cell)`` pairs
+    (Kahn's algorithm, last-ready first).  Raises :class:`CombLoopError`
+    naming the instances that never become ready: the loop and its fanout.
+    """
+    driver_of: dict[str, tuple] = {}
+    for inst, cell in comb:
+        for pin in cell.outputs:
+            net = inst.conns.get(pin)
+            if net is not None:
+                driver_of[net] = (inst, cell)
+    indeg: dict[str, int] = {}
+    deps: dict[str, list] = {}
+    for inst, cell in comb:
+        count = 0
+        for pin in cell.inputs:
+            net = inst.conns.get(pin)
+            if net in driver_of:
+                count += 1
+                drv_inst, _ = driver_of[net]
+                deps.setdefault(drv_inst.name, []).append((inst, cell))
+        indeg[inst.name] = count
+    ready = [(inst, cell) for inst, cell in comb if indeg[inst.name] == 0]
+    order = []
+    while ready:
+        inst, cell = ready.pop()
+        order.append((inst, cell))
+        for succ_inst, succ_cell in deps.get(inst.name, []):
+            indeg[succ_inst.name] -= 1
+            if indeg[succ_inst.name] == 0:
+                ready.append((succ_inst, succ_cell))
+    if len(order) != len(comb):
+        stuck = [i.name for i, _ in comb if indeg[i.name] > 0]
+        raise CombLoopError(f"combinational loop involving: {sorted(stuck)[:10]}")
+    return order
 
 
 class Simulator:
@@ -41,48 +80,13 @@ class Simulator:
                 )
             if not cell.sequential:
                 self._comb.append((inst, cell))
-            elif cell.name == "DLATCH":
+            elif cell.transparent:
                 self._latches.append((inst, cell))
                 self.state[inst.name] = X
             else:
                 self._seq.append((inst, cell))
                 self.state[inst.name] = X
-        self._order = self._levelize()
-
-    # -- construction helpers ----------------------------------------------
-
-    def _levelize(self) -> list:
-        """Topologically order combinational instances (Kahn)."""
-        driver_of: dict[str, tuple] = {}
-        for inst, cell in self._comb:
-            for pin in cell.outputs:
-                net = inst.conns.get(pin)
-                if net is not None:
-                    driver_of[net] = (inst, cell)
-        indeg: dict[str, int] = {}
-        deps: dict[str, list] = {}
-        for inst, cell in self._comb:
-            count = 0
-            for pin in cell.inputs:
-                net = inst.conns.get(pin)
-                if net in driver_of:
-                    count += 1
-                    drv_inst, _ = driver_of[net]
-                    deps.setdefault(drv_inst.name, []).append((inst, cell))
-            indeg[inst.name] = count
-        ready = [(inst, cell) for inst, cell in self._comb if indeg[inst.name] == 0]
-        order = []
-        while ready:
-            inst, cell = ready.pop()
-            order.append((inst, cell))
-            for succ_inst, succ_cell in deps.get(inst.name, []):
-                indeg[succ_inst.name] -= 1
-                if indeg[succ_inst.name] == 0:
-                    ready.append((succ_inst, succ_cell))
-        if len(order) != len(self._comb):
-            stuck = [i.name for i, _ in self._comb if indeg[i.name] > 0]
-            raise CombLoopError(f"combinational loop involving: {sorted(stuck)[:10]}")
-        return order
+        self._order = levelize(self._comb)
 
     # -- driving -------------------------------------------------------------
 
@@ -158,16 +162,11 @@ class Simulator:
 
     def _effective_d(self, inst, cell: Cell) -> int:
         """Next-state value of a flip-flop at a clock edge."""
-        if cell.name == "SDFF":
-            se = self.values.get(inst.conns.get("SE", ""), X)
-            d = self.values.get(inst.conns.get("D", ""), X)
-            si = self.values.get(inst.conns.get("SI", ""), X)
-            if se == HIGH:
-                return si
-            if se == LOW:
-                return d
-            return d if d == si else X
         d = self.values.get(inst.conns.get(cell.data_pin, ""), X)
+        if cell.scan_enable_pin is not None:  # a MUX2 in front of the flop: SE picks SI
+            si = self.values.get(inst.conns.get(cell.scan_in_pin, ""), X)
+            se = self.values.get(inst.conns.get(cell.scan_enable_pin, ""), X)
+            return MUX2.func(d, si, se)
         if cell.enable_pin is not None:
             en = self.values.get(inst.conns.get(cell.enable_pin, ""), X)
             if en == LOW:

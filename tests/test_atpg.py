@@ -17,7 +17,7 @@ from repro.atpg import (
     podem,
     trace_chain_flops,
 )
-from repro.netlist import LOW, Module, Netlist, Simulator, flatten
+from repro.netlist import LOW, CombLoopError, Module, Netlist, Simulator, flatten
 from repro.netlist.cells import HIGH as H, LOW as L
 from repro.patterns import replay, translate_core_to_wrapper, wrapper_scan_program
 from repro.soc.demo import build_demo_core, build_demo_core_module
@@ -71,6 +71,16 @@ class TestCombEngine:
         m.add_instance("ff", "DFF", D="d", CK="clk", Q="q")
         with pytest.raises(ValueError, match="sequential"):
             CombEngine(m)
+
+    @pytest.mark.parametrize("engine", [CombEngine, ParallelSim])
+    def test_loop_names_both_instances(self, engine):
+        m = Module("loop")
+        m.add_input("a")
+        m.add_output("y")
+        m.add_instance("u_nand", "NAND2", A="a", B="y", Y="n")
+        m.add_instance("u_inv", "INV", A="n", Y="y")
+        with pytest.raises(CombLoopError, match=r"\['u_inv', 'u_nand'\]"):
+            engine(m)
 
 
 class TestParallelSim:

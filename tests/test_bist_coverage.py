@@ -23,6 +23,7 @@ from repro.bist import (
     TransitionFault,
     coverage_table,
     detects,
+    fault_population,
     run_march,
     simulate_coverage,
     with_retention,
@@ -192,3 +193,22 @@ class TestCoverageReports:
         bad = parse_march("{*(r1)}")  # reads 1 from random power-up state
         with pytest.raises(ValueError, match="fault-free"):
             simulate_coverage(bad, size=8)
+
+    @pytest.mark.parametrize("size", [1, 0, -3])
+    def test_coupling_population_needs_two_cells(self, size):
+        with pytest.raises(ValueError, match=r"size must be at least 2 .*CFin"):
+            fault_population(size)
+        with pytest.raises(ValueError, match="size"):
+            simulate_coverage(MARCH_C_MINUS, size=size)
+
+    def test_single_cell_population_without_coupling(self):
+        faults = fault_population(1, ("SAF", "TF", "AF"), coupling_pairs=5)
+        assert [f.describe() for f in faults] == [
+            "SAF0(0)", "SAF1(0)", "TF_UP(0)", "TF_DOWN(0)", "AF_open(0)",
+        ]
+
+    def test_negative_coupling_pairs_rejected(self):
+        with pytest.raises(ValueError, match="coupling_pairs must be non-negative, got -1"):
+            fault_population(8, coupling_pairs=-1)
+        with pytest.raises(ValueError, match="coupling_pairs"):
+            coverage_table([MATS_PLUS], size=8, coupling_pairs=-1)

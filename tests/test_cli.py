@@ -1,10 +1,16 @@
 """Tests for the ``python -m repro`` command shell."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestCli:
@@ -22,6 +28,28 @@ class TestCli:
         assert main(["coverage", "--size", "8", "--pairs", "4"]) == 0
         out = capsys.readouterr().out
         assert "SAF%" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--size", "0"], "--size must be at least 2, got 0"),
+        (["--size", "-3"], "--size must be at least 2, got -3"),
+        (["--size", "1"], "--size must be at least 2, got 1"),
+        (["--pairs", "-1"], "--pairs must be non-negative, got -1"),
+    ])
+    def test_coverage_rejects_bad_sizes(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["coverage", *argv])
+        assert exc.value.code == message
+        assert capsys.readouterr().out == ""
+
+    def test_coverage_bad_size_exit_status(self):
+        """A one-line message and exit status 1, no traceback."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "coverage", "--size", "1"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "--size must be at least 2, got 1\n"
+        assert proc.stdout == ""
 
     def test_d695_schedule(self, capsys):
         assert main(["d695", "--pins", "48"]) == 0

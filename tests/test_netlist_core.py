@@ -1,10 +1,13 @@
 """Tests for the netlist model: modules, instances, area, validation,
 flattening and the Verilog writer."""
 
+import itertools
+
 import pytest
 
 from repro.netlist import (
     LIBRARY,
+    X,
     Module,
     Netlist,
     cell,
@@ -52,6 +55,34 @@ class TestLibrary:
         for c in LIBRARY.values():
             if not c.sequential:
                 assert c.func is not None
+
+    def test_word_is_func_on_every_row(self):
+        """``word`` on all-zero or all-one 64-bit words, masked, is
+        ``func`` on every 0/1 input row; sequential cells have none."""
+        mask = (1 << 64) - 1
+        for c in LIBRARY.values():
+            if c.sequential:
+                assert c.word is None, c.name
+                continue
+            for row in itertools.product((0, 1), repeat=len(c.inputs)):
+                words = [mask if bit else 0 for bit in row]
+                assert c.word(*words) & mask == (mask if c.func(*row) else 0), (c.name, row)
+
+    def test_roles_agree_with_func(self):
+        """An inverting cell outputs 1 on all-zero inputs; a controlling
+        value on any one input decides a multi-input cell's output."""
+        for c in LIBRARY.values():
+            if c.sequential or not c.inputs:
+                continue
+            n = len(c.inputs)
+            assert c.inverting == (c.func(*[0] * n) == 1), c.name
+            if n == 1:
+                continue
+            for value in (0, 1):
+                decides = all(
+                    c.func(*[value if k == i else X for k in range(n)]) != X for i in range(n)
+                )
+                assert decides == (c.controlling == value), (c.name, value)
 
 
 class TestModule:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.controller import TestControllerModel, make_test_controller
+from repro.controller import make_test_controller
 from repro.netlist import HIGH, LOW, Simulator
 from repro.sched import schedule_sessions, tasks_from_soc
 from repro.soc.dsc import build_dsc_chip
@@ -85,42 +85,6 @@ class TestTamMux:
         # selecting a session with no slot on wire 0 gives 0
         if bus.width:
             assert sim.get("tam_out0") in (LOW, HIGH)  # defined, not X
-
-
-class TestControllerFsmModel:
-    def test_walks_sessions(self, dsc_schedule):
-        model = TestControllerModel.from_schedule(dsc_schedule)
-        model.start()
-        count = 0
-        while not model.done:
-            assert model.select_wir  # CONFIG
-            model.config_done()
-            assert not model.select_wir  # RUN
-            count += 1
-            model.session_done()
-        assert count == len(dsc_schedule.sessions)
-
-    def test_te_only_for_active_cores(self, dsc_schedule):
-        model = TestControllerModel.from_schedule(dsc_schedule)
-        model.start()
-        model.config_done()
-        session = dsc_schedule.sessions[0]
-        active = {t.task.core_name for t in session.tests}
-        for core in ("USB", "TV", "JPEG"):
-            assert model.test_enable(core) == (core in active)
-
-    def test_bad_transitions_raise(self, dsc_schedule):
-        model = TestControllerModel.from_schedule(dsc_schedule)
-        with pytest.raises(RuntimeError):
-            model.config_done()
-        model.start()
-        with pytest.raises(RuntimeError):
-            model.session_done()
-
-    def test_empty_schedule_goes_straight_to_done(self):
-        model = TestControllerModel(sessions=[])
-        model.start()
-        assert model.done
 
 
 class TestControllerNetlist:
