@@ -3,9 +3,10 @@
 The platform is a pipeline — STIL Parser → BRAINS → Core Test Scheduler
 → Test Insertion → Pattern Translator — and this module exposes each box
 as a first-class :class:`Stage` over a shared :class:`FlowContext`
-artifact bag.  ``Steac.integrate()`` is a thin wrapper over
-:func:`default_stages`; callers who need more control can run a partial
-flow, replace a stage, or append their own:
+artifact bag.  ``Steac.integrate()`` runs :func:`default_stages` over
+one context and returns it, finished, as the result; callers who need
+more control can run a partial flow, replace a stage, or append their
+own:
 
     >>> from repro.core.pipeline import Pipeline, FlowContext, Schedule
     >>> ctx = FlowContext(soc=build_dsc_chip())            # doctest: +SKIP
@@ -71,31 +72,18 @@ _WRAPPER_CONTROL_NETS = {"wrck": "tck", "selectwir": "n_selectwir", "shiftwr": "
                          "parallel_sel": "parallel_sel"}
 
 
-class DftArtifacts:
-    """A flow's DFT netlist and modules: generated on first read, ``None`` before InsertDft."""
-
-    dft: Optional["DftDesign"]
-
-    def _built(self, attr: str):
-        if self.dft is None:
-            return None
-        self.dft.build()
-        return getattr(self.dft, attr)
-
-    netlist = property(lambda self: self._built("netlist"))
-    controller_module = property(lambda self: self._built("controller_module"))
-    tam_module = property(lambda self: self._built("tam_module"))
-
-
 @dataclass
-class FlowContext(DftArtifacts):
+class FlowContext:
     """Everything a flow reads and produces, in dependency order.
 
     Inputs (caller-set): ``soc``, ``config``, ``stil_texts``,
-    ``pattern_data``.  Artifacts (stage-set): everything else.  The
-    ``soc`` field is re-pointed at a shallow working copy by
-    :class:`ParseStil` when STIL input adds or replaces cores, so the
-    caller's model is never mutated.
+    ``pattern_data``.  Artifacts (stage-set): everything else but
+    ``runtime_seconds`` and ``trace``, which ``Steac.integrate`` sets on
+    the finished flow it returns.  The ``soc`` field is re-pointed at a
+    shallow working copy by :class:`ParseStil` when STIL input adds or
+    replaces cores, so the caller's model is never mutated.  ``tasks``
+    stays ``None`` until a stage derives them.  The DFT ``netlist`` and
+    its modules are generated on first read (``None`` before InsertDft).
     """
 
     soc: Soc
@@ -104,7 +92,7 @@ class FlowContext(DftArtifacts):
     pattern_data: dict[str, CorePatternSet] = field(default_factory=dict)
 
     # -- artifacts, in the order the default flow produces them ----------
-    tasks: list[TestTask] = field(default_factory=list)
+    tasks: Optional[list[TestTask]] = None
     bist_engine: Optional[BistEngine] = None
     repair: Optional["RepairAnalysis"] = None
     schedule: Optional[ScheduleResult] = None
@@ -115,12 +103,24 @@ class FlowContext(DftArtifacts):
     programs: dict[str, AteProgram] = field(default_factory=dict)
     verification: Optional["VerificationReport"] = None
     stage_seconds: dict[str, float] = field(default_factory=dict)
+    trace: Optional[dict] = None
+    runtime_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.config is None:
             from repro.core.steac import SteacConfig
 
             self.config = SteacConfig()
+
+    def _built(self, attr: str):
+        if self.dft is None:
+            return None
+        self.dft.build()
+        return getattr(self.dft, attr)
+
+    netlist = property(lambda self: self._built("netlist"))
+    controller_module = property(lambda self: self._built("controller_module"))
+    tam_module = property(lambda self: self._built("tam_module"))
 
     def require(self, *artifacts: str) -> None:
         """Fail fast when a stage runs before its producers."""
@@ -196,8 +196,8 @@ class ParseStil(Stage):
 class CompileBist(Stage):
     """BRAINS (Fig. 4): compile memory BIST, emit schedulable group tasks.
 
-    Also derives the core-test task list, so a flow starting here (or at
-    ``schedule`` for a memory-less chip) always has ``ctx.tasks``.
+    Also derives the core-test task list, so a flow starting here always
+    has ``ctx.tasks`` (a flow starting at ``schedule`` derives its own).
     """
 
     name = "compile_bist"
@@ -226,8 +226,7 @@ class Schedule(Stage):
 
     def execute(self, ctx: FlowContext) -> None:
         config = ctx.config
-        if not ctx.tasks and "compile_bist" not in ctx.stage_seconds:
-            # allow schedule-only flows on a bare SOC
+        if ctx.tasks is None:  # a schedule-only flow on a bare SOC
             ctx.tasks = tasks_from_soc(ctx.soc)
         ctx.schedule = self._schedule(ctx, config.strategy)
         if config.compare_strategies:
@@ -493,16 +492,6 @@ class Pipeline:
     @classmethod
     def default(cls) -> "Pipeline":
         return cls(default_stages())
-
-    @classmethod
-    def with_repair(cls) -> "Pipeline":
-        """The default flow plus memory repair analysis after BRAINS."""
-        return cls(default_stages(repair=True))
-
-    @classmethod
-    def with_verify(cls) -> "Pipeline":
-        """The default flow plus invariant verification at the end."""
-        return cls(default_stages(verify=True))
 
     @property
     def stage_names(self) -> list[str]:

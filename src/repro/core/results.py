@@ -1,6 +1,9 @@
 """Integration results: the console report and machine-readable output.
 
-:class:`IntegrationResult` is everything STEAC produces for one SOC.
+:class:`IntegrationResult` is everything STEAC produces for one SOC: the
+:class:`~repro.core.pipeline.FlowContext` the flow's stages filled,
+which ``Steac.integrate`` returns with ``runtime_seconds`` (and, when
+tracing was on, ``trace``) set on it.  It adds no field, only views.
 Besides the paper-style console ``report()``, it serializes to a stable,
 JSON-native dict (``to_dict()`` / ``to_json()``) so benchmark harnesses
 and CI can consume integration outcomes without scraping ASCII tables —
@@ -53,22 +56,10 @@ InsertDft's closed-form cell counts: the document needs no netlist.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
 
-from repro.bist.compiler import BistEngine
-from repro.core.pipeline import DftArtifacts, DftDesign
+from repro.core.pipeline import FlowContext
 from repro.netlist import AreaReport, cell_area
-from repro.patterns.ate import AteProgram
-from repro.sched.result import ScheduleResult
-from repro.soc.soc import Soc
-from repro.tam.bus import TamBus
 from repro.util import Table, format_cycles
-from repro.wrapper.generator import GeneratedWrapper
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.repair.analysis import RepairAnalysis
-    from repro.verify.report import VerificationReport
 
 RESULT_SCHEMA = "repro/integration-result/v4"
 # bumped alongside the item schema: batch documents embed v4 item
@@ -77,42 +68,10 @@ RESULT_SCHEMA = "repro/integration-result/v4"
 BATCH_SCHEMA = "repro/batch-result/v4"
 
 
-@dataclass
-class IntegrationResult(DftArtifacts):
-    """Everything STEAC produces for one SOC (the DFT netlist and its
-    modules are generated on first access, see :class:`DftDesign`)."""
-
-    soc: Soc
-    schedule: ScheduleResult
-    comparison: dict[str, Optional[int]]
-    bist_engine: Optional[BistEngine]
-    wrappers: dict[str, GeneratedWrapper]
-    tam_bus: TamBus
-    dft: DftDesign
-    programs: dict[str, AteProgram] = field(default_factory=dict)
-    repair: Optional["RepairAnalysis"] = None
-    verification: Optional["VerificationReport"] = None
-    trace: Optional[dict] = None
-    runtime_seconds: float = 0.0
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-
-    @classmethod
-    def from_context(cls, ctx, runtime_seconds: float = 0.0) -> "IntegrationResult":
-        """Assemble a result from a fully-run :class:`FlowContext`."""
-        return cls(
-            soc=ctx.soc,
-            schedule=ctx.schedule,
-            comparison=ctx.comparison,
-            bist_engine=ctx.bist_engine,
-            wrappers=ctx.wrappers,
-            tam_bus=ctx.tam_bus,
-            dft=ctx.dft,
-            programs=ctx.programs,
-            repair=ctx.repair,
-            verification=ctx.verification,
-            runtime_seconds=runtime_seconds,
-            stage_seconds=dict(ctx.stage_seconds),
-        )
+class IntegrationResult(FlowContext):
+    """Everything STEAC produces for one SOC: a finished flow, read
+    through the views below (the DFT netlist and its modules are
+    generated on first access, see :class:`~repro.core.pipeline.DftDesign`)."""
 
     @property
     def total_test_time(self) -> int:

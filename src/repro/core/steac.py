@@ -11,9 +11,10 @@ Sun Blade 1000:
     >>> result = Steac().integrate(build_dsc_chip())
     >>> print(result.report())                      # doctest: +SKIP
 
-``integrate()`` is a thin wrapper over the staged flow in
-:mod:`repro.core.pipeline` — run partial flows, swap stages, or batch
-many SOCs through :meth:`Steac.integrate_many`.
+``integrate()`` runs the staged flow of :mod:`repro.core.pipeline` over
+the context ``context()`` builds and returns that context, finished, as
+the result — run partial flows, swap stages, or batch many SOCs through
+:meth:`Steac.integrate_many`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 
 from repro.bist.march import MARCH_C_MINUS, MarchTest
 from repro.core.batch import BatchResult, WorkItem, integrate_many
-from repro.core.pipeline import FlowContext, Pipeline, default_stages
+from repro.core.pipeline import Pipeline, default_stages
 from repro.core.results import IntegrationResult
 from repro.obs import TRACER, span, summarize
 from repro.patterns.core_patterns import CorePatternSet
@@ -98,10 +99,11 @@ class Steac:
         soc: Soc,
         stil_texts: dict[str, str] | None = None,
         pattern_data: dict[str, CorePatternSet] | None = None,
-    ) -> FlowContext:
-        """A fresh :class:`FlowContext` for this platform's configuration
-        — the entry point for staged / partial flows."""
-        return FlowContext(
+    ) -> IntegrationResult:
+        """A fresh flow (a :class:`~repro.core.pipeline.FlowContext`) for
+        this platform's configuration — the entry point for staged /
+        partial flows, and the object ``integrate`` returns."""
+        return IntegrationResult(
             soc=soc,
             config=self.config,
             stil_texts=dict(stil_texts or {}),
@@ -115,7 +117,7 @@ class Steac:
         pattern_data: dict[str, CorePatternSet] | None = None,
         pipeline: Pipeline | None = None,
     ) -> IntegrationResult:
-        """Run the full Fig.-1 flow on ``soc``.
+        """Run the full Fig.-1 flow on ``soc`` and return the finished flow.
 
         Args:
             soc: the chip model (never mutated; STIL input operates on a
@@ -130,7 +132,7 @@ class Steac:
                 (plus ``analyze_repair`` when the config enables it).
         """
         started = time.perf_counter()
-        ctx = self.context(soc, stil_texts, pattern_data)
+        flow = self.context(soc, stil_texts, pattern_data)
         if pipeline is None:
             pipeline = Pipeline(default_stages(
                 repair=self.config.analyze_repair,
@@ -138,15 +140,13 @@ class Steac:
             ))
         sp = span("integrate", soc=soc.name, strategy=self.config.strategy)
         with sp:
-            pipeline.run(ctx)
-        result = IntegrationResult.from_context(
-            ctx, runtime_seconds=time.perf_counter() - started
-        )
+            pipeline.run(flow)
+        flow.runtime_seconds = time.perf_counter() - started
         if sp.id is not None:
             # tracing was on: attach the compact span summary (the
             # ``trace`` section of the v4 result schema)
-            result.trace = summarize(TRACER.records(), sp.id)
-        return result
+            flow.trace = summarize(TRACER.records(), sp.id)
+        return flow
 
     def integrate_many(
         self,

@@ -88,14 +88,6 @@ class CorePatternSet:
     scan_vectors: list[ScanVector] = field(default_factory=list)
     functional_vectors: list[FunctionalVector] = field(default_factory=list)
 
-    @property
-    def scan_count(self) -> int:
-        return len(self.scan_vectors)
-
-    @property
-    def functional_count(self) -> int:
-        return len(self.functional_vectors)
-
     def validate_against_chains(self, chain_lengths: dict[str, int]) -> list[str]:
         """Check every scan vector's load/unload lengths match the chain
         lengths; returns problem strings (empty = clean)."""

@@ -2,9 +2,11 @@
 
 An optional box after BRAINS in the Fig.-1 flow: given the compiled
 memories, size the BISR hardware (fuse registers + comparators feed the
-DFT-area report) and run a seeded Monte-Carlo repair-rate estimate.
-Opt in per platform (``SteacConfig(analyze_repair=True)``) or per flow
-(``Pipeline.with_repair()``); the default flow is unchanged.
+DFT-area report) and run a seeded Monte-Carlo repair-rate estimate into
+``ctx.repair``, which the finished flow (the ``IntegrationResult``)
+carries.  Opt in per platform (``SteacConfig(analyze_repair=True)``) or
+per flow (``Pipeline(default_stages(repair=True))``); the default flow
+is unchanged.
 """
 
 from __future__ import annotations

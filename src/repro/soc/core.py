@@ -117,14 +117,6 @@ class Core:
         return [p for p in self.ports if p.kind is kind]
 
     @property
-    def functional_inputs(self) -> list[Port]:
-        return [p for p in self.ports if p.kind is SignalKind.FUNCTIONAL and p.is_input]
-
-    @property
-    def functional_outputs(self) -> list[Port]:
-        return [p for p in self.ports if p.kind is SignalKind.FUNCTIONAL and p.is_output]
-
-    @property
     def counts(self) -> PortCounts:
         """Table-1 style TI/TO/PI/PO tally."""
         return PortCounts.of(self.ports)

@@ -60,7 +60,7 @@ class MemorySpec:
         mem_type: single-port or two-port.
         freq_mhz: BIST shift/march frequency for time-in-seconds reports.
         power: abstract test-power units drawn while under BIST (used by
-            power-constrained BIST scheduling).
+            power-constrained BIST scheduling).  Finite and non-negative.
         redundancy: spare rows/columns available for repair (None = the
             array ships without repair resources).
     """
@@ -78,6 +78,7 @@ class MemorySpec:
         check_positive(self.words, "word count")
         check_positive(self.bits, "bit width")
         check_positive(self.freq_mhz, "frequency")
+        check_non_negative(self.power, "memory power")
 
     @property
     def capacity_bits(self) -> int:

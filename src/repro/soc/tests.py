@@ -10,7 +10,6 @@ through the pattern translator.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,8 +53,6 @@ class CoreTest:
         check_name(self.name, "test name")
         check_non_negative(self.patterns, "pattern count")
         check_non_negative(self.power, "test power")
-        if not math.isfinite(self.power):  # ``nan < 0`` is false
-            raise ValueError(f"test power must be finite, got {self.power!r}")
 
     @property
     def is_scan(self) -> bool:

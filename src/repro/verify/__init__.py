@@ -5,11 +5,14 @@ correctness oracle).
 — resource mutexes, power ceiling, pin budget, session structure, and
 makespan against the computable lower bound
 (:mod:`repro.sched.bounds`) — returning a structured
-:class:`VerificationReport`.  ``verify_integration`` extends the check
-to wrapper/chain-balance and pattern-translation consistency; the
-``VerifySchedule`` pipeline stage wires it into the STEAC flow, and the
-CLI ``fuzz`` command differentially applies it to every registered
-strategy over generated SOC corpora.
+:class:`VerificationReport`; the CLI ``fuzz`` command differentially
+applies it to every registered strategy over generated SOC corpora.
+``verify_integration(flow)`` is the one driver for a whole flow (a
+:class:`~repro.core.pipeline.FlowContext`, which every
+``IntegrationResult`` is): the schedule invariants against the flow's
+``tasks``, then wrapper/chain-balance and, for each core with
+``pattern_data``, pattern-translation consistency.  The
+``VerifySchedule`` pipeline stage calls it on the running flow.
 """
 
 from repro.verify.consistency import (

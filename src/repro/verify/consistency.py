@@ -13,6 +13,9 @@ with it:
   ``(1 + max(si, so)) * p + min(si, so)`` scan formula, or preamble +
   one cycle per functional vector), optionally lifted by the
   chip-level session preamble.
+
+:func:`verify_integration` runs the schedule invariants and both sweeps
+over one flow; it is the only driver, and the ``verify`` stage calls it.
 """
 
 from __future__ import annotations
@@ -25,15 +28,16 @@ from repro.patterns.core_patterns import CorePatternSet
 # one definition, shared with the translator, so the checker can never
 # drift from what it checks
 from repro.patterns.translate import CHIP_SESSION_PREAMBLE
-from repro.sched.result import ScheduleResult
+from repro.sched.ioalloc import SharingPolicy
 from repro.sched.timecalc import scan_test_time
 from repro.soc.core import Core
+from repro.verify.invariants import verify_schedule
 from repro.verify.report import VerificationReport
 from repro.wrapper.balance import WrapperPlan, wrapper_cell_counts
 from repro.wrapper.wir import WrapperInstruction, wir_shift_sequence
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.results import IntegrationResult
+    from repro.core.pipeline import FlowContext
 
 
 def _wir_preamble_cycles(instruction: WrapperInstruction) -> int:
@@ -113,18 +117,12 @@ def check_program_cycles(
         )
 
 
-def check_flow_artifacts(
-    soc,
-    schedule: ScheduleResult,
-    wrappers: dict,
-    programs: dict[str, AteProgram],
-    pattern_data: Optional[dict[str, CorePatternSet]],
-    report: VerificationReport,
-) -> VerificationReport:
-    """The wrapper + translation sweep over a flow's artifacts — the one
-    driver both :func:`verify_integration` and the ``verify`` pipeline
-    stage delegate to."""
-    widths = schedule.scheduled_widths()
+def check_flow_artifacts(flow: "FlowContext", report: VerificationReport) -> VerificationReport:
+    """The wrapper + translation sweep over a flow's artifacts: every
+    wrapper against its core and scheduled width, and every translated
+    program of a core the flow has pattern data for."""
+    soc, wrappers = flow.soc, flow.wrappers
+    widths = flow.schedule.scheduled_widths()
     for name, wrapper in sorted(wrappers.items()):
         try:
             core = soc.core(name)
@@ -132,29 +130,23 @@ def check_flow_artifacts(
             report.add("wrapper-balance", name, "wrapper for unknown core")
             continue
         check_wrapper_plan(core, wrapper.plan, report, expected_width=widths.get(name))
-    for core_name, patterns in sorted((pattern_data or {}).items()):
+    for core_name, patterns in sorted(flow.pattern_data.items()):
         wrapper = wrappers.get(core_name)
         if wrapper is None:
             continue
         core = soc.core(core_name)
         for kind in ("scan", "func"):
-            program = programs.get(f"{core_name}.{kind}")
+            program = flow.programs.get(f"{core_name}.{kind}")
             if program is not None:
                 check_program_cycles(core, wrapper.plan, patterns, program, kind, report)
     return report
 
 
 def verify_integration(
-    result: "IntegrationResult",
-    pattern_data: Optional[dict[str, CorePatternSet]] = None,
-    policy=None,
+    flow: "FlowContext", policy: Optional[SharingPolicy] = None
 ) -> VerificationReport:
-    """Full-result verification: schedule invariants plus wrapper and
-    (when ``pattern_data`` is supplied) translation consistency."""
-    from repro.verify.invariants import verify_schedule
-
-    report = verify_schedule(result.soc, result.schedule, policy=policy)
-    return check_flow_artifacts(
-        result.soc, result.schedule, result.wrappers, result.programs,
-        pattern_data, report,
-    )
+    """Verify a whole flow (a finished ``IntegrationResult``, or a context
+    run through ``schedule``): the schedule invariants against the flow's
+    ``tasks``, then wrapper and translation consistency."""
+    report = verify_schedule(flow.soc, flow.schedule, tasks=flow.tasks, policy=policy)
+    return check_flow_artifacts(flow, report)

@@ -1,20 +1,20 @@
 """The ``verify`` pipeline stage: invariant-check a flow's artifacts.
 
 Appended to the default flow by ``SteacConfig(verify_schedule=True)``
-(or ``Pipeline.with_verify()``), after the Pattern Translator: by then
-the context holds the schedule, the generated wrappers, and any
-translated programs, so the full consistency surface is checkable.  The
-report lands in ``ctx.verification`` (→ ``IntegrationResult`` and the
-JSON document); ``verify_strict=True`` escalates an unclean report to
-:class:`InvariantViolationError`, which batch runs surface as a failed
-item.
+(or ``default_stages(verify=True)``), after the Pattern Translator: by
+then the context holds the tasks, the schedule, the generated wrappers
+and any translated programs, so :func:`verify_integration`, the one
+verification driver, checks the whole flow.  The report lands in
+``ctx.verification`` (the result's, since the result is the finished
+flow, and the JSON document's); ``verify_strict=True`` escalates an
+unclean report to :class:`InvariantViolationError`, which batch runs
+surface as a failed item.
 """
 
 from __future__ import annotations
 
 from repro.core.pipeline import FlowContext, Stage
-from repro.verify.consistency import check_flow_artifacts
-from repro.verify.invariants import verify_schedule
+from repro.verify.consistency import verify_integration
 
 
 class InvariantViolationError(AssertionError):
@@ -40,13 +40,6 @@ class VerifySchedule(Stage):
 
     def execute(self, ctx: FlowContext) -> None:
         ctx.require("schedule")
-        report = verify_schedule(
-            ctx.soc, ctx.schedule, tasks=ctx.tasks or None
-        )
-        check_flow_artifacts(
-            ctx.soc, ctx.schedule, ctx.wrappers, ctx.programs,
-            ctx.pattern_data, report,
-        )
-        ctx.verification = report
+        report = ctx.verification = verify_integration(ctx)
         if getattr(ctx.config, "verify_strict", False) and not report.ok:
             raise InvariantViolationError(report)

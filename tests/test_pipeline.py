@@ -1,9 +1,12 @@
 """Tests for the staged pipeline API (repro.core.pipeline)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
     FlowContext,
+    IntegrationResult,
     Pipeline,
     Schedule,
     Stage,
@@ -11,7 +14,7 @@ from repro.core import (
     SteacConfig,
 )
 from repro.core.pipeline import MissingArtifactError
-from repro.sched import resolve_schedule
+from repro.sched import resolve_schedule, tasks_from_soc
 from repro.soc import MemorySpec, Soc
 from repro.soc.demo import build_demo_core
 from repro.soc.dsc import build_dsc_chip
@@ -49,6 +52,16 @@ class TestDefaultFlow:
         result = Steac().integrate(small_soc())
         assert "schedule" in result.stage_seconds
 
+    def test_integrate_returns_the_finished_flow(self):
+        """The result is the context the stages filled: no second record."""
+        result = Steac(SteacConfig(compare_strategies=False)).integrate(build_dsc_chip())
+        assert isinstance(result, FlowContext)
+        assert dataclasses.fields(IntegrationResult) == dataclasses.fields(FlowContext)
+        placed = [test.task for session in result.schedule.sessions for test in session.tests]
+        assert len(placed) == len(result.tasks)
+        assert {id(task) for task in placed} == {id(task) for task in result.tasks}
+        assert result.runtime_seconds > 0.0
+
 
 class TestPartialFlows:
     def test_until_schedule_stops_before_dft(self):
@@ -71,6 +84,18 @@ class TestPartialFlows:
         soc.add_core(build_demo_core(patterns=3))
         ctx = FlowContext(soc=soc)
         Pipeline([Schedule()]).run(ctx)
+        assert ctx.schedule.total_time > 0
+
+    def test_stage_timing_is_not_control_state(self):
+        """Only ``tasks is None`` makes the scheduler derive tasks: a
+        timing entry for ``compile_bist`` does not stop it."""
+        soc = Soc("bare", test_pins=24)
+        soc.add_core(build_demo_core(patterns=3))
+        ctx = FlowContext(soc=soc)
+        assert ctx.tasks is None
+        ctx.stage_seconds["compile_bist"] = 0.0
+        Schedule().run(ctx)
+        assert [t.name for t in ctx.tasks] == [t.name for t in tasks_from_soc(soc)]
         assert ctx.schedule.total_time > 0
 
     def test_dft_before_schedule_fails_fast(self):

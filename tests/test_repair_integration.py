@@ -62,14 +62,14 @@ class TestBisrArea:
 
 class TestAnalyzeRepairStage:
     def test_with_repair_inserts_stage_after_bist(self):
-        names = Pipeline.with_repair().stage_names
+        names = Pipeline(default_stages(repair=True)).stage_names
         assert names.index("analyze_repair") == names.index("compile_bist") + 1
         assert "analyze_repair" not in Pipeline.default().stage_names
-        assert names == [s.name for s in default_stages(repair=True)]
+        assert names[:2] + names[3:] == Pipeline.default().stage_names
 
     def test_stage_produces_repair_artifact(self):
         ctx = Steac(repair_config()).context(repair_soc())
-        Pipeline.with_repair().until("analyze_repair").run(ctx)
+        Pipeline(default_stages(repair=True)).until("analyze_repair").run(ctx)
         assert ctx.repair is not None
         assert {m.name for m in ctx.repair.memories} == {"m0", "m1"}
         assert ctx.repair.monte_carlo.trials == 30

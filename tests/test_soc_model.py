@@ -116,6 +116,11 @@ class TestClockDomain:
         pll.add_domain("b", 27.0)
         assert pll.bypassed_domains == ["a", "b"]
 
+    @pytest.mark.parametrize("freq", [float("nan"), float("inf")])
+    def test_non_finite_frequency_refused(self, freq):
+        with pytest.raises(ValueError, match="clock frequency must be finite"):
+            ClockDomain("clk", freq)
+
     def test_pll_rejects_duplicates(self):
         pll = Pll("pll0")
         pll.add_domain("a")
@@ -198,6 +203,22 @@ class TestMemorySpec:
 
     def test_two_port_flag(self):
         assert MemorySpec("m", 16, 4, MemoryType.TWO_PORT).is_two_port
+
+    @pytest.mark.parametrize("power, message", [
+        (float("nan"), "memory power must be finite"),
+        (float("inf"), "memory power must be finite"),
+        (-1.0, "memory power must be non-negative"),
+    ])
+    def test_bad_power_refused(self, power, message):
+        """A NaN power used to reach the result document as ``"power":
+        NaN`` (not JSON), and a negative one gave a negative session power."""
+        with pytest.raises(ValueError, match=message):
+            MemorySpec("m", 16, 8, power=power)
+        assert MemorySpec("m", 16, 8, power=0.0).power == 0.0
+
+    def test_nan_frequency_refused(self):
+        with pytest.raises(ValueError, match="frequency must be finite"):
+            MemorySpec("m", 16, 8, freq_mhz=float("nan"))
 
 
 class TestSoc:

@@ -70,6 +70,17 @@ class TestValidators:
         with pytest.raises(ValueError):
             check_non_negative(-1, "x")
 
+    @pytest.mark.parametrize("check", [check_positive, check_non_negative])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, check, value):
+        """``nan <= 0`` is false: a bare comparison let NaN (and inf) through."""
+        with pytest.raises(ValueError, match=f"x must be finite, got {value!r}"):
+            check(value, "x")
+
+    def test_huge_int_is_finite(self):
+        check_positive(10**400, "x")
+        check_non_negative(10**400, "x")
+
     def test_check_name_accepts_identifiers(self):
         assert check_name("usb_clk0") == "usb_clk0"
         assert check_name("data[3]") == "data[3]"

@@ -201,6 +201,40 @@ class TestPipelineIntegration:
         assert report.ok, report.render()
         assert "wrapper-balance" in report.rules_checked
 
+    def test_verify_integration_checks_the_flows_tasks(self):
+        """The result carries the tasks the scheduler was given, so a task
+        dropped from a finished schedule is a coverage error."""
+        result = Steac(SteacConfig(compare_strategies=False)).integrate(
+            build_dsc_chip()
+        )
+        session = next(s for s in result.schedule.sessions if len(s.tests) > 1)
+        dropped = session.tests.pop()
+        report = verify_integration(result)
+        assert [(v.rule, v.subject) for v in report.errors] == [
+            ("task-coverage", dropped.task.name)
+        ]
+
+    def test_verify_integration_checks_translation_from_the_flow(self):
+        """Pattern data parsed from STIL is part of the flow, so the
+        translated programs are checked with no extra argument."""
+        from repro.atpg import generate_scan_patterns
+        from repro.soc import Soc
+        from repro.soc.demo import build_demo_core, build_demo_core_module
+        from repro.stil import core_to_stil
+
+        atpg = generate_scan_patterns(build_demo_core_module(), build_demo_core())
+        stil = core_to_stil(build_demo_core(patterns=atpg.pattern_count), atpg.patterns)
+        result = Steac().integrate(Soc("chip", test_pins=16), stil_texts={"demo": stil})
+        assert set(result.pattern_data) == {"demo"}
+        report = verify_integration(result)
+        assert report.ok, report.render()
+        assert "translation" in report.rules_checked
+        result.programs["demo.scan"].cycles.pop()
+        report = verify_integration(result)
+        assert [(v.rule, v.subject) for v in report.errors] == [
+            ("translation", "demo.scan")
+        ]
+
     def test_strict_mode_raises_on_violation(self):
         soc, tasks = small_case()
         config = SteacConfig(compare_strategies=False, verify_schedule=True,
