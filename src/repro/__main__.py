@@ -92,13 +92,6 @@ def _backend_choices() -> list[str]:
     return list(BACKENDS)
 
 
-def _soc_builders() -> dict:
-    from repro.soc.dsc import build_dsc_chip
-    from repro.soc.itc02 import d695_soc
-
-    return {"dsc": build_dsc_chip, "d695": d695_soc}
-
-
 def _finite_float(text: str) -> float:
     """``float(text)`` refusing ``nan`` and ``inf``, which would run and print non-JSON."""
     with contextlib.suppress(ValueError):
@@ -107,73 +100,64 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
 
 
+def _resolve(ref: dict, what: str):
+    """:func:`repro.gen.corpus.work_item`, exiting with ``<what>: <reason>``
+    (no traceback) when ``ref`` names no valid chip or budget."""
+    from repro.gen.corpus import work_item
+
+    try:
+        return work_item(ref)
+    except ValueError as exc:
+        raise SystemExit(f"{what}: {exc}") from None
+
+
 def _build_work_item(spec: str):
-    """Parse a batch SOC spec: ``name[:pins[:power]]``.
+    """Parse a batch SOC spec ``name[:pins[:power]]`` and resolve it.
 
     Names: ``dsc`` (the paper's case-study chip), ``d695`` (ITC'02), or
     ``gen-<profile>-<seed>`` for a synthetic chip from :mod:`repro.gen`.
     Examples: ``dsc``, ``dsc:24``, ``dsc:28:6.5``, ``d695:48``,
     ``gen-tiny-7``, ``gen-d695-like-3:48``.
 
-    Named chips materialize here; generated chips come back as
+    Only the grammar lives here: the chip comes from
+    :func:`repro.gen.corpus.work_item`, serve's resolver.  Named chips
+    materialize; generated chips come back as
     :class:`repro.gen.ScenarioSpec` coordinates so batch workers (in
     particular the process backend) generate them on their side of the
-    boundary instead of unpickling a live model.
+    boundary instead of unpickling a live model.  A spec that names no
+    valid chip, a bad budget included, exits with ``bad SOC spec``.
     """
-    builders = _soc_builders()
-    parts = spec.split(":")
-    name, rest = parts[0], parts[1:]
+    name, *fields = spec.split(":")
     try:
-        kwargs = {}
-        if len(rest) >= 1:
-            kwargs["test_pins"] = int(rest[0])
-        if len(rest) >= 2:
-            kwargs["power_budget"] = _finite_float(rest[1])
-        if len(rest) >= 3:
+        if len(fields) > 2:
             raise ValueError("too many fields")
+        ref = {
+            "test_pins": int(fields[0]) if fields else None,
+            "power_budget": _finite_float(fields[1]) if len(fields) > 1 else None,
+        }
+        if name.startswith("gen-"):
+            profile, _, seed = name[4:].rpartition("-")
+            ref["spec"] = {"profile": profile, "seed": int(seed)}
+        else:
+            ref["name"] = name
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise SystemExit(
-            f"bad SOC spec {spec!r}: {exc} (format: name[:pins[:power]], "
-            "pins an int, power a finite float)"
+            f"bad SOC spec {spec!r}: {exc} (format: name[:pins[:power]]; name "
+            "dsc, d695 or gen-<profile>-<seed>, pins an int, power a finite float)"
         ) from None
-    if name.startswith("gen-"):
-        from repro.gen import ScenarioSpec, available_profiles, get_profile
-
-        profile_name, _, seed_text = name[4:].rpartition("-")
-        try:
-            profile = get_profile(profile_name)
-            seed = int(seed_text)
-        except ValueError:
-            raise SystemExit(
-                f"bad generated-SOC spec {spec!r} (format: gen-<profile>-<seed>; "
-                f"profiles: {', '.join(available_profiles())})"
-            ) from None
-        return ScenarioSpec(
-            profile=profile.name,
-            seed=seed,
-            test_pins=kwargs.get("test_pins"),
-            power_budget=kwargs.get("power_budget"),
-        )
-    if name not in builders:
-        raise SystemExit(
-            f"unknown SOC {name!r} in spec {spec!r} "
-            f"(use {' or '.join(sorted(builders))}, or gen-<profile>-<seed>)"
-        )
-    return builders[name](**kwargs)
+    return _resolve(ref, f"bad SOC spec {spec!r}")
 
 
 def _cmd_dsc(args: argparse.Namespace) -> int:
     from repro.core import Steac, SteacConfig
-    from repro.soc.dsc import build_dsc_chip
 
     if args.json and args.verilog == "-":
         raise SystemExit(
             "--json keeps stdout machine-readable; give --verilog a FILE"
         )
     config = SteacConfig(bist_power_headroom=args.headroom, strategy=args.strategy)
-    result = Steac(config).integrate(
-        build_dsc_chip(test_pins=args.pins, power_budget=args.power)
-    )
+    ref = {"name": "dsc", "test_pins": args.pins, "power_budget": args.power}
+    result = Steac(config).integrate(_resolve(ref, "dsc"))
     if args.json:
         print(result.to_json())
     else:
@@ -272,7 +256,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     lives in :mod:`repro.repair.service`, shared with ``repro serve``)."""
     from repro.repair.service import render_repair_report, repair_report
 
-    soc = _soc_builders()[args.soc]()
+    soc = _resolve({"name": args.soc}, args.soc)
     doc = repair_report(
         soc,
         seed=args.seed,
@@ -616,6 +600,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.gen.corpus import NAMED_CHIPS
+
     strategies = _strategy_choices()
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -682,7 +668,7 @@ def main(argv: list[str] | None = None) -> int:
     p_repair = sub.add_parser(
         "repair", help="memory diagnosis, redundancy allocation, and repair rate"
     )
-    p_repair.add_argument("--soc", choices=sorted(_soc_builders()), default="dsc",
+    p_repair.add_argument("--soc", choices=sorted(NAMED_CHIPS), default="dsc",
                           help="chip to analyze")
     p_repair.add_argument("--seed", type=int, default=7,
                           help="defect-injection base seed")

@@ -28,7 +28,7 @@ from repro.bist.tpg import TpgRunResult, make_tpg, run_tpg, tpg_cells
 from repro.netlist import Module, Netlist, cell_area
 from repro.obs import span
 from repro.soc.memory import MemorySpec
-from repro.util import Table, format_cycles, format_gates
+from repro.util import Table, format_gates
 
 
 @dataclass
@@ -196,17 +196,6 @@ class BistEngine:
         tpg_area = sum(cell_area(cells) for cells in self.tpg_cells.values())
         table.add_row(["TPGs", len(self.tpg_cells), f"{tpg_area:.0f}"])
         table.add_row(["Total", "", format_gates(self.total_area)])
-        return table
-
-    def time_table(self) -> Table:
-        table = Table(
-            ["Memory", "Geometry", "Cycles"],
-            title=f"Per-memory BIST time ({self.march.name})",
-        )
-        for spec in self.specs:
-            table.add_row(
-                [spec.name, spec.describe(), format_cycles(self.memory_cycles(spec))]
-            )
         return table
 
 

@@ -28,7 +28,6 @@ from repro.obs.trace import (
     load_jsonl,
     span,
     span_tree,
-    subtree,
     summarize,
     tracing_enabled,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "load_jsonl",
     "span",
     "span_tree",
-    "subtree",
     "summarize",
     "tracing_enabled",
 ]

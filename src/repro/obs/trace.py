@@ -282,22 +282,6 @@ def span_tree(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
     return roots
 
 
-def subtree(
-    records: list[dict[str, Any]], root_id: int
-) -> list[dict[str, Any]]:
-    """The records reachable from ``root_id`` (inclusive)."""
-    children: dict[Optional[int], list[dict[str, Any]]] = {}
-    for record in records:
-        children.setdefault(record["parent"], []).append(record)
-    out: list[dict[str, Any]] = []
-    frontier = [r for r in records if r["id"] == root_id]
-    while frontier:
-        record = frontier.pop()
-        out.append(record)
-        frontier.extend(children.get(record["id"], []))
-    return out
-
-
 def summarize(
     records: list[dict[str, Any]], root_id: int
 ) -> Optional[dict[str, Any]]:

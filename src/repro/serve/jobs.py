@@ -284,8 +284,9 @@ class JobManager:
         Raises :class:`JobError` for structurally invalid payloads (the
         server maps that to HTTP 400 — no job is created).  Semantic
         failures *inside* a valid payload (unparsable ``.soc`` text,
-        unknown profile) do create a job, born ``failed`` with the
-        error detail, so the submitter gets a durable record to inspect.
+        unknown profile, a bad pin or power budget) do create a job,
+        born ``failed`` with the error detail, so the submitter gets a
+        durable record to inspect.
         """
         normalized, execution = normalize_payload(payload)
         if execution["backend"] is None:

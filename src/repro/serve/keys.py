@@ -16,9 +16,14 @@ front end's work items:
 * ``{"soc_text": "..."}`` — inline ITC'02 ``.soc`` exchange text;
 * ``{"spec": {"profile": P, "seed": S, "index": I}}`` — the
   :class:`repro.gen.ScenarioSpec` coordinates of a generated chip;
-* ``{"name": "dsc" | "d695"}`` — a built-in benchmark chip;
+* ``{"name": "dsc" | "d695"}`` — a built-in benchmark chip
+  (:data:`repro.gen.corpus.NAMED_CHIPS`);
 
 each optionally carrying ``test_pins`` / ``power_budget`` overrides.
+Normalization checks only the shape and types of a reference (a
+non-finite float is a 400).  Whether it names a valid chip, budgets
+included, is decided by :func:`repro.gen.corpus.work_item` at content
+addressing, where a bad one gives a born-failed job.
 """
 
 from __future__ import annotations
@@ -26,13 +31,11 @@ from __future__ import annotations
 import math
 
 from repro.core.batch import BACKENDS
+from repro.gen.corpus import NAMED_CHIPS
 from repro.soc.digest import digest_document
 
 #: Job kinds the service executes (the four platform entry points).
 JOB_KINDS = ("integrate", "batch", "fuzz", "repair")
-
-#: Chips addressable by name in job payloads.
-NAMED_SOCS = ("dsc", "d695")
 
 
 class JobError(ValueError):
@@ -94,9 +97,9 @@ def normalize_soc_ref(ref, what: str = "soc") -> dict:
         normalized = {"spec": {"profile": profile, "seed": seed, "index": index}}
     else:
         name = _take(ref, "name", None, (str,), what)
-        if name not in NAMED_SOCS:
+        if name not in NAMED_CHIPS:
             raise JobError(
-                f"{what}.name must be one of {', '.join(NAMED_SOCS)}, got {name!r}"
+                f"{what}.name must be one of {', '.join(NAMED_CHIPS)}, got {name!r}"
             )
         normalized = {"name": name}
     _reject_leftovers(ref, what)

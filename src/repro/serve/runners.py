@@ -8,15 +8,18 @@ entry points the CLI uses (``Steac.integrate``, ``integrate_many``,
 ``run_fuzz``, ``repair_report``), so a served result is the verbatim
 wire document of the matching shell command, and the chip a cache key
 names is the chip the result was computed on (a generator profile
-re-registered while the job is queued changes neither).  Both raise
+re-registered while the job is queued changes neither).  A chip
+reference resolves through :func:`repro.gen.corpus.work_item`, the
+resolver the CLI's batch specs use too.  Both raise
 :class:`repro.serve.keys.JobError` for user-caused failures (a
-malformed ``.soc``, an unknown strategy) — the job manager records
-those as *failed jobs*, distinct from server bugs.
+malformed ``.soc``, a bad pin or power budget, an unknown strategy) —
+the job manager records those as *failed jobs*, distinct from server
+bugs.
 """
 
 from __future__ import annotations
 
-from repro.gen import ScenarioSpec
+from repro.gen.corpus import ScenarioSpec, work_item
 from repro.serve.keys import JobError, cache_key, soc_refs
 from repro.soc import Soc
 
@@ -43,63 +46,21 @@ def result_schema(kind: str) -> str:
     raise JobError(f"unknown job kind {kind!r}")
 
 
-def build_work_item(ref: dict) -> Soc:
-    """Build the chip one normalized reference names (raising
-    :class:`JobError` on semantic problems, e.g. unparsable ``.soc``
-    text or an unknown generator profile).  A ``spec`` is built here,
-    under the profile registered now."""
-    test_pins = ref.get("test_pins")
-    power_budget = ref.get("power_budget")
-    if "soc_text" in ref:
-        from repro.soc.itc02 import soc_from_text
-
-        try:
-            return soc_from_text(
-                ref["soc_text"],
-                test_pins=test_pins if test_pins is not None else 64,
-                power_budget=power_budget if power_budget is not None else 0.0,
-            )
-        except ValueError as exc:
-            raise JobError(f"unparsable soc_text: {exc}") from exc
-    if "spec" in ref:
-        spec = ref["spec"]
-        from repro.gen import available_profiles
-
-        if spec["profile"] not in available_profiles():
-            raise JobError(
-                f"unknown generator profile {spec['profile']!r} "
-                f"(available: {', '.join(available_profiles())})"
-            )
-        return ScenarioSpec(
-            profile=spec["profile"],
-            seed=spec["seed"],
-            index=spec["index"],
-            test_pins=test_pins,
-            power_budget=power_budget,
-        ).build()
-    name = ref["name"]
-    overrides = {}
-    if test_pins is not None:
-        overrides["test_pins"] = test_pins
-    if power_budget is not None:
-        overrides["power_budget"] = power_budget
-    if name == "d695":
-        from repro.soc.itc02 import d695_soc
-
-        return d695_soc(**overrides)
-    from repro.soc.dsc import build_dsc_chip
-
-    return build_dsc_chip(**overrides)
-
-
 def content_address(normalized: dict) -> tuple[str, list[Soc]]:
     """Build a normalized job's chips and its cache key.
 
-    Returns ``(key, work)``; the chips are reused for execution, so each
-    is built (and inline ``.soc`` text parsed) exactly once.  Raises
-    :class:`JobError` if any chip reference cannot be built.
+    Each reference goes through :func:`repro.gen.corpus.work_item`, and
+    a ``spec`` is built here, under the profile registered now.  Returns
+    ``(key, work)``; the chips are reused for execution, so each is
+    built (and inline ``.soc`` text parsed) exactly once.  Raises
+    :class:`JobError` if any reference names no valid chip (a bad
+    budget included).
     """
-    work = [build_work_item(ref) for ref in soc_refs(normalized)]
+    try:
+        items = [work_item(ref) for ref in soc_refs(normalized)]
+        work = [i.build() if isinstance(i, ScenarioSpec) else i for i in items]
+    except ValueError as exc:
+        raise JobError(str(exc)) from exc
     digests = [soc.digest() for soc in work]
     return cache_key(normalized, digests, result_schema(normalized["kind"])), work
 

@@ -29,11 +29,6 @@ class ClockDomain:
         check_name(self.name, "clock domain name")
         check_positive(self.freq_mhz, "clock frequency")
 
-    @property
-    def period_ns(self) -> float:
-        """Clock period in nanoseconds."""
-        return 1000.0 / self.freq_mhz
-
 
 @dataclass
 class Pll:

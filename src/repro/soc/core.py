@@ -143,9 +143,6 @@ class Core:
 
     # -- test queries -----------------------------------------------------
 
-    def tests_of_kind(self, kind: TestKind) -> list[CoreTest]:
-        return [t for t in self.tests if t.kind is kind]
-
     @property
     def scan_patterns(self) -> int:
         """Total scan patterns over all scan tests."""

@@ -43,7 +43,7 @@ class Itc02Module:
         return sum(self.scan_chain_lengths)
 
 
-def parse_soc_file(text: str) -> list[Itc02Module]:
+def parse_soc(text: str) -> tuple[str | None, list[Itc02Module]]:
     """Parse the ITC'02 ``.soc`` exchange format (subset).
 
     Recognized directives (one per line, ``#`` comments)::
@@ -52,16 +52,10 @@ def parse_soc_file(text: str) -> list[Itc02Module]:
         Module <name> Inputs <n> Outputs <n> Bidirs <n> \
             ScanChains <k> <l1> ... <lk> Patterns <p>
 
-    Returns the module list in file order (``SocName`` is ignored; use
-    :func:`parse_soc` to capture it too).
-    """
-    return parse_soc(text)[1]
-
-
-def parse_soc(text: str) -> tuple[str | None, list[Itc02Module]]:
-    """Parse a ``.soc`` file, returning ``(soc_name, modules)``.
-
+    Returns ``(soc_name, modules)``, the modules in file order;
     ``soc_name`` is ``None`` when the file has no ``SocName`` directive.
+    Malformed text, a truncated line included, raises
+    :class:`ValueError`.
     """
     soc_name: str | None = None
     modules: list[Itc02Module] = []
@@ -76,11 +70,15 @@ def parse_soc(text: str) -> tuple[str | None, list[Itc02Module]]:
             continue
         if keyword != "Module":
             raise ValueError(f"unrecognized ITC'02 directive: {keyword!r}")
+        if len(tokens) < 2:
+            raise ValueError("Module line has no module name")
         fields: dict[str, list[str]] = {}
         name = tokens[1]
         i = 2
         while i < len(tokens):
             key = tokens[i]
+            if i + 1 == len(tokens):
+                raise ValueError(f"module {name!r}: {key} has no value")
             if key == "ScanChains":
                 count = int(tokens[i + 1])
                 lengths = tokens[i + 2 : i + 2 + count]

@@ -95,10 +95,6 @@ class Port:
     def is_input(self) -> bool:
         return self.direction is Direction.IN
 
-    @property
-    def is_output(self) -> bool:
-        return self.direction is Direction.OUT
-
 
 @dataclass
 class PortCounts:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.soc.core import Core
 from repro.soc.memory import MemorySpec
-from repro.util import check_name, check_positive
+from repro.util import check_name, check_non_negative, check_positive
 
 
 @dataclass
@@ -28,7 +28,8 @@ class Soc:
         gate_count: logic gate count of the glue/unwrapped logic, in NAND2
             equivalents; total chip gates = this + Σ core gates (memories
             are counted separately, in bits).
-        power_budget: maximum concurrent test power (0 = unconstrained).
+        power_budget: maximum concurrent test power (0 = unconstrained;
+            a negative or non-finite budget is refused).
     """
 
     name: str
@@ -41,6 +42,7 @@ class Soc:
     def __post_init__(self) -> None:
         check_name(self.name, "SOC name")
         check_positive(self.test_pins, "test pin budget")
+        check_non_negative(self.power_budget, "power budget")
 
     # -- construction ------------------------------------------------------
 

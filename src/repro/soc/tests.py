@@ -58,10 +58,6 @@ class CoreTest:
     def is_scan(self) -> bool:
         return self.kind is TestKind.SCAN
 
-    @property
-    def is_functional(self) -> bool:
-        return self.kind is TestKind.FUNCTIONAL
-
 
 def scan_test(patterns: int, name: str = "scan", power: float = 0.0, vectors=None) -> CoreTest:
     """Shorthand for a scan test."""

@@ -39,9 +39,6 @@ class TamBus:
     def sessions(self) -> int:
         return max((s.session for s in self.slots), default=-1) + 1
 
-    def slots_in_session(self, session: int) -> list[TamSlot]:
-        return [s for s in self.slots if s.session == session]
-
     def slot_for_task(self, task_name: str) -> TamSlot:
         for slot in self.slots:
             if slot.task_name == task_name:

@@ -196,7 +196,6 @@ class TestBrainsCompiler:
 
     def test_tables_render(self, engine):
         assert "BIST controller" in engine.area_table().render()
-        assert "fb0" in engine.time_table().render()
 
     def test_empty_memories_rejected(self):
         with pytest.raises(ValueError):

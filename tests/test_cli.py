@@ -51,6 +51,18 @@ class TestCli:
         assert proc.stderr == "--size must be at least 2, got 1\n"
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["dsc", "--pins", "0"], "dsc: test pin budget must be positive, got 0"),
+        (["dsc", "--power", "-3"], "dsc: power budget must be non-negative, got -3.0"),
+    ])
+    def test_bad_budget_option_rejected(self, capsys, argv, message):
+        """``dsc --pins 0`` used to print a traceback and ``--power -3``
+        to integrate."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == message
+        assert capsys.readouterr().out == ""
+
     def test_d695_schedule(self, capsys):
         assert main(["d695", "--pins", "48"]) == 0
         out = capsys.readouterr().out
@@ -387,6 +399,28 @@ class TestBatchCommand:
         with pytest.raises(SystemExit, match="is not a finite number"):
             main(["batch", spec])
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("spec, reason", [
+        ("dsc:0", "test pin budget must be positive, got 0"),
+        ("d695:48:-3", "power budget must be non-negative, got -3.0"),
+        ("gen-tiny-3:0", "test pin budget must be positive, got 0"),
+    ])
+    def test_bad_budget_spec_rejected(self, capsys, spec, reason):
+        """``dsc:0`` used to print a traceback, ``d695:48:-3`` to
+        integrate and ``gen-tiny-3:0`` to fail later as infeasible."""
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", spec])
+        assert exc.value.code == f"bad SOC spec {spec!r}: {reason}"
+        assert capsys.readouterr().out == ""
+
+    def test_bad_budget_spec_exit_status(self):
+        """A one-line message and exit status 1, no traceback."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "batch", "dsc:0"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "bad SOC spec 'dsc:0': test pin budget must be positive, got 0\n"
 
     def test_batch_failure_sets_exit_code(self, capsys):
         assert main(["batch", "dsc:28", "dsc:6"]) == 1

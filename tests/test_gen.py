@@ -17,6 +17,7 @@ from repro.gen import (
     soc_to_modules,
     soc_to_text,
 )
+from repro.gen.corpus import NAMED_CHIPS, work_item
 from repro.sched import SharingPolicy, control_pins, tasks_from_soc
 from repro.soc.dsc import build_dsc_chip
 from repro.soc.itc02 import d695_soc, d695_soc_text, parse_soc, soc_from_modules
@@ -168,6 +169,23 @@ class TestItc02Writer:
         assert tv.functional_patterns > 0
 
 
+#: Bad budget overrides and the refusal each one gets, in every form.
+BAD_BUDGETS = [
+    ({"test_pins": 0}, "test pin budget must be positive, got 0"),
+    ({"test_pins": -1}, "test pin budget must be positive, got -1"),
+    ({"power_budget": -3.0}, r"power budget must be non-negative, got -3\.0"),
+    ({"power_budget": float("nan")}, "power budget must be finite, got nan"),
+    ({"power_budget": float("inf")}, "power budget must be finite, got inf"),
+]
+
+#: One reference per form, each naming a valid chip.
+REFERENCES = {
+    "name": {"name": "d695"},
+    "spec": {"spec": {"profile": "tiny", "seed": 3, "index": 0}},
+    "soc_text": {"soc_text": d695_soc_text()},
+}
+
+
 class TestCorpus:
     def test_stream_is_reproducible(self):
         a = [spec.name for spec in scenario_specs(6, base_seed=10)]
@@ -198,3 +216,51 @@ class TestCorpus:
         spec = scenario_specs(1)[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.seed = 99
+
+    @pytest.mark.parametrize("budget, message", BAD_BUDGETS)
+    def test_bad_override_refused_at_construction(self, budget, message):
+        """A bad override used to be assigned onto the built chip: pins 0
+        failed later as an infeasible schedule, power -3.0 integrated."""
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec("tiny", 3, **budget)
+
+    def test_build_applies_overrides_to_the_generated_chip(self):
+        soc = ScenarioSpec("tiny", 3, test_pins=40, power_budget=2.5).build()
+        generated = SocGenerator(3, "tiny").generate(0)
+        generated.test_pins, generated.power_budget = 40, 2.5
+        assert soc_fingerprint(soc) == soc_fingerprint(generated)
+
+
+class TestWorkItem:
+    """``work_item`` is the one map from a chip reference to a chip."""
+
+    def test_named_chips(self):
+        assert NAMED_CHIPS == ("dsc", "d695")
+        assert work_item({"name": "dsc"}).digest() == build_dsc_chip().digest()
+        assert work_item({"name": "d695"}).digest() == d695_soc().digest()
+
+    @pytest.mark.parametrize("form", ["name", "soc_text"])
+    def test_overrides_reach_the_chip(self, form):
+        chip = work_item({**REFERENCES[form], "test_pins": 40, "power_budget": 2.5})
+        assert chip.digest() == d695_soc(test_pins=40, power_budget=2.5).digest()
+
+    def test_spec_resolves_to_its_coordinates(self):
+        spec = work_item({**REFERENCES["spec"], "test_pins": 40, "power_budget": 2.5})
+        assert spec == ScenarioSpec("tiny", 3, test_pins=40, power_budget=2.5)
+
+    @pytest.mark.parametrize("form", sorted(REFERENCES))
+    @pytest.mark.parametrize("budget, message", BAD_BUDGETS)
+    def test_bad_budget_refused_in_every_form(self, form, budget, message):
+        with pytest.raises(ValueError, match=message):
+            work_item({**REFERENCES[form], **budget})
+
+    @pytest.mark.parametrize("ref, message", [
+        ({"name": "c17"}, "unknown chip 'c17'"),
+        ({"spec": {"profile": "nope", "seed": 1}}, "unknown generator profile 'nope'"),
+        ({"soc_text": "garbage"}, "unparsable soc_text: unrecognized"),
+        ({"soc_text": "Module"}, "unparsable soc_text: Module line has no"),
+        ({"soc_text": "SocName x\nModule m Inputs"}, "unparsable soc_text: module 'm'"),
+    ])
+    def test_no_valid_chip_is_a_value_error(self, ref, message):
+        with pytest.raises(ValueError, match=message):
+            work_item(ref)

@@ -26,7 +26,6 @@ from repro.obs import (
     prometheus_name,
     span,
     span_tree,
-    subtree,
     summarize,
     tracing_enabled,
 )
@@ -170,16 +169,6 @@ class TestTraceReplay:
         assert [c["name"] for c in root["children"]] == [
             "stage", "stage", "other",
         ]
-
-    def test_subtree_reaches_descendants_only(self):
-        tracer = self._sample_tracer()
-        records = tracer.records()
-        root_id = next(r["id"] for r in records if r["name"] == "root")
-        assert {r["name"] for r in subtree(records, root_id)} == {
-            "root", "stage", "other",
-        }
-        stage_id = next(r["id"] for r in records if r["name"] == "stage")
-        assert [r["name"] for r in subtree(records, stage_id)] == ["stage"]
 
     def test_summarize_groups_children_by_name(self):
         tracer = self._sample_tracer()

@@ -7,6 +7,7 @@ step and the serving benchmark.
 """
 
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -80,6 +81,14 @@ class TestJobLifecycle:
         # the failed job is a durable, queryable record
         again = server.job(job["id"])
         assert again["status"] == "failed" and again["error"] == job["error"]
+
+    def test_bad_budget_is_answered_and_serving_continues(self, server):
+        """A bad budget on a named chip used to escape ``submit``: the
+        server logged a traceback and closed the connection unanswered."""
+        job = server.submit({"kind": "integrate", "soc": {"name": "dsc", "test_pins": 0}})
+        assert job["status"] == "failed"
+        assert job["error"] == "test pin budget must be positive, got 0"
+        assert server.wait(server.submit(TINY)["id"])["status"] == "done"
 
     def test_structural_error_is_400_and_creates_no_job(self, server):
         before = len(server.jobs())
@@ -276,7 +285,7 @@ class TestServeCli:
             stderr=subprocess.PIPE,
             text=True,
             cwd=repo,
-            env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+            env={**os.environ, "PYTHONPATH": str(repo / "src")},
         )
         try:
             banner = proc.stdout.readline()
@@ -555,6 +564,20 @@ class TestRequestKeyMemo:
             {"kind": "integrate", "soc": {"spec": {"profile": "nope", "seed": 1}}},
             "unknown generator profile 'nope'",
         ),
+        # a bad budget is refused alike in every reference form
+        *(
+            ({"kind": "integrate", "soc": {**ref, **budget}}, detail)
+            for ref in (
+                {"name": "dsc"},
+                {"spec": {"profile": "tiny", "seed": 1}},
+                {"soc_text": "SocName t\nModule m Inputs 1 Outputs 1 Bidirs 0 Patterns 3"},
+            )
+            for budget, detail in (
+                ({"test_pins": 0}, "test pin budget must be positive, got 0"),
+                ({"test_pins": -1}, "test pin budget must be positive, got -1"),
+                ({"power_budget": -3.0}, "power budget must be non-negative, got -3.0"),
+            )
+        ),
     ])
     def test_failed_reference_fails_every_time(self, address_calls, payload, detail):
         _, misses0 = _memo_counts()
@@ -565,7 +588,7 @@ class TestRequestKeyMemo:
         finally:
             manager.close()
         assert first.status == second.status == "failed"
-        assert detail in first.error
+        assert first.error.startswith(detail)
         assert second.error == first.error
         assert len(address_calls) == 2
         assert _memo_counts()[1] - misses0 == 2

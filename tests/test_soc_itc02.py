@@ -2,41 +2,49 @@
 
 import pytest
 
+from repro.soc import TestKind
 from repro.soc.itc02 import (
     Itc02Module,
     d695_modules,
     d695_soc,
     d695_soc_text,
     module_to_core,
-    parse_soc_file,
+    parse_soc,
 )
 
 
 class TestParser:
     def test_parse_simple_module(self):
-        mods = parse_soc_file("Module m1 Inputs 3 Outputs 2 Bidirs 0 Patterns 7\n")
+        mods = parse_soc("Module m1 Inputs 3 Outputs 2 Bidirs 0 Patterns 7\n")[1]
         assert mods == [Itc02Module("m1", 3, 2, 0, (), 7)]
 
     def test_parse_scan_chains(self):
-        mods = parse_soc_file("Module m Inputs 1 Outputs 1 Bidirs 0 ScanChains 2 10 20 Patterns 5")
+        mods = parse_soc("Module m Inputs 1 Outputs 1 Bidirs 0 ScanChains 2 10 20 Patterns 5")[1]
         assert mods[0].scan_chain_lengths == (10, 20)
         assert mods[0].scan_flops == 30
 
     def test_comments_and_blank_lines(self):
         text = "# comment\nSocName x\n\nModule m Inputs 1 Outputs 1 Bidirs 0 Patterns 1\n"
-        assert len(parse_soc_file(text)) == 1
+        assert len(parse_soc(text)[1]) == 1
 
     def test_bad_directive_raises(self):
         with pytest.raises(ValueError):
-            parse_soc_file("Banana m1\n")
+            parse_soc("Banana m1\n")
 
     def test_truncated_scanchains_raises(self):
-        with pytest.raises((ValueError, IndexError)):
-            parse_soc_file("Module m Inputs 1 Outputs 1 Bidirs 0 ScanChains 3 10 20 Patterns 5")
+        with pytest.raises(ValueError):
+            parse_soc("Module m Inputs 1 Outputs 1 Bidirs 0 ScanChains 3 10 20 Patterns 5")
+
+    @pytest.mark.parametrize("text", ["Module", "Module m Inputs", "Module m Inputs 1 Patterns"])
+    def test_truncated_line_raises_value_error(self, text):
+        """A truncated line used to raise IndexError, which serve did not
+        expect from ``.soc`` text: the request got no answer."""
+        with pytest.raises(ValueError):
+            parse_soc(text)
 
     def test_round_trip_d695(self):
         text = d695_soc_text()
-        assert parse_soc_file(text) == d695_modules()
+        assert parse_soc(text)[1] == d695_modules()
 
 
 class TestD695:
@@ -89,4 +97,4 @@ class TestModuleToCore:
         scan_core = module_to_core(Itc02Module("a", 1, 1, 0, (5,), 3))
         func_core = module_to_core(Itc02Module("b", 1, 1, 0, (), 3))
         assert scan_core.tests[0].is_scan
-        assert func_core.tests[0].is_functional
+        assert func_core.tests[0].kind is TestKind.FUNCTIONAL

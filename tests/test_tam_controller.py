@@ -36,7 +36,7 @@ class TestTamBus:
     def test_no_overlap_within_session(self, dsc_schedule):
         bus = build_tam(dsc_schedule)
         for s in range(bus.sessions):
-            used = [w for slot in bus.slots_in_session(s) for w in slot.wires]
+            used = [w for slot in bus.slots if slot.session == s for w in slot.wires]
             assert len(used) == len(set(used))
 
     def test_slot_lookup(self, dsc_schedule):
