@@ -222,9 +222,8 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 def _cmd_d695(args: argparse.Namespace) -> int:
     from repro.sched import resolve_schedule, tasks_from_soc
-    from repro.soc.itc02 import d695_soc
 
-    soc = d695_soc(test_pins=args.pins)
+    soc = _resolve({"name": "d695", "test_pins": args.pins}, "d695")
     result = resolve_schedule(args.strategy, soc, tasks_from_soc(soc))
     if args.json:
         print(json.dumps(

@@ -71,11 +71,27 @@ class _StripDocstrings(ast.NodeTransformer):
     visit_Module = _strip
 
 
+def _render(value: object) -> str:
+    """``Node(field=value, ...)`` over :func:`ast.iter_fields`, leaving
+    out ``None`` and empty-list fields.  Unlike :func:`ast.dump`, the text
+    is the same on every supported Python: 3.12 adds ``type_params=[]``
+    to each function and class, and 3.13's dump drops empty fields."""
+    if isinstance(value, ast.AST):
+        fields = ", ".join(
+            f"{name}={_render(field)}"
+            for name, field in ast.iter_fields(value)
+            if field is not None and field != []
+        )
+        return f"{type(value).__name__}({fields})"
+    if isinstance(value, list):
+        return "[" + ", ".join(_render(item) for item in value) + "]"
+    return repr(value)
+
+
 def _normalized_dump(node: ast.AST) -> str:
     import copy
 
-    stripped = _StripDocstrings().visit(copy.deepcopy(node))
-    return ast.dump(stripped, annotate_fields=False)
+    return _render(_StripDocstrings().visit(copy.deepcopy(node)))
 
 
 def _module_constants(ctx: FileContext) -> dict[str, str]:

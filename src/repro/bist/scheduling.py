@@ -82,7 +82,9 @@ class BistPlan:
 
     def to_tasks(self) -> list[TestTask]:
         """One schedulable task per group, all mutually exclusive (they
-        share the one BIST engine and the BIST access port)."""
+        share the one BIST engine and the BIST access port, so each
+        holds ``bist`` in :attr:`TestTask.exclusive`; the core name
+        ``MBIST`` is only a label)."""
         tasks = []
         for group in self.groups:
             tasks.append(

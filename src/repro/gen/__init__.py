@@ -41,7 +41,6 @@ from repro.gen.shrink import (
 from repro.gen.writer import (
     core_to_module,
     roundtrip_errors,
-    roundtrips,
     soc_to_modules,
     soc_to_text,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "replay_repro",
     "resume_campaign",
     "roundtrip_errors",
-    "roundtrips",
     "run_campaign",
     "run_fuzz",
     "scenario_specs",

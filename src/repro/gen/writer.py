@@ -77,8 +77,3 @@ def roundtrip_errors(soc: Soc) -> list[str]:
         if want != got:
             errors.append(f"module {want.name!r}: {got} != {want}")
     return errors
-
-
-def roundtrips(soc: Soc) -> bool:
-    """True when ``soc`` survives the writer → parser round trip intact."""
-    return not roundtrip_errors(soc)

@@ -6,7 +6,7 @@ Three small, independent pieces (see each module's docstring):
   spans, a true no-op while disabled; JSONL export, replayable span
   trees, and the compact summary that becomes the v4 integration
   result's ``trace`` section.
-* :mod:`repro.obs.metrics` — a global counter/gauge/histogram registry
+* :mod:`repro.obs.metrics` — a global counter/histogram registry
   rendered in the Prometheus text format (``GET /metrics``,
   ``repro metrics``).
 * :mod:`repro.obs.progress` — :class:`JobProgress`, the shared

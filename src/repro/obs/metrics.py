@@ -1,4 +1,4 @@
-"""A process-global metrics registry: counters, gauges, histograms.
+"""A process-global metrics registry: counters and histograms.
 
 One namespace unifies the platform's scattered stats dicts — dotted
 internal names (``cache.scan_time.hits``, ``sched.moves.pruned``,
@@ -20,7 +20,7 @@ Two read paths:
   in-process consumers the raw numbers.
 
 Callers can pass per-render ``extra`` samples for server-scoped state
-(the serve layer's job table and result cache).
+(the serve layer's job table and result cache, rendered as gauges).
 """
 
 from __future__ import annotations
@@ -70,20 +70,6 @@ class Counter:
         with self._lock:
             return dict(self._samples)
 
-    def _reset(self) -> None:
-        with self._lock:
-            self._samples = {key: 0 for key in self._samples}
-
-
-class Gauge(Counter):
-    """A value that can go up and down (``set`` replaces)."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels: str) -> None:
-        with self._lock:
-            self._samples[_label_key(labels)] = value
-
 
 class Histogram:
     """Cumulative-bucket histogram (Prometheus semantics)."""
@@ -127,10 +113,6 @@ class Histogram:
         with self._lock:
             return {key: list(row) for key, row in self._samples.items()}
 
-    def _reset(self) -> None:
-        with self._lock:
-            self._samples.clear()
-
 
 def prometheus_name(name: str, prefix: str = "repro") -> str:
     """Dotted internal name → legal Prometheus metric name."""
@@ -153,7 +135,7 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-#: Any registered family (Gauge subclasses Counter).
+#: Any registered family.
 Metric = Union[Counter, Histogram]
 
 _M = TypeVar("_M", bound=Metric)
@@ -186,12 +168,8 @@ class MetricsRegistry:
         creates an unlabelled zero sample, so the family is visible in
         ``/metrics`` before the first event."""
         family = self._register(name, lambda: Counter(name, help), Counter)
-        if family.kind == "counter":
-            family.inc(0)
+        family.inc(0)
         return family
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._register(name, lambda: Gauge(name, help), Gauge)
 
     def histogram(
         self, name: str, help: str = "",
@@ -204,7 +182,7 @@ class MetricsRegistry:
     # -- reads -------------------------------------------------------------
 
     def value(self, name: str, **labels: str) -> float:
-        """The current value of a registered counter/gauge sample."""
+        """The current value of a registered counter sample."""
         with self._lock:
             family = self._families[name]
         if isinstance(family, Histogram):
@@ -227,13 +205,6 @@ class MetricsRegistry:
             for key, value in family.samples().items():
                 out[f"{family.name}{_format_labels(key)}"] = value
         return out
-
-    def reset(self) -> None:
-        """Zero every sample, keeping registrations (test isolation)."""
-        with self._lock:
-            families = list(self._families.values())
-        for family in families:
-            family._reset()
 
     # -- Prometheus text exposition ----------------------------------------
 

@@ -7,14 +7,13 @@ undercuts them, which is the differential harness's strongest oracle:
 a "schedule" faster than the information-theoretic floor is a lying
 schedule.
 
-Five independent floors, combined with ``max``:
+Three independent floors, combined with ``max``:
 
 * **bottleneck** — the slowest single task at its best feasible width;
-* **per-core serialization** — a core's tests never overlap, so each
-  core's floor times sum;
-* **functional-interface serialization** — the chip functional pin
-  interface serves one functional test at a time;
-* **BIST-engine serialization** — BIST groups share the one engine/port;
+* **exclusive-resource serialization** — the tasks holding one resource
+  of :attr:`~repro.sched.result.TestTask.exclusive` (a core, the chip's
+  functional pin interface, the one BIST engine) never overlap, so their
+  floor times sum;
 * **TAM wire capacity** — a width-``w`` scan connection occupies ``w``
   wire pairs for ``time(w)`` cycles, so makespan × available pairs must
   cover every task's cheapest wire-cycle product.
@@ -25,6 +24,8 @@ non-session (rectangle-packing) schedules alike.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from repro.sched.result import TestTask
 from repro.sched.timecalc import SESSION_RECONFIG_CYCLES
@@ -56,30 +57,31 @@ def task_wire_cycles_floor(task: TestTask, test_pins: int) -> int:
     return min(w * t for w, t in task.breakpoints if w <= cap)
 
 
+def exclusive_tallies(weighted: Iterable[tuple[TestTask, int]]) -> dict[str, int]:
+    """Per exclusive resource (:attr:`TestTask.exclusive`), the summed
+    weights of the ``(task, weight)`` pairs whose task holds it: those
+    tasks run one at a time."""
+    tallies: dict[str, int] = {}
+    for task, weight in weighted:
+        for resource in task.exclusive:
+            tallies[resource] = tallies.get(resource, 0) + weight
+    return tallies
+
+
 def forced_session_floor(tasks: list[TestTask]) -> int:
     """Minimum number of *non-trivial* (nonzero-length) sessions any
     session schedule of ``tasks`` must use.
 
-    Tasks that are pairwise mutually exclusive — two tests of the same
-    core, two functional tests (one functional interface), two BIST
-    groups (one engine/port) — land in distinct sessions, and a task
-    whose duration is nonzero at every width makes its session
-    non-trivial.  Zero-pattern tasks are excluded: they can ride in any
-    session (or the merged trailing no-op session) without adding one.
+    Tasks holding one exclusive resource (:attr:`TestTask.exclusive`)
+    land in distinct sessions, and a task whose duration is nonzero at
+    every width makes its session non-trivial.  Zero-pattern tasks are
+    excluded: they can ride in any session (or the merged trailing no-op
+    session) without adding one.
     """
     if not tasks:
         return 0
-    per_core: dict[str, int] = {}
-    functional = bist = 0
-    for task in tasks:
-        if task.min_time <= 0:
-            continue
-        per_core[task.core_name] = per_core.get(task.core_name, 0) + 1
-        if task.uses_functional_pins:
-            functional += 1
-        if task.uses_bist_port:
-            bist += 1
-    return max(1, functional, bist, max(per_core.values(), default=1))
+    return max(exclusive_tallies((t, 1) for t in tasks if t.min_time > 0).values(),
+               default=1)
 
 
 def session_schedule_floor(
@@ -105,21 +107,12 @@ def session_schedule_floor(
 
 def schedule_lower_bound(soc: Soc, tasks: list[TestTask]) -> int:
     """A lower bound on the total test time of ANY schedule of ``tasks``
-    on ``soc`` (see the module docstring for the five floors)."""
+    on ``soc`` (see the module docstring for the three floors)."""
     if not tasks:
         return 0
     pins = soc.test_pins
     floors = [task_floor_time(t, pins) for t in tasks]
-    bottleneck = max(floors)
-    per_core: dict[str, int] = {}
-    for task, floor in zip(tasks, floors):
-        per_core[task.core_name] = per_core.get(task.core_name, 0) + floor
-    core_serial = max(per_core.values())
-    functional = sum(
-        f for t, f in zip(tasks, floors) if t.uses_functional_pins
-    )
-    bist = sum(f for t, f in zip(tasks, floors) if t.uses_bist_port)
-    bound = max(bottleneck, core_serial, functional, bist)
+    bound = max(max(floors), *exclusive_tallies(zip(tasks, floors)).values())
     pairs = pins // 2
     if pairs > 0:
         total_wire_cycles = sum(task_wire_cycles_floor(t, pins) for t in tasks)

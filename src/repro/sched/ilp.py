@@ -14,9 +14,11 @@ Formulation — for tasks *t*, sessions *s*, candidate widths *w*:
 * ``L[s] ≥ 0`` — session length.
 
 Constraints: each task placed once; ``L[s] ≥ time(t,w)·x``; pin budget
-``Σ 2w·x + Σ_d y + r + e + 4b ≤ P`` per session; power; per-core and
-functional-interface mutexes; symmetry breaking on ``z``.  Objective:
-``Σ L[s] + reconfig·(Σ z[s] − 1)``.
+``Σ 2w·x + Σ_d y + r + e + 4b ≤ P`` per session; power; a mutex per
+exclusive resource ``q`` (:attr:`~repro.sched.result.TestTask.exclusive`:
+a core, the functional pin interface, the BIST engine),
+``Σ_{t holds q} Σ_w x[t,s,w] ≤ 1`` per session; symmetry breaking on
+``z``.  Objective: ``Σ L[s] + reconfig·(Σ z[s] − 1)``.
 
 The shared-pin model matches :class:`repro.sched.ioalloc.SharingPolicy`'s
 default (session-based sharing).
@@ -191,20 +193,19 @@ def schedule_ilp(
                     coeffs[x_idx(t.name, s, w)] = t.power
             add_constraint(coeffs, -np.inf, soc.power_budget)
 
-    # 6. per-core mutex and functional-interface mutex
-    cores = sorted({t.core_name for t in tasks})
+    # 6. one mutex per exclusive resource
+    holders: dict[str, list[TestTask]] = {}
+    for t in tasks:
+        for resource in t.exclusive:
+            holders.setdefault(resource, []).append(t)
     for s in sessions:
-        for core in cores:
-            members = [t for t in tasks if t.core_name == core]
+        # a fixed row order: HiGHS's pick among equal optima follows it
+        for _, members in sorted(holders.items()):
             if len(members) > 1:
                 coeffs = {
                     x_idx(t.name, s, w): 1.0 for t in members for w in widths_of[t.name]
                 }
                 add_constraint(coeffs, -np.inf, 1.0)
-        funcs = [t for t in tasks if t.uses_functional_pins]
-        if len(funcs) > 1:
-            coeffs = {x_idx(t.name, s, w): 1.0 for t in funcs for w in widths_of[t.name]}
-            add_constraint(coeffs, -np.inf, 1.0)
 
     # 7. symmetry breaking: z[s] >= z[s+1]
     for s in range(n_sessions - 1):

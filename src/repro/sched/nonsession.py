@@ -10,7 +10,8 @@ than serial testing ... more test control IOs are needed for parallel
 testing, so fewer IO pins can be used as the test data IOs".
 
 Algorithm: longest-first list scheduling over a pool of TAM wire pairs,
-with per-core and functional-interface mutexes and a power timeline.
+with a mutex per exclusive resource (:attr:`TestTask.exclusive`) and a
+power timeline.
 For each task every (candidate start, width) pair is evaluated and the
 earliest-finish placement wins.
 """
@@ -52,20 +53,12 @@ def schedule_nonsession(
 
     placed: list[ScheduledTest] = []
     wire_free = [0] * max(pairs, 1)  # per wire-pair availability time
-    tag_busy: dict[str, list[tuple[int, int]]] = {}
+    busy: dict[str, list[tuple[int, int]]] = {}  # per exclusive resource
     power = PowerTimeline(budget=soc.power_budget)
 
-    def tags_of(task: TestTask) -> list[str]:
-        tags = [f"core:{task.core_name}"]
-        if task.uses_functional_pins:
-            tags.append("functional-pins")
-        if task.uses_bist_port:
-            tags.append("bist-port")
-        return tags
-
-    def tag_conflict(task: TestTask, start: int, finish: int) -> bool:
-        for tag in tags_of(task):
-            for s, f in tag_busy.get(tag, []):
+    def held_elsewhere(task: TestTask, start: int, finish: int) -> bool:
+        for resource in task.exclusive:
+            for s, f in busy.get(resource, []):
                 if start < f and s < finish:
                     return True
         return False
@@ -73,7 +66,7 @@ def schedule_nonsession(
     def candidate_starts() -> list[int]:
         points = {0}
         points.update(wire_free)
-        for intervals in tag_busy.values():
+        for intervals in busy.values():
             points.update(f for _, f in intervals)
         for _s, f, _ in power.intervals:
             points.add(f)
@@ -99,7 +92,7 @@ def schedule_nonsession(
                     wires = free[:width]
                 else:
                     wires = []
-                if tag_conflict(task, start, finish):
+                if held_elsewhere(task, start, finish):
                     continue
                 if not power.fits(start, finish, task.power):
                     continue
@@ -113,8 +106,8 @@ def schedule_nonsession(
         placed.append(ScheduledTest(task=task, width=max(width, 1), start=start))
         for i in wires:
             wire_free[i] = finish
-        for tag in tags_of(task):
-            tag_busy.setdefault(tag, []).append((start, finish))
+        for resource in task.exclusive:
+            busy.setdefault(resource, []).append((start, finish))
         power.add(start, finish, task.power)
 
     makespan = max(t.finish for t in placed)

@@ -23,8 +23,9 @@ class TestTask:
     """One schedulable test.
 
     Attributes:
-        name: unique task name (``"USB.usb_scan"``, ``"mbist.g0"``).
-        core_name: owning core (tasks of the same core never overlap).
+        name: unique task name (``"USB.usb_scan"``, ``"MBIST.g0"``).
+        core_name: owning core (tasks of the same core never overlap,
+            see :attr:`exclusive`).
         kind: scan / functional / bist.
         control: control-IO classes needed while the task runs.
         clock_domains: clock-domain names needing test clock pins.
@@ -40,7 +41,9 @@ class TestTask:
         max_width: largest useful TAM width for this task.
         uses_functional_pins: functional tests occupy the chip's
             functional pin interface — at most one such task at a time.
-        uses_bist_port: BIST tasks share the chip's BIST access port.
+        uses_bist_port: a memory-BIST group: it runs on the chip's one
+            BIST engine through the BIST access port, and holds no core
+            (its ``core_name`` is only a label).
     """
 
     name: str
@@ -58,6 +61,16 @@ class TestTask:
     @property
     def is_scan(self) -> bool:
         return self.time_fn is not None
+
+    @property
+    def exclusive(self) -> tuple[str, ...]:
+        """The resources this task holds alone while it runs: two tasks
+        sharing any of them never overlap.  ``core:<name>`` for a core
+        test, ``bist`` for a BIST group instead, plus ``functional`` for
+        a test on the chip's functional pins.  Every scheduler and lower
+        bound reads this one rule."""
+        held = "bist" if self.uses_bist_port else f"core:{self.core_name}"
+        return (held, "functional") if self.uses_functional_pins else (held,)
 
     def time(self, width: int = 1) -> int:
         """Duration in cycles at the given TAM width."""

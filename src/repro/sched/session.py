@@ -41,7 +41,7 @@ membership) and the per-task floors, dismisses every candidate that
 could not beat the incumbent.  Such a candidate is still counted as
 evaluated; the scan accepts the same candidates in the same rounds.
 The candidate-``k`` loop and the local-search rounds are additionally
-pruned against the five-floor session lower bound
+pruned against the session lower bound
 (:func:`repro.sched.bounds.session_schedule_floor`): once the incumbent
 reaches the floor, nothing can *strictly* improve, so stopping early
 cannot change the answer.  The pre-incremental search and the unbounded
@@ -57,7 +57,7 @@ import math
 from typing import Optional
 
 from repro.obs import METRICS, span
-from repro.sched.bounds import session_schedule_floor
+from repro.sched.bounds import exclusive_tallies, session_schedule_floor
 from repro.sched.ioalloc import SharingPolicy, control_pin_count, control_pins
 from repro.sched.power import fits_power_budget
 from repro.sched.result import ScheduledTest, ScheduleResult, Session, TestTask
@@ -167,12 +167,9 @@ def build_session(
     membership violates a constraint (mutexes, power, pins)."""
     if not tasks:
         return Session(index=index)
-    # per-core mutex: a core's tests cannot run concurrently
-    cores = [t.core_name for t in tasks]
-    if len(cores) != len(set(cores)):
-        return None
-    # the chip functional interface serves one functional test at a time
-    if sum(1 for t in tasks if t.uses_functional_pins) > 1:
+    # no two members may hold one exclusive resource
+    held = [resource for t in tasks for resource in t.exclusive]
+    if len(held) != len(set(held)):
         return None
     if not fits_power_budget(tasks, soc.power_budget):
         return None
@@ -231,8 +228,8 @@ class _SessionEvaluator:
     session is, as :func:`build_session` would, without the wire-pair
     grant: the length is the session's level (module docstring), which
     the greedy's tie order cannot change.  Once per search each task
-    becomes a flat record (mutex bits for its core and the functional
-    interface, clock-domain mask, reset / scan-enable / test-enable
+    becomes a flat record (mutex bits for its exclusive resources,
+    clock-domain mask, reset / scan-enable / test-enable
     counts, BIST flag, power, fixed time), and ``levels`` holds every
     scan task's breakpoint times, sorted, with a row per scan task of
     the narrowest width finishing it within each level.  A memo miss is
@@ -262,7 +259,7 @@ class _SessionEvaluator:
                        for task, chain in zip(tasks, chains)]
         self.levels = sorted({time for chain in chains if chain for _, time in chain})
         at = {time: j for j, time in enumerate(self.levels)}
-        cores: dict[str, int] = {}  # bit 0 is the functional interface
+        held: dict[str, int] = {}  # one bit per exclusive resource
         domains: dict[str, int] = {}  # a set of distinct bits sums to their mask
         self.records: list[tuple] = []
         for task, chain in zip(tasks, chains):
@@ -274,7 +271,7 @@ class _SessionEvaluator:
                     row += [chain[k][0]] * (at[chain[k - 1][1]] - at[chain[k][1]])
                 scan = (last, first, row + [1] * (len(self.levels) - first))
             self.records.append((
-                cores.setdefault(task.core_name, 2 << len(cores)) | task.uses_functional_pins,
+                sum({held.setdefault(r, 1 << len(held)) for r in task.exclusive}),
                 sum({domains.setdefault(d, 1 << len(domains)) for d in task.clock_domains}),
                 task.control.resets, task.control.scan_enables, task.control.test_enables,
                 task.uses_bist_port, task.power, task.fixed_time, scan,
@@ -305,7 +302,7 @@ class _SessionEvaluator:
         for i in key:
             bits, clk, rst, se, te, bi, power, time, scan = self.records[i]
             if mutex & bits:
-                return None  # a second test of one core or of the functional pins
+                return None  # two members hold one exclusive resource
             mutex |= bits
             clocks |= clk
             resets += rst
@@ -571,9 +568,9 @@ def schedule_sessions(
     """Session-based schedule for ``tasks`` on ``soc``.
 
     When ``n_sessions`` is None, a window of ``max_sessions`` candidate
-    session counts is searched, starting at the mutex-forced floor
-    (functional tests serialize on the chip's functional interface,
-    BIST groups on the engine, a core's tests on the core) and capped
+    session counts is searched, starting at the mutex-forced floor (the
+    most tasks holding one exclusive resource, :attr:`TestTask.exclusive`:
+    a core, the chip's functional interface or the BIST engine) and capped
     at the task count — ``floor .. min(#tasks, floor + max_sessions - 1)``.
     For small chips (floor 1) this is the classic ``1 .. max_sessions``
     search; large chips with many functional tests start higher and
@@ -595,15 +592,7 @@ def schedule_sessions(
     if n_sessions is not None:
         candidates = [n_sessions]
     else:
-        per_core: dict[str, int] = {}
-        for t in tasks:
-            per_core[t.core_name] = per_core.get(t.core_name, 0) + 1
-        forced = max(
-            1,
-            sum(1 for t in tasks if t.uses_functional_pins),
-            sum(1 for t in tasks if t.uses_bist_port),
-            max(per_core.values()),
-        )
+        forced = max(exclusive_tallies((t, 1) for t in tasks).values())
         # a window of max_sessions candidate counts starting at the floor
         # (degenerates to the classic 1..max_sessions for small chips)
         candidates = list(range(forced, min(len(tasks), forced + max_sessions - 1) + 1))

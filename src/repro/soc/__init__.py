@@ -7,7 +7,7 @@ the experiments: the paper's DSC controller chip (:mod:`repro.soc.dsc`)
 and the public ITC'02 d695 benchmark (:mod:`repro.soc.itc02`).
 """
 
-from repro.soc.clocks import ClockDomain, Pll
+from repro.soc.clocks import ClockDomain
 from repro.soc.core import ControlNeeds, Core, CoreType
 from repro.soc.digest import canonical_soc, soc_digest
 from repro.soc.memory import MemorySpec, MemoryType, RedundancySpec
@@ -18,7 +18,6 @@ from repro.soc.tests import CoreTest, TestKind, functional_test, scan_test
 
 __all__ = [
     "ClockDomain",
-    "Pll",
     "ControlNeeds",
     "Core",
     "CoreType",

@@ -43,6 +43,10 @@ class Itc02Module:
         return sum(self.scan_chain_lengths)
 
 
+#: The keys a ``Module`` line may carry, each at most once.
+_MODULE_KEYS = frozenset({"Inputs", "Outputs", "Bidirs", "ScanChains", "Patterns"})
+
+
 def parse_soc(text: str) -> tuple[str | None, list[Itc02Module]]:
     """Parse the ITC'02 ``.soc`` exchange format (subset).
 
@@ -54,8 +58,9 @@ def parse_soc(text: str) -> tuple[str | None, list[Itc02Module]]:
 
     Returns ``(soc_name, modules)``, the modules in file order;
     ``soc_name`` is ``None`` when the file has no ``SocName`` directive.
-    Malformed text, a truncated line included, raises
-    :class:`ValueError`.
+    An omitted key means 0.  Malformed text raises :class:`ValueError`:
+    a truncated line, an unknown or repeated key, or a negative
+    ``Inputs``/``Outputs``/``Bidirs`` count.
     """
     soc_name: str | None = None
     modules: list[Itc02Module] = []
@@ -77,6 +82,10 @@ def parse_soc(text: str) -> tuple[str | None, list[Itc02Module]]:
         i = 2
         while i < len(tokens):
             key = tokens[i]
+            if key not in _MODULE_KEYS:
+                raise ValueError(f"module {name!r}: unknown key {key!r}")
+            if key in fields:
+                raise ValueError(f"module {name!r}: {key} given twice")
             if i + 1 == len(tokens):
                 raise ValueError(f"module {name!r}: {key} has no value")
             if key == "ScanChains":
@@ -89,12 +98,16 @@ def parse_soc(text: str) -> tuple[str | None, list[Itc02Module]]:
             else:
                 fields[key] = [tokens[i + 1]]
                 i += 2
+        ports = {key: int(fields.get(key, ["0"])[0]) for key in ("Inputs", "Outputs", "Bidirs")}
+        for key, count in ports.items():
+            if count < 0:
+                raise ValueError(f"module {name!r}: {key} must be non-negative, got {count}")
         modules.append(
             Itc02Module(
                 name=name,
-                inputs=int(fields.get("Inputs", ["0"])[0]),
-                outputs=int(fields.get("Outputs", ["0"])[0]),
-                bidirs=int(fields.get("Bidirs", ["0"])[0]),
+                inputs=ports["Inputs"],
+                outputs=ports["Outputs"],
+                bidirs=ports["Bidirs"],
                 scan_chain_lengths=tuple(int(x) for x in fields.get("ScanChains", [])),
                 patterns=int(fields.get("Patterns", ["0"])[0]),
             )

@@ -40,25 +40,9 @@ class SignalKind(enum.Enum):
     TEST = "test"  # generic dedicated test signal (USB has 6 of these)
 
     @property
-    def is_control(self) -> bool:
-        """True for signals that occupy a control IO during test."""
-        return self in _CONTROL_KINDS
-
-    @property
     def is_test(self) -> bool:
         """True for any non-functional (test-dedicated) signal."""
         return self is not SignalKind.FUNCTIONAL
-
-
-_CONTROL_KINDS = frozenset(
-    {
-        SignalKind.CLOCK,
-        SignalKind.RESET,
-        SignalKind.TEST_ENABLE,
-        SignalKind.SCAN_ENABLE,
-        SignalKind.TEST,
-    }
-)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ rule                      invariant
 ========================  ===================================================
 ``task-coverage``         every input task placed exactly once, nothing extra
 ``session-structure``     indices dense, sessions non-empty, widths sane
-``core-mutex``            one core's tests never overlap in time
+``core-mutex``            one core's tests never overlap in time (a BIST
+                          group holds no core)
 ``functional-mutex``      one functional test at a time (chip pin interface)
 ``bist-mutex``            one BIST group at a time (shared engine/port)
 ``power-ceiling``         concurrent power never exceeds the chip budget
@@ -23,7 +24,11 @@ rule                      invariant
 
 The time-indexed rules run on a global event sweep over test start
 times, so they hold uniformly for barriered session schedules and for
-non-session rectangle packings.
+non-session rectangle packings.  The three mutex rules are the
+schedulers' one exclusion rule (:attr:`TestTask.exclusive`) re-derived
+independently from the raw task fields (``core_name``,
+``uses_functional_pins``, ``uses_bist_port``), so the checker does not
+share the code it checks.
 """
 
 from __future__ import annotations
@@ -120,7 +125,8 @@ def _check_mutexes(report, result: ScheduleResult) -> None:
     tests = _all_tests(result)
     by_core: dict[str, list[ScheduledTest]] = {}
     for test in tests:
-        by_core.setdefault(test.task.core_name, []).append(test)
+        if not test.task.uses_bist_port:  # a BIST group holds no core
+            by_core.setdefault(test.task.core_name, []).append(test)
     report.check("core-mutex")
     for core, members in sorted(by_core.items()):
         for a, b in _overlaps(members):

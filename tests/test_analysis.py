@@ -5,6 +5,7 @@ must stay silent on, plus the suppression mechanics (used, unused,
 reasonless) and the CLI front end.
 """
 
+import ast
 import json
 import textwrap
 
@@ -23,6 +24,7 @@ from repro.analysis import (
 from repro.analysis.rules.schema import (
     FINGERPRINT_FILE,
     SchemaFingerprintRule,
+    _normalized_dump,
     compute_fingerprints,
     load_fingerprints,
 )
@@ -354,6 +356,23 @@ class TestSchemaRule:
             ),
         )
         assert self._lint(tmp_path).ok
+
+    def test_normalized_text_is_the_same_on_every_python(self):
+        """The fingerprinted text leaves out None and empty fields, so it
+        does not follow ast.dump's per-version changes (3.12 adds
+        ``type_params=[]``, 3.13 drops empty fields)."""
+        tree = ast.parse(textwrap.dedent('''
+            def shape(value: int) -> dict:
+                """Docstrings are stripped."""
+                return {"schema": "repro/demo-doc/v1", "value": value}
+        '''))
+        assert _normalized_dump(tree.body[0]) == (
+            "FunctionDef(name='shape', args=arguments(args=[arg(arg='value', "
+            "annotation=Name(id='int', ctx=Load()))]), body=[Return(value=Dict("
+            "keys=[Constant(value='schema'), Constant(value='value')], "
+            "values=[Constant(value='repro/demo-doc/v1'), Name(id='value', "
+            "ctx=Load())]))], returns=Name(id='dict', ctx=Load()))"
+        )
 
     def test_line_shift_is_shape_preserving(self, tmp_path):
         _write(tmp_path, "pkg/demo.py", SCHEMA_MOD)

@@ -54,10 +54,12 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["dsc", "--pins", "0"], "dsc: test pin budget must be positive, got 0"),
         (["dsc", "--power", "-3"], "dsc: power budget must be non-negative, got -3.0"),
+        (["d695", "--pins", "0"], "d695: test pin budget must be positive, got 0"),
+        (["d695", "--pins", "-4"], "d695: test pin budget must be positive, got -4"),
     ])
     def test_bad_budget_option_rejected(self, capsys, argv, message):
-        """``dsc --pins 0`` used to print a traceback and ``--power -3``
-        to integrate."""
+        """``dsc --pins 0`` and ``d695 --pins 0`` used to print a
+        traceback and ``dsc --power -3`` to integrate."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == message

@@ -12,7 +12,6 @@ from repro.gen import (
     get_profile,
     register_profile,
     roundtrip_errors,
-    roundtrips,
     scenario_specs,
     soc_to_modules,
     soc_to_text,
@@ -152,7 +151,7 @@ class TestItc02Writer:
         name, modules = parse_soc(d695_soc_text())
         assert name == "d695"
         assert [m.name for m in modules] == [c.name for c in d695_soc().cores]
-        assert roundtrips(d695_soc())
+        assert roundtrip_errors(d695_soc()) == []
 
     def test_dsc_does_not_roundtrip(self):
         """The DSC chip has multi-test cores and rich control IO the
@@ -161,7 +160,7 @@ class TestItc02Writer:
         count), which roundtrip_errors does NOT flag: the module-level
         text itself still parses back to equal modules."""
         soc = build_dsc_chip()
-        assert roundtrips(soc)  # module-level equality always holds
+        assert roundtrip_errors(soc) == []  # module-level equality always holds
         # ...but the projection dropped the functional tests:
         tv = soc.core("TV")
         module = soc_to_modules(soc)[[c.name for c in soc.cores].index("TV")]
@@ -260,6 +259,12 @@ class TestWorkItem:
         ({"soc_text": "garbage"}, "unparsable soc_text: unrecognized"),
         ({"soc_text": "Module"}, "unparsable soc_text: Module line has no"),
         ({"soc_text": "SocName x\nModule m Inputs"}, "unparsable soc_text: module 'm'"),
+        ({"soc_text": "SocName x\nModule m Inputs -1 Outputs 1 Bidirs 0 Patterns 3"},
+         "unparsable soc_text: module 'm': Inputs must be non-negative"),
+        ({"soc_text": "SocName x\nModule m Inputs 1 Outputs 1 Patterns 3 Bogus 7"},
+         "unparsable soc_text: module 'm': unknown key 'Bogus'"),
+        ({"soc_text": "SocName x\nModule m Inputs 2 Inputs 5 Patterns 3"},
+         "unparsable soc_text: module 'm': Inputs given twice"),
     ])
     def test_no_valid_chip_is_a_value_error(self, ref, message):
         with pytest.raises(ValueError, match=message):

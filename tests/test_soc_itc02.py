@@ -42,6 +42,23 @@ class TestParser:
         with pytest.raises(ValueError):
             parse_soc(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("Module m Inputs -1 Outputs 1 Bidirs 0 Patterns 3",
+         "module 'm': Inputs must be non-negative, got -1"),
+        ("Module m Inputs 1 Outputs -2 Patterns 3", "module 'm': Outputs must be non-negative"),
+        ("Module m Inputs 1 Bidirs -3 Patterns 3", "module 'm': Bidirs must be non-negative"),
+        ("Module m Inputs 1 Outputs 1 Bidirs 0 Patterns 3 Bogus 7", "module 'm': unknown key 'Bogus'"),
+        ("Module m Inputs 2 Inputs 5 Patterns 3", "module 'm': Inputs given twice"),
+    ])
+    def test_malformed_module_raises_value_error(self, text, message):
+        """These used to parse: a negative count made no ports, an
+        unknown key was ignored and a repeated key's last value won."""
+        with pytest.raises(ValueError, match=message):
+            parse_soc(text)
+
+    def test_omitted_key_means_zero(self):
+        assert parse_soc("Module m Patterns 4")[1] == [Itc02Module("m", 0, 0, 0, (), 4)]
+
     def test_round_trip_d695(self):
         text = d695_soc_text()
         assert parse_soc(text)[1] == d695_modules()

@@ -10,7 +10,6 @@ from repro.soc import (
     Direction,
     MemorySpec,
     MemoryType,
-    Pll,
     Port,
     PortCounts,
     ScanChain,
@@ -27,11 +26,11 @@ class TestPort:
     def test_basic_port(self):
         p = Port("clk", Direction.IN, SignalKind.CLOCK)
         assert p.is_input
-        assert p.kind.is_control and p.kind.is_test
+        assert p.kind.is_test
 
     def test_functional_not_test(self):
         p = Port("d", Direction.IN)
-        assert not p.kind.is_test and not p.kind.is_control
+        assert not p.kind.is_test
 
     def test_clock_must_be_input(self):
         with pytest.raises(ValueError):
@@ -106,22 +105,10 @@ class TestRebalance:
 
 
 class TestClockDomain:
-    def test_pll_registers_domains(self):
-        pll = Pll("pll0")
-        pll.add_domain("a", 48.0)
-        pll.add_domain("b", 27.0)
-        assert pll.bypassed_domains == ["a", "b"]
-
     @pytest.mark.parametrize("freq", [float("nan"), float("inf")])
     def test_non_finite_frequency_refused(self, freq):
         with pytest.raises(ValueError, match="clock frequency must be finite"):
             ClockDomain("clk", freq)
-
-    def test_pll_rejects_duplicates(self):
-        pll = Pll("pll0")
-        pll.add_domain("a")
-        with pytest.raises(ValueError):
-            pll.add_domain("a")
 
 
 class TestCore:

@@ -2,6 +2,7 @@
 every legal schedule and — just as important — *reject* broken ones."""
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -9,11 +10,14 @@ from repro.core import CompileBist, FlowContext, Steac, SteacConfig
 from repro.gen import SocGenerator
 from repro.sched import (
     SharingPolicy,
+    forced_session_floor,
     resolve_schedule,
     schedule_lower_bound,
     task_floor_time,
     tasks_from_soc,
 )
+from repro.soc import MemorySpec, Soc
+from repro.soc.demo import build_demo_core
 from repro.soc.dsc import build_dsc_chip
 from repro.soc.itc02 import d695_soc
 from repro.verify import (
@@ -26,11 +30,15 @@ from repro.verify import (
 )
 
 
-def small_case():
-    soc = SocGenerator(1, "small").generate()
+def compiled(soc):
+    """``soc`` and its tasks, BIST groups included (CompileBist)."""
     ctx = FlowContext(soc=soc)
     CompileBist().run(ctx)
     return soc, ctx.tasks
+
+
+def small_case():
+    return compiled(SocGenerator(1, "small").generate())
 
 
 class TestReport:
@@ -105,13 +113,51 @@ class TestRejectsBrokenSchedules:
         report = verify_schedule(soc, result, tasks=tasks)
         assert "task-coverage" in self.rules_hit(report)
 
+    def dsc_serial(self):
+        """DSC's serial schedule (with its BIST groups) and its placed
+        tests by name: one test per session, so any moved start overlaps."""
+        soc, tasks = compiled(build_dsc_chip())
+        result = resolve_schedule("serial", soc, tasks)
+        placed = {t.task.name: t for s in result.sessions for t in s.tests}
+        return soc, tasks, result, placed
+
+    def hit_with_and_without_power(self, soc, result, tasks):
+        """Rules hit under the chip's power budget and with it lifted:
+        a moved test also overlaps the next session's power."""
+        unlimited = dataclasses.replace(soc, power_budget=0.0)
+        return (self.rules_hit(verify_schedule(soc, result, tasks=tasks)),
+                self.rules_hit(verify_schedule(unlimited, result, tasks=tasks)))
+
     def test_core_mutex_overlap_caught(self):
-        soc, tasks, result = self.broken()
-        # force two tests of one core to overlap in time
-        clone = copy.deepcopy(result.sessions[0].tests[0])
-        result.sessions[1].tests.append(clone)
-        report = verify_schedule(soc, result)
-        assert "core-mutex" in self.rules_hit(report)
+        soc, tasks, result, placed = self.dsc_serial()
+        # two tests of one core (TV) overlap in time
+        placed["TV.tv_func"].start = placed["TV.tv_scan"].start
+        hit, alone = self.hit_with_and_without_power(soc, result, tasks)
+        assert hit == {"core-mutex", "power-ceiling"}
+        assert alone == {"core-mutex"}
+
+    def test_bist_mutex_overlap_caught_without_core_mutex(self):
+        soc, tasks, result, placed = self.dsc_serial()
+        # two BIST groups overlap on the one engine; they hold no core
+        placed["MBIST.g1"].start = placed["MBIST.g0"].start
+        hit, alone = self.hit_with_and_without_power(soc, result, tasks)
+        assert hit == {"bist-mutex", "power-ceiling"}
+        assert alone == {"bist-mutex"}
+
+    def test_functional_mutex_overlap_caught(self):
+        soc, tasks, result, placed = self.dsc_serial()
+        # two cores' functional tests overlap on the chip functional pins
+        placed["JPEG.jpeg_func"].start = placed["TV.tv_func"].start
+        hit, alone = self.hit_with_and_without_power(soc, result, tasks)
+        assert hit == {"functional-mutex", "power-ceiling"}
+        assert alone == {"functional-mutex"}
+
+    def test_recorded_pins_beyond_budget_caught(self):
+        soc, tasks, result, _ = self.dsc_serial()
+        result.sessions[0].data_pins = soc.test_pins
+        report = verify_schedule(soc, result, tasks=tasks)
+        assert self.rules_hit(report) == {"accounting"}
+        assert report.errors[0].subject == "session 0"
 
     def test_impossible_makespan_caught(self):
         soc, tasks, result = self.broken()
@@ -147,6 +193,45 @@ class TestRejectsBrokenSchedules:
         result.sessions[0].index = 7
         report = verify_schedule(soc, result)
         assert "session-structure" in self.rules_hit(report)
+
+
+class TestExclusionRule:
+    """One rule decides which tasks may not overlap: TestTask.exclusive."""
+
+    def test_exclusive_resources(self):
+        by_name = {t.name: t for t in compiled(build_dsc_chip())[1]}
+        assert by_name["USB.usb_scan"].exclusive == ("core:USB",)
+        assert by_name["TV.tv_func"].exclusive == ("core:TV", "functional")
+        assert by_name["MBIST.g0"].exclusive == ("bist",)
+        assert by_name["MBIST.g0"].core_name == "MBIST"  # a label, not a held core
+
+    @staticmethod
+    def chip_with_memory(core):
+        soc = Soc("chip", test_pins=32)
+        soc.add_core(build_demo_core(core, patterns=50))
+        soc.add_memory(MemorySpec("m0", words=64, bits=8))
+        return soc
+
+    @pytest.mark.parametrize("core", ["MBIST", "cpu"])
+    def test_core_named_mbist_shares_nothing_with_bist_groups(self, core):
+        """A core named like the BIST groups' label used to share their
+        mutex: 2 sessions and 992 cycles instead of 1 and 656."""
+        flow = Steac(SteacConfig(verify_schedule=True)).integrate(
+            self.chip_with_memory(core)
+        )
+        assert flow.schedule.session_count == 1
+        assert flow.schedule.total_time == 656
+        assert flow.verification.ok and not flow.verification.violations
+
+    def test_every_strategy_and_bound_ignores_the_label(self):
+        def outcomes(core):
+            soc, tasks = compiled(self.chip_with_memory(core))
+            runs = [resolve_schedule(s, soc, tasks)
+                    for s in ("session", "nonsession", "serial", "ilp")]
+            return ([schedule_lower_bound(soc, tasks), forced_session_floor(tasks)]
+                    + [(r.session_count, r.total_time) for r in runs])
+
+        assert outcomes("MBIST") == outcomes("cpu")
 
 
 class TestLowerBound:
@@ -218,8 +303,7 @@ class TestPipelineIntegration:
         """Pattern data parsed from STIL is part of the flow, so the
         translated programs are checked with no extra argument."""
         from repro.atpg import generate_scan_patterns
-        from repro.soc import Soc
-        from repro.soc.demo import build_demo_core, build_demo_core_module
+        from repro.soc.demo import build_demo_core_module
         from repro.stil import core_to_stil
 
         atpg = generate_scan_patterns(build_demo_core_module(), build_demo_core())
