@@ -865,6 +865,12 @@ def main(argv: list[str] | None = None) -> int:
         # resume DIR` continues it.
         print("interrupted", file=sys.stderr)
         return 130
+    except ValueError as exc:  # a budget no schedule fits is an answer
+        from repro.sched.session import InfeasibleScheduleError  # loaded: it raised
+
+        if not isinstance(exc, InfeasibleScheduleError):
+            raise
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

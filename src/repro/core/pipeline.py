@@ -364,7 +364,7 @@ class DftDesign:
         for core_name in sorted(self.wrappers):
             wrapper = netlist.module(f"{core_name}_wrapper")
             core = self.soc.core(core_name)
-            port_kind = {p.name: p for p in core.ports}
+            port_kind = {p.name: p for p in core.ports if not p.run}
             # the wrapper's own TAM ports: a core port such as wpi_x, or
             # wpi7 on a narrower wrapper, is wired by its kind below
             width = self.wrappers[core_name].plan.width

@@ -19,28 +19,19 @@ from __future__ import annotations
 
 from repro.soc.core import Core
 from repro.soc.itc02 import Itc02Module, modules_to_text, parse_soc
-from repro.soc.ports import Direction, SignalKind
+from repro.soc.ports import bit_tally
 from repro.soc.soc import Soc
 
 
 def core_to_module(core: Core) -> Itc02Module:
     """Project a core onto its ITC'02 module record.
 
-    Functional IO counts are width-weighted (a 4-bit bus counts 4, as
-    pads do); the pattern count is the core's total scan patterns when
+    Functional IO counts are bit counts (a 4-bit bus or a run of 4 counts
+    4, as pads do); the pattern count is the core's total scan patterns when
     it has scan chains, else its total functional patterns — matching
     the single-test convention of :func:`~repro.soc.itc02.module_to_core`.
     """
-    inputs = outputs = bidirs = 0
-    for port in core.ports:
-        if port.kind is not SignalKind.FUNCTIONAL:
-            continue
-        if port.direction is Direction.IN:
-            inputs += port.width
-        elif port.direction is Direction.OUT:
-            outputs += port.width
-        else:
-            bidirs += port.width
+    inputs, outputs, bidirs = bit_tally(core.ports)
     patterns = core.scan_patterns if core.scan_chains else core.functional_patterns
     return Itc02Module(
         name=core.name,

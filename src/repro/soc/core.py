@@ -10,8 +10,10 @@ describes in prose (clock domains, resets, test enables, scan enables).
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.soc.bits import expand_port_bits
 from repro.soc.clocks import ClockDomain
 from repro.soc.ports import Port, PortCounts, SignalKind
 from repro.soc.scan import ScanChain, total_flops
@@ -86,10 +88,11 @@ class Core:
         check_name(self.name, "core name")
         check_non_negative(self.gate_count, "gate count")
         seen: set[str] = set()
-        for port in self.ports:
-            if port.name in seen:
-                raise ValueError(f"duplicate port {port.name!r} on core {self.name!r}")
-            seen.add(port.name)
+        for port in self.ports:  # a run by its bits, any other port by its name
+            for name in expand_port_bits(port) if port.run else (port.name,):
+                if name in seen:
+                    raise ValueError(f"duplicate port {name!r} on core {self.name!r}")
+                seen.add(name)
         port_names = seen
         for chain in self.scan_chains:
             if chain.scan_in not in port_names:
@@ -161,17 +164,12 @@ class Core:
         test); resets, test-enables (including generic dedicated test
         signals) and scan-enables are tallied from the port list.
         """
-        clocks = len(self.ports_of_kind(SignalKind.CLOCK))
-        resets = len(self.ports_of_kind(SignalKind.RESET))
-        test_enables = len(self.ports_of_kind(SignalKind.TEST_ENABLE)) + len(
-            self.ports_of_kind(SignalKind.TEST)
-        )
-        scan_enables = len(self.ports_of_kind(SignalKind.SCAN_ENABLE))
+        kinds = Counter(p.kind for p in self.ports)
         return ControlNeeds(
-            clocks=clocks,
-            resets=resets,
-            test_enables=test_enables,
-            scan_enables=scan_enables,
+            clocks=kinds[SignalKind.CLOCK],
+            resets=kinds[SignalKind.RESET],
+            test_enables=kinds[SignalKind.TEST_ENABLE] + kinds[SignalKind.TEST],
+            scan_enables=kinds[SignalKind.SCAN_ENABLE],
         )
 
     def summary_row(self) -> list[object]:

@@ -17,7 +17,10 @@ The digest is ``sha256`` over a canonical JSON rendering of the model:
   :class:`~repro.soc.memory.MemorySpec` (enums by value, lists in
   declaration order — order is semantic: it is TAM/schedule input);
 * keys sorted, separators fixed, floats via ``repr`` (shortest
-  round-trip form), so the byte stream is platform-stable.
+  round-trip form), so the byte stream is platform-stable;
+* a run (``Port(run=n)``) as its ``n`` single-bit ports, so a chip built
+  of runs and the same chip built bit by bit (a parsed STIL core) share
+  one form, and ``v1`` digests stay what they were before runs.
 
 Pattern *payloads* (``CoreTest.vectors``) are summarized by length only:
 the integration flow consumes counts plus the optional payloads, but
@@ -30,6 +33,8 @@ from __future__ import annotations
 import hashlib
 import json
 from typing import TYPE_CHECKING
+
+from repro.soc.bits import expand_port_bits
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.soc.core import Core
@@ -50,21 +55,25 @@ def _number(value: float | int) -> float | int:
 
 def canonical_core(core: "Core") -> dict:
     """The canonical JSON-native form of one core."""
+    ports: list[dict] = []
+    for p in core.ports:
+        entry = {
+            "name": p.name,
+            "direction": p.direction.value,
+            "kind": p.kind.value,
+            "width": p.width,
+            "clock_domain": p.clock_domain,
+        }
+        if p.run:
+            ports.extend({**entry, "name": bit} for bit in expand_port_bits(p))
+        else:
+            ports.append(entry)
     return {
         "name": core.name,
         "type": core.core_type.value,
         "wrapped": core.wrapped,
         "gate_count": core.gate_count,
-        "ports": [
-            {
-                "name": p.name,
-                "direction": p.direction.value,
-                "kind": p.kind.value,
-                "width": p.width,
-                "clock_domain": p.clock_domain,
-            }
-            for p in core.ports
-        ],
+        "ports": ports,
         "scan_chains": [
             {
                 "name": c.name,

@@ -179,7 +179,8 @@ def module_to_core(module: Itc02Module, power: float = 1.0) -> Core:
     ITC'02 modules have a single clock and no published control-signal
     detail, so each core gets one clock, one reset and one scan enable
     (when scanned) — the conventional assumption in the scheduling
-    literature.
+    literature.  Each non-empty terminal group is one run (``<name>_pi``,
+    ``_po``, ``_pb``), its bits ``<name>_pi0``, ``<name>_pi1``, ….
     """
     ports: list[Port] = [Port(f"{module.name}_clk", Direction.IN, SignalKind.CLOCK)]
     chains: list[ScanChain] = []
@@ -193,12 +194,11 @@ def module_to_core(module: Itc02Module, power: float = 1.0) -> Core:
             chains.append(
                 ScanChain(f"{module.name}_c{i}", length, scan_in=si.name, scan_out=so.name)
             )
-    for i in range(module.inputs):
-        ports.append(Port(f"{module.name}_pi{i}", Direction.IN, SignalKind.FUNCTIONAL))
-    for i in range(module.outputs):
-        ports.append(Port(f"{module.name}_po{i}", Direction.OUT, SignalKind.FUNCTIONAL))
-    for i in range(module.bidirs):
-        ports.append(Port(f"{module.name}_pb{i}", Direction.INOUT, SignalKind.FUNCTIONAL))
+    for group, count, direction in (("pi", module.inputs, Direction.IN),
+                                    ("po", module.outputs, Direction.OUT),
+                                    ("pb", module.bidirs, Direction.INOUT)):
+        if count:
+            ports.append(Port(f"{module.name}_{group}", direction, run=count))
     if module.scan_chain_lengths:
         tests = [scan_test(module.patterns, name=f"{module.name}_scan", power=power)]
     else:

@@ -14,6 +14,7 @@ Every core advertises its IO as a list of :class:`Port` objects.  The
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.util import check_name, check_positive
@@ -47,7 +48,7 @@ class SignalKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Port:
-    """A single-bit or multi-bit core terminal.
+    """A single-bit or multi-bit core terminal, or a run of terminals.
 
     Attributes:
         name: identifier, unique within the owning core.
@@ -57,6 +58,9 @@ class Port:
             all IO tallies, matching how pads are counted on silicon).
         clock_domain: for clocks and scan pins, the clock-domain name this
             port belongs to (used for scan IO sharing legality checks).
+        run: ``n`` makes this one value stand for ``n`` single-bit
+            functional terminals ``{name}0 … {name}{n-1}`` (an ITC'02
+            terminal group), named by :mod:`repro.soc.bits` on demand.
     """
 
     name: str
@@ -64,10 +68,15 @@ class Port:
     kind: SignalKind = SignalKind.FUNCTIONAL
     width: int = 1
     clock_domain: str | None = None
+    run: int | None = None
 
     def __post_init__(self) -> None:
         check_name(self.name, "port name")
         check_positive(self.width, "port width")
+        if self.run is not None:
+            if self.width != 1 or self.kind is not SignalKind.FUNCTIONAL:
+                raise ValueError(f"run {self.name!r} must be of single-bit functional terminals")
+            check_positive(self.run, "run length")
         if self.kind in (SignalKind.CLOCK, SignalKind.RESET) and self.direction is not Direction.IN:
             raise ValueError(f"{self.kind.value} port {self.name!r} must be an input")
         if self.kind is SignalKind.SCAN_IN and self.direction is not Direction.IN:
@@ -78,6 +87,16 @@ class Port:
     @property
     def is_input(self) -> bool:
         return self.direction is Direction.IN
+
+
+def bit_tally(ports: Iterable[Port], test: bool = False) -> tuple[int, int, int]:
+    """(input, output, inout) bits over the functional ports, or over
+    the test ports with ``test``, counted without naming a bit."""
+    tally = dict.fromkeys(Direction, 0)
+    for port in ports:
+        if port.kind.is_test is test:
+            tally[port.direction] += port.width * (port.run or 1)
+    return tally[Direction.IN], tally[Direction.OUT], tally[Direction.INOUT]
 
 
 @dataclass
@@ -97,18 +116,6 @@ class PortCounts:
     @classmethod
     def of(cls, ports: list[Port]) -> "PortCounts":
         """Tally a port list into TI/TO/PI/PO counts."""
-        counts = cls()
-        for port in ports:
-            w = port.width
-            test = port.kind.is_test
-            if port.direction in (Direction.IN, Direction.INOUT):
-                if test:
-                    counts.ti += w
-                else:
-                    counts.pi += w
-            if port.direction in (Direction.OUT, Direction.INOUT):
-                if test:
-                    counts.to += w
-                else:
-                    counts.po += w
-        return counts
+        ti, to, tio = bit_tally(ports, test=True)
+        pi, po, pio = bit_tally(ports)
+        return cls(ti=ti + tio, to=to + tio, pi=pi + pio, po=po + pio)

@@ -12,7 +12,7 @@ from repro.stil.errors import StilError
 from repro.stil.parser import parse
 from repro.stil.semantics import ExtractedCore, core_from_stil, parse_ann
 from repro.stil.tokens import Token, tokenize
-from repro.stil.writer import core_to_stil, expand_port_bits, functional_signal_order
+from repro.stil.writer import core_to_stil
 
 __all__ = [
     "Statement",
@@ -25,6 +25,4 @@ __all__ = [
     "Token",
     "tokenize",
     "core_to_stil",
-    "expand_port_bits",
-    "functional_signal_order",
 ]

@@ -25,6 +25,7 @@ when producing chip-level cycles.)
 from __future__ import annotations
 
 from repro.patterns.core_patterns import CorePatternSet
+from repro.soc.bits import expand_port_bits, functional_signal_order
 from repro.soc.core import Core
 from repro.soc.ports import SignalKind
 from repro.soc.tests import CoreTest, TestKind
@@ -36,10 +37,6 @@ _KIND_TAGS = {
     SignalKind.SCAN_ENABLE: "scan_enable",
     SignalKind.TEST: "test",
 }
-
-
-# bit-expansion rules live with the SOC model so every consumer agrees
-from repro.soc.bits import expand_port_bits, functional_signal_order  # noqa: F401
 
 
 def _wrap(data: str, indent: str, width: int = 80) -> str:

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.soc.core import Core
+from repro.soc.ports import bit_tally
 from repro.soc.scan import rebalance_lengths
 from repro.util import check_positive
 
@@ -158,23 +159,14 @@ class WrapperPlan:
 def wrapper_cell_counts(core: Core) -> tuple[int, int]:
     """(input cells, output cells) a wrapper needs for ``core``.
 
-    One cell per functional bit; INOUT pads get an output-side
-    observation cell only (their drive side rides the mission
-    interconnect) — the same accounting
-    :func:`repro.wrapper.generator.generate_wrapper` stitches, so plans
-    and generated netlists always agree.
+    One cell per functional bit, counted without naming one (a run
+    counts its length); INOUT pads get an output-side observation cell
+    only (their drive side rides the mission interconnect) — the same
+    accounting :func:`repro.wrapper.generator.generate_wrapper`
+    stitches, so plans and generated netlists always agree.
     """
-    from repro.soc.ports import Direction, SignalKind
-
-    n_in = n_out = 0
-    for port in core.ports:
-        if port.kind is not SignalKind.FUNCTIONAL:
-            continue
-        if port.direction is Direction.IN:
-            n_in += port.width
-        else:
-            n_out += port.width
-    return n_in, n_out
+    n_in, n_out, n_inout = bit_tally(core.ports)
+    return n_in, n_out + n_inout
 
 
 def fill_cells(loads: list[int], cells: int) -> list[int]:

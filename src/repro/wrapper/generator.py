@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 from repro.netlist import Module, Netlist, cell_area
 from repro.soc.core import Core
-from repro.soc.ports import Direction, SignalKind
+from repro.soc.ports import SignalKind
 from repro.soc.bits import expand_port_bits
 from repro.wrapper.balance import WrapperPlan, design_wrapper
 from repro.wrapper.cells import WBC_CELLS, WBY_CELLS, make_wbc_cell, make_wby_cell
@@ -143,14 +143,8 @@ def generate_wrapper(
     for port in core.ports:
         bits = expand_port_bits(port)
         if port.kind is SignalKind.FUNCTIONAL:
-            if port.direction is Direction.IN:
-                for bit in bits:
-                    m.add_input(bit)
-                    in_bits.append(bit)
-            else:
-                for bit in bits:
-                    m.add_output(bit)
-                    out_bits.append(bit)
+            add, side = (m.add_input, in_bits) if port.is_input else (m.add_output, out_bits)
+            side.extend(add(bit) for bit in bits)
         elif port.kind in SCAN_IO:
             # internal scan IO stays inside the wrapper (net per bit)
             for bit in bits:

@@ -65,6 +65,22 @@ class TestCli:
         assert exc.value.code == message
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["d695", "--pins", "1"], "d695: no feasible session schedule for 'd695' with 1 pins "
+                                  "(tried [2, 3, 4, 5, 6, 7, 8, 9] sessions)"),
+        (["dsc", "--pins", "2"], "dsc: no feasible session schedule for 'dsc_controller' "
+                                 "with 2 pins (tried [4, 5, 6, 7, 8] sessions)"),
+    ])
+    def test_infeasible_pin_budget_exits_with_message(self, argv, message):
+        """A budget no schedule fits used to end in a traceback."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == message + "\n"
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
     def test_d695_schedule(self, capsys):
         assert main(["d695", "--pins", "48"]) == 0
         out = capsys.readouterr().out

@@ -20,6 +20,7 @@ from repro.soc import (
     scan_test,
     total_flops,
 )
+from repro.soc.bits import expand_port_bits
 
 
 class TestPort:
@@ -61,6 +62,41 @@ class TestPort:
     def test_inout_counts_both_sides(self):
         c = PortCounts.of([Port("x", Direction.INOUT, width=4)])
         assert c.pi == 4 and c.po == 4
+
+
+class TestPortRuns:
+    """``Port(run=n)`` stands for ``n`` single-bit functional terminals."""
+
+    def test_bits_and_tallies(self):
+        run = Port("c_pi", Direction.IN, run=38)
+        assert expand_port_bits(run) == [f"c_pi{i}" for i in range(38)]
+        assert expand_port_bits(Port("c_pi", Direction.IN, run=1)) == ["c_pi0"]
+        c = PortCounts.of([run, Port("c_pb", Direction.INOUT, run=2), Port("q", Direction.OUT, width=3)])
+        assert (c.pi, c.po, c.ti, c.to) == (40, 5, 0, 0)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"width": 2}, "run 'r' must be of single-bit functional terminals"),
+        ({"kind": SignalKind.TEST}, "run 'r' must be of single-bit functional terminals"),
+        ({"run": 0}, "run length must be positive, got 0"),
+    ])
+    def test_bad_run_refused(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            Port("r", Direction.IN, **{"run": 4, **changes})
+
+    @pytest.mark.parametrize("ports, bit", [
+        ([Port("c_pi", Direction.IN, run=38), Port("c_pi3", Direction.IN)], "c_pi3"),
+        ([Port("c_p", Direction.IN, run=12), Port("c_p1", Direction.OUT, run=2)], "c_p10"),
+    ])
+    def test_repeated_bit_rejected(self, ports, bit):
+        for order in (ports, ports[::-1]):
+            with pytest.raises(ValueError, match=f"duplicate port '{bit}' on core 'c'"):
+                Core("c", ports=order)
+
+    def test_chain_may_name_a_run_bit(self):
+        core = Core("c", ports=[Port("si", Direction.IN, SignalKind.SCAN_IN),
+                                Port("c_po", Direction.OUT, run=4)],
+                    scan_chains=[ScanChain("ch", 5, "si", "c_po3")])
+        assert core.counts.po == 4
 
 
 class TestScanChain:

@@ -17,12 +17,11 @@ from repro.soc import (
     scan_test,
 )
 from repro.soc.dsc import build_jpeg_core, build_tv_core, build_usb_core
+from repro.soc.bits import expand_port_bits, functional_signal_order
 from repro.stil import (
     StilError,
     core_from_stil,
     core_to_stil,
-    expand_port_bits,
-    functional_signal_order,
     parse,
     parse_ann,
     tokenize,
