@@ -44,7 +44,6 @@ from repro.sched.timecalc import (
     SESSION_RECONFIG_CYCLES,
     WIR_PROGRAM_CYCLES,
     ScanTimeModel,
-    best_width_time,
     clear_scan_time_cache,
     core_scan_time,
     functional_test_time,
@@ -88,7 +87,6 @@ __all__ = [
     "tasks_from_core",
     "tasks_from_soc",
     "ScanTimeModel",
-    "best_width_time",
     "clear_scan_time_cache",
     "core_scan_time",
     "scan_time_cache_stats",

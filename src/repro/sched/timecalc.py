@@ -19,13 +19,12 @@ wrapper-programming preamble.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from repro.obs import METRICS
 from repro.soc.core import Core
 from repro.wrapper.balance import (
     design_wrapper,
-    fill_cells,
+    fill_level,
     internal_loads,
     wrapper_cell_counts,
 )
@@ -127,8 +126,9 @@ class ScanTimeModel:
         (default: the core's largest useful scan width).
 
         Each width prices the plan :func:`design_wrapper` would build:
-        the same :func:`internal_loads`, and the same :func:`fill_cells`
-        pass for the wrapper cells, which are counted once per core.
+        the same :func:`internal_loads`, sorted, and the depths its two
+        :func:`fill_cells` passes reach, read from :func:`fill_level`
+        without building a fill; the cells are counted once per core.
         The table is built on every call and never cached on the core:
         a core is mutable (the failure shrinker deep-copies an evaluated
         chip, then drops a chain), and a memo keyed by ``(patterns,
@@ -144,9 +144,11 @@ class ScanTimeModel:
         n_in_cells, n_out_cells = wrapper_cell_counts(core)
         times = []
         for width in range(1, max(1, max_width) + 1):
-            loads, _ = internal_loads(core, width)
-            si = max(map(add, loads, fill_cells(loads, n_in_cells)))
-            so = max(map(add, loads, fill_cells(loads, n_out_cells)))
+            levels = sorted(internal_loads(core, width)[0])
+            in_level, in_extra = fill_level(levels, n_in_cells)
+            out_level, out_extra = fill_level(levels, n_out_cells)
+            si = max(levels[-1], in_level + (in_extra > 0))
+            so = max(levels[-1], out_level + (out_extra > 0))
             times.append(scan_test_time(si, so, patterns))
         _M_TABLE_MISSES.inc()
         return cls(core_name=core.name, patterns=patterns, times=tuple(times))
@@ -162,21 +164,3 @@ class ScanTimeModel:
             width = 1
         return self.times[min(width, len(self.times)) - 1]
 
-
-def best_width_time(core: Core, max_width: int, patterns: int | None = None) -> tuple[int, int]:
-    """(width, cycles) minimizing scan time with width <= ``max_width``.
-
-    Scan time is non-increasing in width, so this is simply the time at
-    ``max_width`` — but the function also returns the *smallest* width
-    achieving that time (extra wires that buy nothing are wasted pins).
-
-    Reads one :class:`ScanTimeModel` table over ``1..max_width``,
-    built for this call in closed form, instead of designing a wrapper
-    per width.
-    """
-    model = ScanTimeModel.for_core(core, patterns, max_width=max_width)
-    best_time = model(max_width)
-    width = max_width
-    while width > 1 and model(width - 1) == best_time:
-        width -= 1
-    return width, best_time

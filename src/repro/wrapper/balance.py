@@ -20,13 +20,15 @@ Provided algorithms:
   lengths separately.
 
 :meth:`repro.sched.timecalc.ScanTimeModel.for_core` prices a core at
-every width from the same two helpers, so the scheduler's time tables
-and the wrapper InsertDft builds always agree.
+every width from the same helpers, reading both depths in closed form
+from the sorted internal loads (:func:`fill_level`), so the scheduler's
+time tables and the wrapper InsertDft builds always agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapreplace
 
 from repro.soc.core import Core
 from repro.soc.ports import bit_tally
@@ -36,15 +38,16 @@ from repro.util import check_positive
 
 def partition_greedy(lengths: list[int], width: int) -> list[list[int]]:
     """Partition item indices into ``width`` bins, minimizing max load
-    (LPT/BFD heuristic).  Returns bins of item indices (some may be
-    empty); deterministic for reproducibility."""
+    (LPT/BFD heuristic: longest item first, ties by index, onto the
+    smallest ``(load, bin)`` of a heap).  Returns bins of item indices
+    (some may be empty); deterministic for reproducibility."""
     check_positive(width, "partition width")
     bins: list[list[int]] = [[] for _ in range(width)]
-    loads = [0] * width
-    for index in sorted(range(len(lengths)), key=lambda i: (-lengths[i], i)):
-        target = min(range(width), key=lambda b: (loads[b], b))
+    heap = [(0, b) for b in range(width)]  # ascending, so already a heap
+    for index in sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True):
+        load, target = heap[0]
         bins[target].append(index)
-        loads[target] += lengths[index]
+        heapreplace(heap, (load + lengths[index], target))
     return bins
 
 
@@ -169,22 +172,26 @@ def wrapper_cell_counts(core: Core) -> tuple[int, int]:
     return n_in, n_out + n_inout
 
 
+def fill_level(levels: list[int], cells: int) -> tuple[int, int]:
+    """``(level, extra)`` of :func:`fill_cells` over ascending ``levels``:
+    chains below ``level`` rise to it, ``extra`` cells top up chains at it,
+    and the deepest chain reaches ``max(levels[-1], level + (extra > 0))``."""
+    count = total = 0
+    for level in levels:  # grow the filled prefix while the cells reach the next level
+        if count * level - total > cells:
+            break
+        total += level
+        count += 1
+    return divmod(total + cells, count)
+
+
 def fill_cells(loads: list[int], cells: int) -> list[int]:
     """Boundary cells each chain gets when ``cells`` cells go one at a
-    time to the least-loaded chain, ties to the lowest index.
-
-    That greedy water-fill has a closed form.  Sorting the ``loads``
-    gives the level ``L`` the cells fill up to: every chain below ``L``
-    is raised to it, and the ``r`` cells left over go one each to the
-    lowest-index chains at ``L``.  ``loads`` has one entry per chain.
-    """
-    levels = sorted(loads)
-    # grow the filled prefix while the cells can raise it to the next level
-    count, total = 1, levels[0]
-    while count < len(levels) and count * levels[count] - total <= cells:
-        total += levels[count]
-        count += 1
-    level, extra = divmod(total + cells, count)
+    time to the least-loaded chain, ties to the lowest index: every chain
+    below :func:`fill_level`'s level is raised to it, and the cells left
+    over go one each to the lowest-index chains at it.  ``loads`` has one
+    entry per chain."""
+    level, extra = fill_level(sorted(loads), cells)
     fill = [max(0, level - load) for load in loads]
     at_level = [i for i, load in enumerate(loads) if load <= level]
     for i in at_level[:extra]:

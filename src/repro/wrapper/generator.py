@@ -35,6 +35,11 @@ from repro.wrapper.wir import WIR_CELLS, WrapperInstruction, make_wir
 SERIAL_PORTS = ("wsi", "wrck", "selectwir", "shiftwr", "capturewr", "updatewr")
 #: Core port kinds that stay inside the wrapper, as nets.
 SCAN_IO = (SignalKind.SCAN_IN, SignalKind.SCAN_OUT)
+#: Every prefix of a fixed wrapper port name.  ``Core`` refuses repeats
+#: among run bits and port names, so a port's bits can repeat only if it
+#: is a bus, or its name holds ``[``, is one of these or starts ``wpi``/``wpo``.
+RESERVED_PREFIXES = frozenset(name[:end] for name in (*SERIAL_PORTS, "wso", "parallel_sel")
+                              for end in range(1, len(name) + 1))
 
 
 @dataclass
@@ -79,25 +84,30 @@ def wrapper_cells(plan: WrapperPlan) -> Counter[str]:
 
 
 def _check_unique(names: list[str], message: str, module: str) -> None:
-    if len(set(names)) < len(names):
-        seen: set[str] = set()
-        for name in names:  # report the first repeat, as the build would
-            if name in seen:
-                raise ValueError(message.format(name, module))
-            seen.add(name)
+    seen: set[str] = set()
+    for name in names:  # report the first repeat, as the build would
+        if name in seen:
+            raise ValueError(message.format(name, module))
+        seen.add(name)
 
 
 def plan_wrapper(core: Core, width: int = 1) -> GeneratedWrapper:
     """Plan ``core``'s wrapper at ``width`` TAM wires without building it,
     raising the :class:`ValueError` :func:`generate_wrapper` would for a
     port bit that repeats or collides with a wrapper port (``wsi``,
-    ``wpo0``, …) or a repeated instance name (a hard core's chain name)."""
+    ``wpo0``, …) or a repeated instance name (a hard core's chain name).
+    Only bits that can repeat (:data:`RESERVED_PREFIXES`) are named, and
+    instances only when a chain name repeats or starts ``wbc``."""
     plan = design_wrapper(core, width)
     module = f"{core.name}_wrapper"
-    bits = [bit for p in core.ports if p.kind not in SCAN_IO for bit in expand_port_bits(p)]
+    bits = [bit for p in core.ports if p.kind not in SCAN_IO and (
+        p.width > 1 or "[" in p.name or p.name in RESERVED_PREFIXES
+        or p.name.startswith(("wpi", "wpo"))) for bit in expand_port_bits(p)]
     _check_unique([*SERIAL_PORTS, "wso", *(f"wp{io}{k}" for k in range(plan.width) for io in "io"),
                    "parallel_sel", *bits], "duplicate port {!r} on module {!r}", module)
-    if core.scan_chains and not plan.rebalanced:
+    chains = [chain.name for chain in core.scan_chains]
+    if not plan.rebalanced and (
+            len(set(chains)) < len(chains) or any(c.startswith("wbc") for c in chains)):
         # the instance names a hard core supplies, in build order
         functional = [p for p in core.ports if p.kind is SignalKind.FUNCTIONAL]
         ins = iter([b for p in functional if p.is_input for b in expand_port_bits(p)])

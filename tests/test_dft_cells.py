@@ -334,6 +334,68 @@ class TestRejectionParity:
         assert str(planned.value) == str(built.value) == message
 
 
+def _plain_core(extra=(), chain_names=("c0",)) -> Core:
+    """A hard core none of whose own names can collide with a wrapper
+    name (``_core``'s ``se`` is a prefix of ``selectwir``), so only the
+    ``extra`` ports and the chain names reach the wrapper's check."""
+    ports = [Port("clk", Direction.IN, SignalKind.CLOCK, clock_domain="demo_clk"),
+             Port("scan_en", Direction.IN, SignalKind.SCAN_ENABLE),
+             Port("a", Direction.IN), Port("y", Direction.OUT), *extra]
+    chains = []
+    for i, name in enumerate(chain_names):
+        ports += [Port(f"scan_in{i}", Direction.IN, SignalKind.SCAN_IN),
+                  Port(f"scan_out{i}", Direction.OUT, SignalKind.SCAN_OUT)]
+        chains.append(ScanChain(name, 2 + i, f"scan_in{i}", f"scan_out{i}"))
+    return Core("demo", ports=ports, scan_chains=chains,
+                tests=[scan_test(5, name="demo_scan", power=1.0)], gate_count=15)
+
+
+#: Collisions among names no other port of the core can collide with:
+#: core, TAM width, and the message the netlist builder raises.
+NARROW_REJECTIONS = {
+    "repeated-chain": (_plain_core(chain_names=("c", "c")), 2,
+                       "duplicate instance 'u_c_si' in module 'demo_wrapper'"),
+    "chain-vs-cell": (_plain_core([Port("x_si", Direction.IN)], ("wbc_x",)), 2,
+                      "duplicate instance 'u_wbc_x_si' in module 'demo_wrapper'"),
+    "chain-wbc-vs-cell": (_plain_core([Port("si", Direction.OUT)], ("wbc",)), 2,
+                          "duplicate instance 'u_wbc_si' in module 'demo_wrapper'"),
+    "run-wpi": (_plain_core([Port("wpi", Direction.IN, run=3)]), 1,
+                "duplicate port 'wpi0' on module 'demo_wrapper'"),
+    "port-wpi1": (_plain_core([Port("wpi1", Direction.IN)]), 2,
+                  "duplicate port 'wpi1' on module 'demo_wrapper'"),
+    "run-wpi1": (_plain_core([Port("wpi1", Direction.IN, run=3)]), 12,
+                 "duplicate port 'wpi10' on module 'demo_wrapper'"),
+    "bus-bit": (_plain_core([Port("d", Direction.IN, width=4), Port("d[3]", Direction.OUT)]), 2,
+                "duplicate port 'd[3]' on module 'demo_wrapper'"),
+    "wso": (_plain_core([Port("wso", Direction.OUT)]), 2,
+            "duplicate port 'wso' on module 'demo_wrapper'"),
+}
+
+#: Near misses of the cases above that plan and build cleanly.
+NARROW_ACCEPTED = {
+    "run-wpi1-below-wpi10": (_plain_core([Port("wpi1", Direction.IN, run=3)]), 10),
+    "chain-wbc-beside-other-cell": (_plain_core([Port("q", Direction.IN)], ("wbc", "wbc_x")), 2),
+    "bus-beside-non-bit": (_plain_core([Port("d", Direction.IN, width=4), Port("d[4]", Direction.OUT)]), 2),
+    "port-wpi-beyond-width": (_plain_core([Port("wpi2", Direction.IN)]), 2),
+}
+
+
+class TestNarrowCollisions:
+    @pytest.mark.parametrize("case", sorted(NARROW_REJECTIONS))
+    def test_planner_and_builder_raise_the_same_message(self, case):
+        core, width, message = NARROW_REJECTIONS[case]
+        with pytest.raises(ValueError) as planned:
+            plan_wrapper(core, width)
+        with pytest.raises(ValueError) as built:
+            generate_wrapper(core, Netlist(), width=width)
+        assert str(planned.value) == str(built.value) == message
+
+    @pytest.mark.parametrize("case", sorted(NARROW_ACCEPTED))
+    def test_near_misses_plan_what_the_builder_builds(self, case):
+        core, width = NARROW_ACCEPTED[case]
+        assert plan_wrapper(core, width) == generate_wrapper(core, Netlist(), width=width)
+
+
 #: Core ports named like TAM ports that are not the wrapper's own
 #: ``wpi0..wpi{w-1}`` / ``wpo0..wpo{w-1}``, and the top net each is wired to.
 TAM_LOOKALIKES = {

@@ -43,7 +43,7 @@ from repro.sched import (  # noqa: E402
 )
 from repro.sched import session as session_module  # noqa: E402
 from repro.sched.session import _SessionEvaluator  # noqa: E402
-from repro.sched.timecalc import ScanTimeModel, best_width_time, core_scan_time  # noqa: E402
+from repro.sched.timecalc import ScanTimeModel  # noqa: E402
 from repro.soc import Soc, TestKind  # noqa: E402
 from repro.soc.dsc import build_dsc_chip  # noqa: E402
 from repro.soc.itc02 import d695_soc  # noqa: E402
@@ -364,26 +364,3 @@ class TestScanTimeTables:
 
         assert tables(copied) == tables(fresh)
         assert tables(copied)["c0.c0_scan"][0] == 50_497
-
-
-class TestBestWidthTime:
-    """``best_width_time`` now reads the precomputed table; answers must
-    match the direct per-width recomputation exactly."""
-
-    def test_matches_direct_scan_over_d695(self):
-        soc = d695_soc(test_pins=48)
-        for core in soc.cores:
-            if not core.scan_chains:
-                continue
-            for max_width in (1, 3, soc.test_pins):
-                width, time = best_width_time(core, max_width)
-                direct_best = min(
-                    core_scan_time(core, w) for w in range(1, max_width + 1)
-                )
-                direct_width = min(
-                    w for w in range(1, max_width + 1)
-                    if core_scan_time(core, w) == direct_best
-                )
-                assert (width, time) == (direct_width, direct_best), (
-                    f"{core.name} max_width={max_width}"
-                )

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from repro.sched import (
     ScanTimeModel,
-    best_width_time,
     core_scan_time,
     functional_test_time,
     scan_max_width,
@@ -67,14 +66,6 @@ class TestFunctionalTime:
 
 
 class TestWidthHelpers:
-    def test_best_width_collapses_plateau(self):
-        usb = build_usb_core()
-        width, t = best_width_time(usb, 4)
-        # 1629-flop chain dominates from width 2 on
-        assert t == core_scan_time(usb, 4)
-        assert width <= 4
-        assert core_scan_time(usb, width) == t
-
     def test_scan_max_width_hard_core(self):
         assert scan_max_width(build_usb_core()) == 4
         assert scan_max_width(build_tv_core()) == 2

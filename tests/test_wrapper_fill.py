@@ -1,25 +1,41 @@
-"""Differential tests pinning the closed-form wrapper cell fill to its oracle.
+"""Differential tests pinning closed-form wrapper pricing to its oracles.
 
 ``repro.wrapper.balance.fill_cells`` places a core's boundary cells in
-closed form, and both ``design_wrapper`` and
-``ScanTimeModel.for_core`` go through it.  ``tests/oracles/
-wrapper_fill_ref.py`` keeps the original loop, which places one cell at
-a time on the least-loaded chain.  The two must agree on every core and
-width: the same wrapper plan chain by chain, and the same time table.
+closed form, and ``design_wrapper`` goes through it;
+``ScanTimeModel.for_core`` reads the depths of the same fill from
+``fill_level`` without building it; ``partition_greedy`` keeps its bins
+in a heap; ``plan_wrapper`` names only the port bits that can repeat.
+``tests/oracles/wrapper_fill_ref.py`` keeps the code each replaced: a
+loop placing one cell at a time on the least-loaded chain, the per-width
+table loop over two fills, a scan over every bin, and a check naming
+every bit.  Each pair must agree on every core and width: the same
+wrapper plan chain by chain, the same time table, the same bins and the
+same planned wrapper or ``ValueError`` text.
 """
 
-from hypothesis import HealthCheck, given, settings
+from operator import add
+
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.gen import SocGenerator
 from repro.sched import ScanTimeModel, scan_max_width
+from repro.sched.timecalc import scan_test_time
 from repro.soc import Core, CoreType, Direction, Port, ScanChain, SignalKind
 from repro.soc.dsc import build_dsc_chip
 from repro.soc.itc02 import d695_soc
 from repro.wrapper import design_wrapper
-from repro.wrapper.balance import fill_cells
+from repro.wrapper.balance import fill_cells, fill_level, partition_greedy
+from repro.wrapper.generator import plan_wrapper
 
-from oracles.wrapper_fill_ref import design_wrapper_reference, scan_times_reference
+from oracles.wrapper_fill_ref import (
+    design_wrapper_reference,
+    partition_greedy_reference,
+    plan_wrapper_reference,
+    scan_times_fill_reference,
+    scan_times_reference,
+)
 
 COMMON = dict(
     deadline=None,
@@ -79,6 +95,10 @@ class TestAgainstReference:
     @settings(max_examples=200, **COMMON)
     @given(loads=st.lists(st.sampled_from([0, 1, 2, 4, 7]), min_size=1, max_size=8),
            cells=st.integers(0, 40))
+    @example(loads=[0], cells=0)
+    @example(loads=[0, 0, 0], cells=0)
+    @example(loads=[7, 0, 2, 0], cells=0)
+    @example(loads=[0, 0, 4], cells=1)
     def test_fill_matches_per_cell_loop(self, loads, cells):
         # the oracle's rule on raw loads: zero loads and ties that cores
         # reach only through the partition step
@@ -87,6 +107,10 @@ class TestAgainstReference:
             target = min(range(len(loads)), key=lambda i: loads[i] + fill[i])
             fill[target] += 1
         assert fill_cells(loads, cells) == fill
+        # the closed-form depth for_core reads, without building the fill
+        levels = sorted(loads)
+        level, extra = fill_level(levels, cells)
+        assert max(levels[-1], level + (extra > 0)) == max(map(add, loads, fill))
 
     def test_soft_core_with_fewer_flops_than_wires(self):
         # rebalance_lengths drops the empty chains; the plan keeps all
@@ -117,10 +141,114 @@ class TestAgainstReference:
                 useful = scan_max_width(core)
                 for width in sorted({1, useful, useful + 5}):
                     assert_same(core, width, patterns=core.scan_patterns)
-        # best_width_time asks for tables up to the chip's pin count,
-        # far past a core's useful width (d695's s838 at 48)
+        # a table can run up to the chip's pin count, far past a core's
+        # useful width (d695's s838 at 48)
         for core in d695_soc(test_pins=48).wrapped_cores:
             assert_same(core, 48, patterns=core.scan_patterns)
+
+
+@st.composite
+def partitions(draw):
+    """Chain lengths from the tie-heavy pool, and a width that may run
+    past the chain count."""
+    lengths = draw(st.lists(LENGTHS, max_size=12))
+    return lengths, draw(st.integers(1, len(lengths) + 4))
+
+
+class TestHeapPartition:
+    @settings(max_examples=300, **COMMON)
+    @given(case=partitions())
+    def test_bins_match_full_scan(self, case):
+        assert partition_greedy(*case) == partition_greedy_reference(*case)
+
+
+def race_chips(profile):
+    """DSC and d695 (``paper``), or seeds 1-8 of a generator profile."""
+    if profile == "paper":
+        return [build_dsc_chip(), d695_soc(test_pins=48)]
+    return [SocGenerator(seed, profile).generate() for seed in range(1, 9)]
+
+
+RACE_PROFILES = ["paper", "tiny", "small", "d695-like", "large"]
+
+
+def planned(plan, core, width):
+    """The planned wrapper, or the text of the ``ValueError`` raised."""
+    try:
+        return plan(core, width)
+    except ValueError as error:
+        return str(error)
+
+
+class TestChipRaces:
+    @pytest.mark.parametrize("profile", RACE_PROFILES)
+    def test_tables_match_both_oracles(self, profile):
+        # widths 1 .. useful+3 against both oracles, and the table out to
+        # a 48-pin chip against the fill loop, its last entry against
+        # the per-cell design at 48
+        for soc in race_chips(profile):
+            for core in soc.wrapped_cores:
+                if not core.scan_chains:
+                    continue
+                patterns, top = core.scan_patterns, scan_max_width(core) + 3
+                times = ScanTimeModel.for_core(core, patterns, max_width=top).times
+                assert times == scan_times_fill_reference(core, patterns, top)
+                assert times == scan_times_reference(core, patterns, top)
+                wide = ScanTimeModel.for_core(core, patterns, max_width=48).times
+                assert wide == scan_times_fill_reference(core, patterns, 48)
+                plan = design_wrapper_reference(core, 48)
+                assert wide[-1] == scan_test_time(plan.scan_in_depth, plan.scan_out_depth, patterns)
+
+    @pytest.mark.parametrize("profile", RACE_PROFILES)
+    def test_plan_wrapper_matches_oracle(self, profile):
+        for soc in race_chips(profile):
+            for core in soc.wrapped_cores:
+                useful = scan_max_width(core)
+                for width in sorted({1, useful, useful + 3, 48}):
+                    assert planned(plan_wrapper, core, width) == \
+                        planned(plan_wrapper_reference, core, width)
+
+
+#: Names that collide with a wrapper port, a bus bit or a run bit, next
+#: to names that cannot; chain names that collide with a WBC instance.
+PORT_NAMES = ["a", "q", "d", "d[3]", "d[0]", "se", "w", "wsi", "wso", "parallel_sel",
+              "wpi", "wpi1", "wpo", "wpo_x", "si", "x_si"]
+CHAIN_NAMES = ["c", "c0", "x", "wbc", "wbc_x", "wbc_a"]
+
+
+@st.composite
+def colliding_cores(draw):
+    """A core whose port bits, wrapper ports and instance names may
+    repeat, and a width; cores ``Core`` itself refuses are skipped."""
+    ports = []
+    for name in draw(st.lists(st.sampled_from(PORT_NAMES), unique=True, max_size=5)):
+        kind = draw(st.sampled_from([SignalKind.FUNCTIONAL, SignalKind.TEST]))
+        shape = draw(st.sampled_from(["bit", "bus", "run"]))
+        if kind is not SignalKind.FUNCTIONAL and shape == "run":
+            shape = "bus"
+        n = draw(st.integers(2, 4) if shape == "bus" else st.integers(1, 12))
+        direction = draw(st.sampled_from(list(Direction))) \
+            if kind is SignalKind.FUNCTIONAL else Direction.IN
+        ports.append(Port(name, direction, kind, width=n if shape == "bus" else 1,
+                          run=n if shape == "run" else None))
+    chains = []
+    for i, name in enumerate(draw(st.lists(st.sampled_from(CHAIN_NAMES), max_size=3))):
+        ports += [Port(f"scan_in{i}", Direction.IN, SignalKind.SCAN_IN),
+                  Port(f"scan_out{i}", Direction.OUT, SignalKind.SCAN_OUT)]
+        chains.append(ScanChain(name, draw(st.integers(1, 9)), f"scan_in{i}", f"scan_out{i}"))
+    try:
+        core = Core("demo", core_type=draw(st.sampled_from(list(CoreType))), ports=ports,
+                    scan_chains=chains)
+    except ValueError:
+        assume(False)
+    return core, draw(st.integers(1, 12))
+
+
+class TestPlanWrapperCollisions:
+    @settings(max_examples=400, **COMMON)
+    @given(case=colliding_cores())
+    def test_same_wrapper_or_message(self, case):
+        assert planned(plan_wrapper, *case) == planned(plan_wrapper_reference, *case)
 
 
 class TestFillCells:
