@@ -9,7 +9,7 @@ and the public ITC'02 d695 benchmark (:mod:`repro.soc.itc02`).
 
 from repro.soc.clocks import ClockDomain
 from repro.soc.core import ControlNeeds, Core, CoreType
-from repro.soc.digest import canonical_soc, soc_digest
+from repro.soc.digest import canonical_text, soc_digest
 from repro.soc.memory import MemorySpec, MemoryType, RedundancySpec
 from repro.soc.ports import Direction, Port, PortCounts, SignalKind
 from repro.soc.scan import ScanChain, rebalance_lengths, total_flops
@@ -34,7 +34,7 @@ __all__ = [
     "Soc",
     "CoreTest",
     "TestKind",
-    "canonical_soc",
+    "canonical_text",
     "functional_test",
     "scan_test",
     "soc_digest",

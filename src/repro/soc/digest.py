@@ -8,7 +8,8 @@ mutation (a pin budget, a pattern count, a spare row) must change it.
 That address is what the ``repro.serve`` result cache keys on, and what
 fuzz campaigns can dedupe minimized chips by.
 
-The digest is ``sha256`` over a canonical JSON rendering of the model:
+The digest is ``sha256`` over a canonical JSON rendering of the model
+(:func:`canonical_text`):
 
 * every semantic field of :class:`~repro.soc.soc.Soc`,
   :class:`~repro.soc.core.Core`, :class:`~repro.soc.ports.Port`,
@@ -17,10 +18,16 @@ The digest is ``sha256`` over a canonical JSON rendering of the model:
   :class:`~repro.soc.memory.MemorySpec` (enums by value, lists in
   declaration order — order is semantic: it is TAM/schedule input);
 * keys sorted, separators fixed, floats via ``repr`` (shortest
-  round-trip form), so the byte stream is platform-stable;
+  round-trip form; ``1`` and ``1.0`` differ), so the byte stream is
+  platform-stable;
 * a run (``Port(run=n)``) as its ``n`` single-bit ports, so a chip built
   of runs and the same chip built bit by bit (a parsed STIL core) share
   one form, and ``v1`` digests stay what they were before runs.
+
+Ports are written from templates, not as one JSON object per bit:
+entries of one *shape* (clock domain, direction, kind, width) differ
+only by name, so each bit's encoded name is spliced into its shape's
+text.  ``tests/oracles/soc_canonical_ref.py`` keeps the per-bit form.
 
 Pattern *payloads* (``CoreTest.vectors``) are summarized by length only:
 the integration flow consumes counts plus the optional payloads, but
@@ -32,13 +39,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from repro.soc.bits import expand_port_bits
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.soc.core import Core
-    from repro.soc.memory import MemorySpec
     from repro.soc.soc import Soc
 
 #: Version tag mixed into every digest: bump when the canonical form
@@ -46,34 +53,38 @@ if TYPE_CHECKING:  # pragma: no cover
 CANONICAL_VERSION = "repro/soc-canonical/v1"
 
 
-def _number(value: float | int) -> float | int:
-    """Floats canonicalize via their shortest round-trip repr (which
-    ``json.dumps`` uses), ints stay ints — ``1`` and ``1.0`` digest
-    differently, matching the model's own typing."""
-    return value
-
-
-def canonical_core(core: "Core") -> dict:
-    """The canonical JSON-native form of one core."""
-    ports: list[dict] = []
+def _ports_text(core: "Core", shapes: dict) -> str:
+    """One core's ``"ports"`` entries, a run's bit by bit.  ``shapes``
+    holds each shape's text before a name, between two names and after
+    the last.  Enum members are singletons, so a shape holds their ids
+    (hashing a member runs Python code)."""
+    entries = []
     for p in core.ports:
-        entry = {
-            "name": p.name,
-            "direction": p.direction.value,
-            "kind": p.kind.value,
-            "width": p.width,
-            "clock_domain": p.clock_domain,
-        }
-        if p.run:
-            ports.extend({**entry, "name": bit} for bit in expand_port_bits(p))
-        else:
-            ports.append(entry)
-    return {
+        shape = (p.clock_domain, id(p.direction), id(p.kind), p.width)
+        frame = shapes.get(shape)
+        if frame is None:
+            domain = "null" if p.clock_domain is None else encode_basestring_ascii(p.clock_domain)
+            head = (f'{{"clock_domain":{domain},"direction":"{p.direction.value}",'
+                    f'"kind":"{p.kind.value}","name":')
+            tail = f',"width":{p.width}}}'
+            frame = shapes[shape] = (head, f"{tail},{head}", tail)
+        head, between, tail = frame
+        names = expand_port_bits(p) if p.run else (p.name,)
+        entries.append(head + between.join(map(encode_basestring_ascii, names)) + tail)
+    return ",".join(entries)
+
+
+def _core_text(core: "Core", shapes: dict) -> str:
+    """One core's canonical object: its port list is spliced in between
+    the keys that sort before ``"ports"`` and those that sort after."""
+    before = canonical_json({
         "name": core.name,
+        "gate_count": core.gate_count,
+        "clock_domains": [{"name": d.name, "freq_mhz": d.freq_mhz} for d in core.clock_domains],
+    })
+    after = canonical_json({
         "type": core.core_type.value,
         "wrapped": core.wrapped,
-        "gate_count": core.gate_count,
-        "ports": ports,
         "scan_chains": [
             {
                 "name": c.name,
@@ -90,53 +101,47 @@ def canonical_core(core: "Core") -> dict:
                 "name": t.name,
                 "kind": t.kind.value,
                 "patterns": t.patterns,
-                "power": _number(t.power),
+                "power": t.power,
                 "vector_count": len(t.vectors) if t.vectors is not None else None,
             }
             for t in core.tests
         ],
-        "clock_domains": [
-            {"name": d.name, "freq_mhz": _number(d.freq_mhz)}
-            for d in core.clock_domains
-        ],
-    }
+    })
+    return f'{before[:-1]},"ports":[{_ports_text(core, shapes)}],{after[1:]}'
 
 
-def canonical_memory(memory: "MemorySpec") -> dict:
-    """The canonical JSON-native form of one embedded memory."""
-    return {
-        "name": memory.name,
-        "words": memory.words,
-        "bits": memory.bits,
-        "type": memory.mem_type.value,
-        "freq_mhz": _number(memory.freq_mhz),
-        "power": _number(memory.power),
-        "redundancy": (
-            None
-            if memory.redundancy is None
-            else {
-                "spare_rows": memory.redundancy.spare_rows,
-                "spare_cols": memory.redundancy.spare_cols,
-            }
-        ),
-    }
-
-
-def canonical_soc(soc: "Soc") -> dict:
-    """The canonical JSON-native form of a whole chip.
-
-    Equality of this dict is structural equality of the model; its
-    serialized bytes feed :func:`soc_digest`.
-    """
-    return {
+def canonical_text(soc: "Soc") -> str:
+    """The chip's canonical JSON text, the bytes :func:`soc_digest`
+    hashes.  ``"cores"`` sorts first, so the core objects open it."""
+    shapes: dict = {}
+    cores = ",".join(_core_text(core, shapes) for core in soc.cores)
+    rest = canonical_json({
         "version": CANONICAL_VERSION,
         "name": soc.name,
         "test_pins": soc.test_pins,
         "gate_count": soc.gate_count,
-        "power_budget": _number(soc.power_budget),
-        "cores": [canonical_core(core) for core in soc.cores],
-        "memories": [canonical_memory(memory) for memory in soc.memories],
-    }
+        "power_budget": soc.power_budget,
+        "memories": [
+            {
+                "name": m.name,
+                "words": m.words,
+                "bits": m.bits,
+                "type": m.mem_type.value,
+                "freq_mhz": m.freq_mhz,
+                "power": m.power,
+                "redundancy": (
+                    None
+                    if m.redundancy is None
+                    else {
+                        "spare_rows": m.redundancy.spare_rows,
+                        "spare_cols": m.redundancy.spare_cols,
+                    }
+                ),
+            }
+            for m in soc.memories
+        ],
+    })
+    return f'{{"cores":[{cores}],{rest[1:]}'
 
 
 def canonical_json(doc: dict) -> str:
@@ -151,9 +156,9 @@ def digest_document(doc: dict) -> str:
 
 
 def soc_digest(soc: "Soc") -> str:
-    """The chip's content address: sha256 over :func:`canonical_soc`.
+    """The chip's content address: sha256 over :func:`canonical_text`.
 
     Stable across processes, platforms and construction paths; any
     core / pin / power / memory mutation yields a different digest.
     """
-    return digest_document(canonical_soc(soc))
+    return hashlib.sha256(canonical_text(soc).encode("utf-8")).hexdigest()

@@ -7,13 +7,68 @@ import json
 import pytest
 
 from repro.gen import SocGenerator, soc_to_text
-from repro.soc import RedundancySpec, Soc, canonical_soc, soc_digest
+from repro.soc import (
+    Core,
+    Direction,
+    Port,
+    RedundancySpec,
+    SignalKind,
+    Soc,
+    functional_test,
+    soc_digest,
+)
 from repro.soc.dsc import build_dsc_chip
 from repro.soc.itc02 import d695_soc, soc_from_text
+
+from oracles.soc_canonical_ref import canonical_soc
 
 
 def tiny(seed: int = 7):
     return SocGenerator(seed, "tiny").generate()
+
+
+#: v1 digests: the keys of every result-cache entry already on disk
+PINNED = {
+    "d695": "71037e3f1017809a5f50add9bc191a9ac925b077a9dc6c577e62a9ce5875d514",
+    "d695-48": "e5cbae08031d1c1378c2a3b2e084f81d0258e0b54f9bfad32826c67bfecc8a93",
+    "dsc": "4ad00a20dfc1947fa2e3d82572b9c6ad17ac4e26ec2bc9fcde5722f0b4d24d11",
+    "tiny-1": "2b079e1505348aff4bdcaf5ed77f4ba03c31bd10504ce932c39ac5a425bf0ca0",
+    "small-1": "237b27e6d1b240fed80bd08a99d34d450c4e3343749442c068951b14bdde8c72",
+    "d695-like-1": "df8a03b7a04e28efbc526864e592f01daedd0303d5a760d3df3705a91ac15c6e",
+    "large-1": "78432afbd8ff8317f0d066a57061952562639a69d6a29389e1ab578d682ed2aa",
+    "huge-1": "ad2fe30e720817bb66cfa64b824560fe67b97e1f8fe73180573a9d5b26c38455",
+}
+PINNED_BUILDS = {
+    "d695": d695_soc,
+    "d695-48": lambda: d695_soc(test_pins=48),
+    "dsc": build_dsc_chip,
+    **{
+        f"{profile}-1": SocGenerator(1, profile).generate
+        for profile in ("tiny", "small", "d695-like", "large", "huge")
+    },
+}
+
+#: one core whose ports repeat shapes: ``b`` shares ``a``'s shape and
+#: ``s`` the bus ``q``'s, and ``r`` is a run, so a shape template keyed
+#: on too little shows as an unchanged digest below
+PORTS = (
+    Port("a", Direction.IN),
+    Port("b", Direction.IN),
+    Port("r", Direction.IN, run=4),
+    Port("q", Direction.OUT, width=4),
+    Port("s", Direction.OUT, width=4),
+)
+
+
+def port_chip(ports=PORTS) -> Soc:
+    core = Core("c", ports=list(ports), tests=[functional_test(5)])
+    return Soc("chip", cores=[core], test_pins=16)
+
+
+def with_port(index: int, **changes) -> Soc:
+    ports = list(PORTS)
+    ports[index] = dataclasses.replace(ports[index], **changes)
+    return port_chip(ports)
 
 
 class TestDigestStability:
@@ -26,6 +81,9 @@ class TestDigestStability:
         assert d695_soc(test_pins=48).digest() == d695_soc(test_pins=48).digest()
         assert build_dsc_chip().digest() == build_dsc_chip().digest()
         assert tiny().digest() == tiny().digest()
+
+    def test_v1_digests_are_pinned(self):
+        assert {label: build().digest() for label, build in PINNED_BUILDS.items()} == PINNED
 
     def test_method_matches_function(self):
         soc = tiny()
@@ -130,6 +188,43 @@ class TestDigestSensitivity:
         soc = build_dsc_chip()
         shrunk = dataclasses.replace(soc, memories=soc.memories[:-1])
         assert soc.digest() != shrunk.digest()
+
+    @pytest.mark.parametrize(
+        "index, changes",
+        [
+            (1, {"direction": Direction.OUT}),
+            (1, {"direction": Direction.INOUT}),
+            (1, {"kind": SignalKind.TEST}),
+            (1, {"width": 2}),
+            (1, {"clock_domain": "clk"}),
+            (1, {"name": "e"}),
+            (2, {"run": 5}),
+            (2, {"name": "t"}),
+            (4, {"width": 3}),
+            (4, {"clock_domain": "clk"}),
+            (4, {"direction": Direction.INOUT}),
+        ],
+        ids=[
+            "direction", "direction-inout", "kind", "width", "clock_domain", "name",
+            "run-length", "run-name", "bus-width", "bus-clock_domain", "bus-direction",
+        ],
+    )
+    def test_port_field_matters(self, index, changes):
+        assert port_chip().digest() != with_port(index, **changes).digest()
+
+    def test_port_order_within_a_shape_matters(self):
+        a, b, *rest = PORTS
+        assert port_chip().digest() != port_chip((b, a, *rest)).digest()
+        q, s = PORTS[3:]
+        assert port_chip().digest() != port_chip((*PORTS[:3], s, q)).digest()
+
+    def test_named_clock_domains_of_one_shape_differ(self):
+        """Two named domains on otherwise equal ports are two shapes."""
+        a, b, *rest = PORTS
+        x = dataclasses.replace(a, clock_domain="x")
+        same = port_chip((x, dataclasses.replace(b, clock_domain="x"), *rest))
+        other = port_chip((x, dataclasses.replace(b, clock_domain="y"), *rest))
+        assert same.digest() != other.digest()
 
 
 class TestSocFromText:

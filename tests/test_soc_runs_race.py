@@ -23,12 +23,12 @@ from repro.gen.writer import soc_to_text
 from repro.netlist import netlist_to_verilog
 from repro.soc import Core, Direction, Port, SignalKind, Soc, functional_test, itc02
 from repro.soc.bits import expand_port_bits
-from repro.soc.digest import canonical_core
 from repro.stil import core_from_stil, core_to_stil
 from repro.wrapper import plan_wrapper
 from repro.wrapper.balance import wrapper_cell_counts
 
 from oracles import itc02_bits_ref
+from oracles.soc_canonical_ref import canonical_core
 
 SEEDS = {"tiny": (1, 2, 3, 4), "small": (1, 2, 3), "d695-like": (1, 2), "large": (1, 2)}
 CHIPS = [("d695", itc02.d695_soc)] + [
