@@ -4,8 +4,9 @@ on-disk store.
 Keys are sha256 hex digests (see :mod:`repro.serve.keys`) — the content
 address of *what was asked*: the SOC digest(s) plus the normalized job
 configuration.  Values are the serialized result documents, stored as
-the exact JSON-native text that first produced them, so a hit returns a
-**bit-identical** result to the miss that populated it.
+the exact text that first produced them and served without being
+parsed, so a hit returns a **bit-identical** result to the miss that
+populated it.
 
 Two tiers:
 
@@ -17,16 +18,53 @@ Two tiers:
   contents survive server restarts and can be shared between servers on
   one filesystem.  A memory miss that hits disk is promoted back into
   the LRU.
+
+A disk entry is a first line ``sha256:<hex digest of the body>`` and
+then the body, the stored text in UTF-8.  Every disk read checks the
+digest: an entry that fails it (torn, flipped, or written without one)
+is a miss, never served, and is moved aside to ``<key>.corrupt``; the
+recomputed result then writes ``<key>.json`` afresh.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Optional
+
+
+_DIGEST_PREFIX = b"sha256:"
+
+
+def _entry_bytes(text: str) -> bytes:
+    """A disk entry: the body's digest line, then the body."""
+    body = text.encode("utf-8")
+    return _DIGEST_PREFIX + hashlib.sha256(body).hexdigest().encode() + b"\n" + body
+
+
+def _read_entry(path: Path) -> Optional[str]:
+    """The text of the disk entry at ``path``, or ``None`` when there is
+    none or its digest line does not match its body; such a file is
+    moved aside to ``<key>.corrupt``, so it is never read again."""
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        return None  # never written, or moved aside by a server sharing the store
+    head, _, body = raw.partition(b"\n")
+    if head == _DIGEST_PREFIX + hashlib.sha256(body).hexdigest().encode():
+        try:
+            return body.decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+    try:
+        os.replace(path, path.with_suffix(".corrupt"))
+    except FileNotFoundError:
+        pass  # another server sharing the store moved it first
+    return None
 
 
 class ResultCache:
@@ -85,12 +123,13 @@ class ResultCache:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return text
-            if path is not None and path.is_file():
-                text = path.read_text()
-                self._remember(key, text)
-                self.hits += 1
-                self.disk_hits += 1
-                return text
+            if path is not None:
+                text = _read_entry(path)
+                if text is not None:
+                    self._remember(key, text)
+                    self.hits += 1
+                    self.disk_hits += 1
+                    return text
             self.misses += 1
             return None
 
@@ -106,8 +145,8 @@ class ResultCache:
                     dir=str(path.parent), prefix=f".{key[:8]}-", suffix=".tmp"
                 )
                 try:
-                    with os.fdopen(fd, "w") as handle:
-                        handle.write(text)
+                    with os.fdopen(fd, "wb") as handle:
+                        handle.write(_entry_bytes(text))
                     os.replace(tmp, path)
                 except BaseException:
                     try:

@@ -1,13 +1,14 @@
-"""Job lifecycle: submit → queue → run → done/failed, with the cache
-short-circuiting repeat work at submit time.
+"""Job lifecycle: accept → start → queue → run → done/failed, with the
+cache short-circuiting repeat work at accept time.
 
 A job moves through four states::
 
     queued ──> running ──> done
        │          └──────> failed       (user-caused: JobError)
-       └─────────────────> failed       (bad chip reference at submit)
+       └─────────────────> failed       (bad chip reference at accept, or
+                                         the manager closed before start)
 
-plus the fast path: a submit whose content address hits the cache is
+plus the fast path: a request whose content address hits the cache is
 born ``done`` with ``cached: true`` — no queue round-trip, the stored
 result text is returned verbatim.  A repeated request does not even
 build its chips: the manager remembers each successfully addressed
@@ -18,6 +19,19 @@ a hit costs a digest and a cache read.  Chips are built — by
 for the first time or one whose result has left both cache tiers, and
 then the queued job carries the built chips, so the worker runs the
 very chips the cache key names; a finished job releases them.
+
+Submitting takes two calls.  :meth:`JobManager.accept` validates,
+content-addresses and records the job, born ``done`` on a hit, born
+``failed`` on a bad reference and ``queued`` otherwise;
+:meth:`JobManager.start` then hands a still-queued job to the workers.
+The server answers ``POST /jobs`` between the two: a worker woken
+earlier would take the interpreter lock while the ``201`` is still
+being written, and the submitter would wait out its switch interval.
+:meth:`JobManager.submit` makes both calls, for library callers.
+
+A job document is rendered from bytes the job already holds
+(:meth:`Job.to_json`): the stored result text is spliced in, indented
+one level, never parsed and encoded again.
 
 The worker pool is a handful of daemon threads feeding off one queue;
 each job's *internal* parallelism (batch fan-out, fuzz sweeps,
@@ -166,7 +180,8 @@ class Job:
             "run_seconds": run,
         }
 
-    def to_dict(self, include_result: bool = True) -> dict:
+    def to_dict(self) -> dict:
+        """The job record without its result (the ``GET /jobs`` entry)."""
         doc = {
             "schema": JOB_SCHEMA,
             "id": self.id,
@@ -179,9 +194,25 @@ class Job:
         }
         if self.error is not None:
             doc["error"] = self.error
-        if include_result and self.result_text is not None:
-            doc["result"] = json.loads(self.result_text)
         return doc
+
+    def to_json(self) -> str:
+        """The job document as ``json.dumps(doc, indent=2)`` writes it,
+        with the result, when there is one, as its last key.
+
+        The result is spliced in from the stored text instead of being
+        parsed and encoded again.  That text is ``result_to_text``'s
+        ``indent=2`` rendering, in which every newline is structural
+        (``json`` escapes one inside a string), so nesting it one level
+        down is a replace.
+        """
+        text = json.dumps(self.to_dict(), indent=2)
+        result = self.result_text
+        if result is None:
+            return text
+        nested = result.replace("\n", "\n  ")
+        # text ends "\n}": reopen the object after its last key
+        return f'{text[:-2]},\n  "result": {nested}\n}}'
 
 
 def result_to_text(doc: dict) -> str:
@@ -275,7 +306,13 @@ class JobManager:
     # -- submission --------------------------------------------------------
 
     def submit(self, payload) -> Job:
-        """Validate, content-address, and enqueue one job.
+        """Validate, content-address, and enqueue one job: :meth:`accept`
+        then :meth:`start`."""
+        return self.start(self.accept(payload))
+
+    def accept(self, payload) -> Job:
+        """Validate, content-address and record one job, without
+        starting it: a job left ``queued`` waits for :meth:`start`.
 
         A request the request-key memo remembers is looked up in the
         result cache before anything is built; chips are built only for
@@ -337,11 +374,22 @@ class JobManager:
                 job.cached = True
                 job.result_text = cached
                 job.mark_finished()
-            else:
-                self._queue.put(job.id)
             self._evict_locked()
         if job.cached:
             _M_DONE.inc()
+        return job
+
+    def start(self, job: Job) -> Job:
+        """Queue a job :meth:`accept` left ``queued``; a job the manager
+        closed on in between fails instead.  Born-terminal jobs pass
+        through untouched."""
+        with self._lock:
+            if job.status == "queued":
+                if self._closed:
+                    self._stop_unstarted(job)
+                    self._evict_locked()
+                else:
+                    self._queue.put(job.id)
         return job
 
     # -- execution ---------------------------------------------------------
@@ -447,6 +495,14 @@ class JobManager:
 
     # -- shutdown ----------------------------------------------------------
 
+    @staticmethod
+    def _stop_unstarted(job: Job) -> None:
+        """Fail a queued job the closed manager will not run (caller
+        holds the lock)."""
+        job.status = "failed"
+        job.error = "server stopped before execution"
+        job.mark_finished()
+
     def close(self, drain: bool = True) -> None:
         """Stop the pool.  ``drain=True`` finishes every queued job
         first; ``drain=False`` fails still-queued jobs (in-flight jobs
@@ -459,9 +515,7 @@ class JobManager:
             with self._lock:
                 for job in self._jobs.values():
                     if job.status == "queued":
-                        job.status = "failed"
-                        job.error = "server stopped before execution"
-                        job.mark_finished()
+                        self._stop_unstarted(job)
         for _ in self._threads:
             self._queue.put(_SENTINEL)
         for thread in self._threads:

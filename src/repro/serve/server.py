@@ -24,6 +24,14 @@ hits the result cache returns ``status: "done"``, ``cached: true`` and
 the result inline — one round-trip.  ``/jobs/<id>/result`` serves the
 stored text byte-for-byte, which is what makes the cache's
 bit-identical guarantee observable on the wire.
+
+Every response is written from bytes the server already holds: a job
+document splices in its stored result text (:meth:`Job.to_json`), and
+the status line, headers and body leave in one write (for a body up to
+64 KiB).  A job worker holds the interpreter lock while it runs, so a
+second write would wait out a switch interval behind it.  For the same
+reason ``POST /jobs`` accepts a job, writes its ``201`` and only then
+starts it (:meth:`JobManager.accept`, :meth:`JobManager.start`).
 """
 
 from __future__ import annotations
@@ -73,12 +81,22 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     server: "ServeServer"
     protocol_version = "HTTP/1.1"
+    # buffer the status line, headers and a body up to 64 KiB, so that
+    # _send_text's one flush is one write to the socket
+    wbufsize = 64 * 1024 + 4096
 
     # -- plumbing ----------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.server.verbose:
             super().log_message(format, *args)
+
+    def handle_expect_100(self) -> bool:
+        # the buffered wfile would hold the interim answer back, and the
+        # client waits for it before sending the body
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     def _send_text(
         self, status: int, text: str, content_type: str = "application/json"
@@ -89,6 +107,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _send_json(self, status: int, doc: dict) -> None:
         self._send_text(status, json.dumps(doc, indent=2))
@@ -134,7 +153,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         elif path == "/jobs":
             self._send_json(
                 200,
-                {"jobs": [job.to_dict(include_result=False) for job in manager.jobs()]},
+                {"jobs": [job.to_dict() for job in manager.jobs()]},
             )
         elif path.startswith("/jobs/"):
             parts = path.split("/")[2:]
@@ -151,7 +170,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             elif parts[1:]:
                 self._send_error(404, f"unknown path: {self.path!r}")
             else:
-                self._send_json(200, job.to_dict())
+                self._send_text(200, job.to_json())
         else:
             self._send_error(404, f"unknown path: {self.path!r}")
 
@@ -161,12 +180,18 @@ class ServeHandler(BaseHTTPRequestHandler):
             payload = self._read_body()
             if payload is None:
                 return
+            manager = self.server.manager
             try:
-                job = self.server.manager.submit(payload)
+                job = manager.accept(payload)
             except JobError as exc:
                 self._send_error(400, str(exc))
                 return
-            self._send_json(201, job.to_dict())
+            try:
+                self._send_text(201, job.to_json())
+            finally:
+                # after the 201 is on the wire, and even if writing it
+                # failed: the job was accepted, so it runs
+                manager.start(job)
         elif path == "/shutdown":
             self._send_json(200, {"ok": True, "draining": True})
             # answer first, then stop the server from outside this

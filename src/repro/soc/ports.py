@@ -72,8 +72,14 @@ class Port:
 
     def __post_init__(self) -> None:
         check_name(self.name, "port name")
+        # the chip digest writes a width by its value, so a bool or a
+        # float would pass for an int there (True for 1, 2.0 for 2)
+        if type(self.width) is not int:
+            raise ValueError(f"port {self.name!r}: width must be an int, got {self.width!r}")
         check_positive(self.width, "port width")
         if self.run is not None:
+            if type(self.run) is not int:
+                raise ValueError(f"port {self.name!r}: run must be an int, got {self.run!r}")
             if self.width != 1 or self.kind is not SignalKind.FUNCTIONAL:
                 raise ValueError(f"run {self.name!r} must be of single-bit functional terminals")
             check_positive(self.run, "run length")

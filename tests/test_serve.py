@@ -183,6 +183,50 @@ class TestCacheOverHttp:
         assert miss["cached"] is False
         assert server.wait(miss["id"])["status"] == "done"
 
+    def test_torn_disk_entry_is_recomputed(self, tmp_path, monkeypatch):
+        """A disk entry cut to half its length is a miss: the job runs
+        again, and its result replaces the torn entry."""
+        runs = []
+
+        def execute(normalized, work, execution, progress=None):
+            runs.append(normalized["kind"])
+            return {"schema": "test/echo", "request": normalized}
+
+        monkeypatch.setattr("repro.serve.jobs.execute", execute)
+
+        def serve(callback):
+            server = create_server(workers=1, cache_dir=str(tmp_path))
+            thread = threading.Thread(target=server.run, daemon=True)
+            thread.start()
+            client = ServeClient(server.url, timeout=30.0)
+            try:
+                client.wait_healthy()
+                return callback(client)
+            finally:
+                server.stop()
+                thread.join(timeout=10)
+
+        first = serve(lambda client: client.wait(client.submit(TINY)["id"]))
+        entry = tmp_path / f"{first['cache_key']}.json"
+        original = first["result"]
+        entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+
+        def resubmit(client):
+            again = client.submit(TINY)
+            assert again["cached"] is False
+            done = client.wait(again["id"])
+            assert done["status"] == "done" and done["result"] == original
+            hit = client.submit(TINY)
+            assert hit["cached"] is True
+            assert client.result_text(hit["id"]) == client.result_text(again["id"])
+            return client.stats()["cache"]
+
+        stats = serve(resubmit)
+        assert runs == ["integrate", "integrate"]
+        assert (stats["misses"], stats["disk_hits"]) == (1, 0)
+        assert (tmp_path / f"{first['cache_key']}.corrupt").exists()
+        assert json.loads(entry.read_bytes().partition(b"\n")[2]) == original
+
 
 class TestOtherJobKinds:
     def test_fuzz_job(self, server):

@@ -2,6 +2,7 @@
 (repro.serve.keys): LRU behaviour, disk persistence, and the
 normalization rules the cache's correctness rests on."""
 
+import hashlib
 import json
 
 import pytest
@@ -101,7 +102,47 @@ class TestResultCacheDisk:
     def test_entries_are_named_by_key(self, tmp_path):
         cache = ResultCache(cache_dir=tmp_path)
         cache.put(KEY_A, "payload")
-        assert (tmp_path / f"{KEY_A}.json").read_text() == "payload"
+        digest = hashlib.sha256(b"payload").hexdigest()
+        assert (tmp_path / f"{KEY_A}.json").read_bytes() == f"sha256:{digest}\npayload".encode()
+
+
+class TestResultCacheDiskIntegrity:
+    """A disk entry is served only if its body matches the digest it was
+    written with; any other entry is a miss and is moved aside."""
+
+    TEXT = json.dumps({"schedule": {"total_time": 31073}, "name": "d\u00e9 \"x\""}, indent=2)
+
+    @pytest.mark.parametrize("damage", ["truncated", "bit-flipped", "digest-less"])
+    def test_damaged_entry_is_a_miss(self, tmp_path, damage):
+        ResultCache(cache_dir=tmp_path).put(KEY_A, self.TEXT)
+        path = tmp_path / f"{KEY_A}.json"
+        raw = path.read_bytes()
+        if damage == "truncated":
+            torn = raw[: len(raw) // 2]
+        elif damage == "bit-flipped":
+            # "31073" becomes "31072": the body still parses
+            at = raw.index(b"31073") + 4
+            torn = raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:]
+            json.loads(torn.partition(b"\n")[2])
+        else:
+            # the bare body, as entries were written before the digest
+            torn = self.TEXT.encode()
+        path.write_bytes(torn)
+        cache = ResultCache(capacity=4, cache_dir=tmp_path)
+        assert cache.get(KEY_A) is None
+        assert (cache.hits, cache.misses, cache.disk_hits) == (0, 1, 0)
+        assert not path.exists()
+        assert (tmp_path / f"{KEY_A}.corrupt").read_bytes() == torn
+        assert KEY_A not in cache
+        # the recomputed result writes the entry afresh
+        cache.put(KEY_A, self.TEXT)
+        again = ResultCache(capacity=4, cache_dir=tmp_path)
+        assert again.get(KEY_A) == self.TEXT and again.disk_hits == 1
+
+    def test_intact_entry_round_trips_any_text(self, tmp_path):
+        text = "line\r\nnext\rlast \u00e9\U0001f600\n"
+        ResultCache(cache_dir=tmp_path).put(KEY_A, text)
+        assert ResultCache(cache_dir=tmp_path).get(KEY_A) == text
 
 
 class TestNormalization:

@@ -1,5 +1,7 @@
 """Tests for the SOC data model (ports, scan, cores, memories, chips)."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,6 +50,16 @@ class TestPort:
     def test_width_positive(self):
         with pytest.raises(ValueError):
             Port("d", Direction.IN, width=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("width", True), ("width", 2.0), ("run", True), ("run", 2.0),
+    ])
+    def test_width_and_run_must_be_ints(self, field, value):
+        """The chip digest writes a width by its value: ``True`` and
+        ``2.0`` must not pass for ``1`` and ``2``."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"port 'd': {field} must be an int, got {value!r}")):
+            Port("d", Direction.IN, **{field: value})
 
     def test_port_counts_widths(self):
         ports = [
