@@ -20,7 +20,7 @@ lock-discipline race detector:
    self.X:`` block is a finding — except in ``__init__`` (no other
    thread can hold a reference yet) and in methods named ``*_locked``
    (the documented called-with-lock-held convention, e.g.
-   ``JobManager._evict_locked``).
+   ``JobManager._finish_locked``).
 
 The rule is deliberately write-seeded: attributes only ever *read*
 under the lock (or never touched under it) are not claimed, keeping

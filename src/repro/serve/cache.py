@@ -1,5 +1,5 @@
 """Content-addressed result cache: in-memory LRU over an optional
-on-disk store.
+on-disk store, and the one LRU table class the serve layer keeps.
 
 Keys are sha256 hex digests (see :mod:`repro.serve.keys`) — the content
 address of *what was asked*: the SOC digest(s) plus the normalized job
@@ -24,6 +24,10 @@ then the body, the stored text in UTF-8.  Every disk read checks the
 digest: an entry that fails it (torn, flipped, or written without one)
 is a miss, never served, and is moved aside to ``<key>.corrupt``; the
 recomputed result then writes ``<key>.json`` afresh.
+
+A disk read that raises ``OSError`` is a miss, a write that raises one
+leaves the entry in memory only, and both count in ``disk_errors``.
+Disk I/O runs outside the cache lock, so it holds up no memory hit.
 """
 
 from __future__ import annotations
@@ -33,11 +37,63 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
+from itertools import islice
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
 
 
 _DIGEST_PREFIX = b"sha256:"
+
+
+class LruTable:
+    """A mapping in least-recently-used order, trimmed to ``cap``.
+
+    ``get`` and ``put`` make an entry the most recent; ``put`` and
+    ``trim`` then evict the coldest entries ``evictable`` accepts until
+    the table is back at ``cap``, counting them in ``evictions``.
+    ``cap=None`` is unbounded, ``cap=0`` holds nothing.  Values are
+    never ``None``.  Not thread-safe: the owner's lock guards it.
+    """
+
+    def __init__(self, cap: Optional[int] = None, evictable: Callable = lambda value: True):
+        self.cap = cap
+        self.evictable = evictable
+        self.evictions = 0
+        self._entries: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def values(self):
+        return self._entries.values()
+
+    def get(self, key) -> Any:
+        """The value under ``key``, made the most recent, or ``None``."""
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> int:
+        """Insert or refresh ``key``, then :meth:`trim`."""
+        if self.cap == 0:
+            return 0
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        return self.trim()
+
+    def trim(self) -> int:
+        """Evict the coldest evictable entries past ``cap``; how many."""
+        if self.cap is None or len(self._entries) <= self.cap:
+            return 0
+        victims = list(islice(
+            (key for key, value in self._entries.items() if self.evictable(value)),
+            len(self._entries) - self.cap,
+        ))
+        for key in victims:
+            del self._entries[key]
+        self.evictions += len(victims)
+        return len(victims)
 
 
 def _entry_bytes(text: str) -> bytes:
@@ -49,7 +105,8 @@ def _entry_bytes(text: str) -> bytes:
 def _read_entry(path: Path) -> Optional[str]:
     """The text of the disk entry at ``path``, or ``None`` when there is
     none or its digest line does not match its body; such a file is
-    moved aside to ``<key>.corrupt``, so it is never read again."""
+    moved aside to ``<key>.corrupt``, so it is never read again.  A disk
+    fault other than a missing file raises ``OSError``."""
     try:
         raw = path.read_bytes()
     except FileNotFoundError:
@@ -67,6 +124,24 @@ def _read_entry(path: Path) -> Optional[str]:
     return None
 
 
+def _write_entry(path: Path, text: str) -> None:
+    """Publish ``text`` at ``path`` atomically: temp file, then rename."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=str(path.parent), prefix=f".{path.stem[:8]}-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(_entry_bytes(text))
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ResultCache:
     """Thread-safe LRU + optional directory store for result documents.
 
@@ -81,14 +156,13 @@ class ResultCache:
     def __init__(self, capacity: int = 256, cache_dir: str | Path | None = None):
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._entries: OrderedDict[str, str] = OrderedDict()
+        self._entries = LruTable(capacity)
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.disk_hits = 0
+        self.disk_errors = 0
 
     # -- tiers -------------------------------------------------------------
 
@@ -101,17 +175,11 @@ class ResultCache:
             raise ValueError(f"cache key {key!r} is not a hex digest")
         return self.cache_dir / f"{key}.json"
 
-    def _remember(self, key: str, text: str) -> None:
-        """Insert into the LRU (caller holds the lock)."""
-        if self.capacity == 0:
-            return
-        self._entries[key] = text
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
     # -- public API --------------------------------------------------------
+
+    @property
+    def evictions(self) -> int:
+        return self._entries.evictions
 
     def get(self, key: str) -> Optional[str]:
         """The stored text for ``key``, or ``None`` on a miss.  Disk
@@ -120,65 +188,48 @@ class ResultCache:
         with self._lock:
             text = self._entries.get(key)
             if text is not None:
-                self._entries.move_to_end(key)
                 self.hits += 1
                 return text
-            if path is not None:
-                text = _read_entry(path)
-                if text is not None:
-                    self._remember(key, text)
-                    self.hits += 1
-                    self.disk_hits += 1
-                    return text
-            self.misses += 1
-            return None
+            if path is None:
+                self.misses += 1
+                return None
+        try:
+            text, faults = _read_entry(path), 0
+        except OSError:
+            text, faults = None, 1
+        with self._lock:
+            self.disk_errors += faults
+            if text is None:
+                self.misses += 1
+            else:
+                self._entries.put(key, text)
+                self.hits += 1
+                self.disk_hits += 1
+        return text
 
     def put(self, key: str, text: str) -> None:
-        """Store ``text`` under ``key`` in both tiers."""
+        """Store ``text`` under ``key`` in both tiers (in memory only
+        when the disk write fails)."""
         path = self._disk_path(key)
         with self._lock:
-            self._remember(key, text)
-            if path is not None:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                # atomic publish: a reader never sees a torn entry
-                fd, tmp = tempfile.mkstemp(
-                    dir=str(path.parent), prefix=f".{key[:8]}-", suffix=".tmp"
-                )
-                try:
-                    with os.fdopen(fd, "wb") as handle:
-                        handle.write(_entry_bytes(text))
-                    os.replace(tmp, path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
-
-    def clear(self) -> None:
-        """Drop the memory tier (the disk store, if any, is kept — it is
-        the durable tier; delete the directory to reset it)."""
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        path = self._disk_path(key)
-        with self._lock:
-            return key in self._entries or (path is not None and path.is_file())
+            self._entries.put(key, text)
+        if path is None:
+            return
+        try:
+            _write_entry(path, text)
+        except OSError:
+            with self._lock:
+                self.disk_errors += 1
 
     def stats(self) -> dict:
         """Counters for ``GET /stats``."""
         with self._lock:
             return {
-                "capacity": self.capacity,
+                "capacity": self._entries.cap,
                 "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
                 "disk_hits": self.disk_hits,
-                "evictions": self.evictions,
+                "evictions": self._entries.evictions,
                 "disk": str(self.cache_dir) if self.cache_dir is not None else None,
             }

@@ -42,7 +42,10 @@ The job table is bounded: past ``max_jobs`` retained records, terminal
 (done/failed) jobs are evicted least-recently-used first — the job
 document disappears (404), but the *result* lives on in the
 content-addressed cache, so resubmitting the work is a hit.  Live jobs
-are never evicted.
+are never evicted.  The job table and the request-key memo are each a
+:class:`repro.serve.cache.LruTable`.  Every way a job ends (born failed
+or done in ``accept``, stopped by a close, run by a worker) goes through
+``JobManager._finish_locked``.
 """
 
 from __future__ import annotations
@@ -51,13 +54,12 @@ import json
 import queue
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.gen import GenProfile, get_profile
 from repro.obs import METRICS, JobProgress
-from repro.serve.cache import ResultCache
+from repro.serve.cache import LruTable, ResultCache
 from repro.serve.keys import JobError, normalize_payload, soc_refs
 from repro.serve.runners import content_address, execute
 from repro.soc.digest import digest_document
@@ -74,6 +76,8 @@ JOB_STATES = ("queued", "running", "done", "failed")
 REQUEST_KEY_CAP = 4096
 
 _SENTINEL = None
+
+_STOPPED = "server stopped before execution"
 
 _M_SUBMITTED = METRICS.counter(
     "serve.jobs.submitted", "jobs accepted by JobManager.submit"
@@ -215,6 +219,10 @@ class Job:
         return f'{text[:-2]},\n  "result": {nested}\n}}'
 
 
+def _is_terminal(job: Job) -> bool:
+    return job.status in ("done", "failed")
+
+
 def result_to_text(doc: dict) -> str:
     """The serialized form of a result document — produced exactly once
     per cache entry, so hits are bit-identical to the populating miss."""
@@ -261,12 +269,10 @@ class JobManager:
             )
         self.cache = cache if cache is not None else ResultCache()
         self.default_backend = default_backend
-        self.max_jobs = max_jobs
-        self._jobs: OrderedDict[str, Job] = OrderedDict()
+        self._jobs = LruTable(max_jobs, evictable=_is_terminal)
         # request-key memo: request key → content key, for requests
-        # content_address built successfully; least recently used first
-        self._request_keys: OrderedDict[_RequestKey, str] = OrderedDict()
-        self._evicted = 0
+        # content_address built successfully
+        self._request_keys = LruTable(REQUEST_KEY_CAP)
         self._lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue()
         self._counter = 0
@@ -278,30 +284,6 @@ class JobManager:
         ]
         for thread in self._threads:
             thread.start()
-
-    # -- eviction ----------------------------------------------------------
-
-    def _evict_locked(self) -> None:
-        """Drop least-recently-used *terminal* jobs past ``max_jobs``.
-
-        Called with the lock held, after any insertion or terminal
-        transition.  The table is LRU-ordered (``get`` refreshes);
-        scanning from the cold end skips live (queued/running) jobs, so
-        a burst of in-flight work can exceed the cap until it drains.
-        """
-        if self.max_jobs is None or len(self._jobs) <= self.max_jobs:
-            return
-        excess = len(self._jobs) - self.max_jobs
-        victims = []
-        for job_id, job in self._jobs.items():
-            if job.status in ("done", "failed"):
-                victims.append(job_id)
-                if len(victims) == excess:
-                    break
-        for job_id in victims:
-            del self._jobs[job_id]
-            self._evicted += 1
-            _M_EVICTED.inc()
 
     # -- submission --------------------------------------------------------
 
@@ -341,7 +323,7 @@ class JobManager:
                 submitted_at=now,
                 submitted_mono=time.monotonic(),
             )
-            self._jobs[job.id] = job
+            _M_EVICTED.inc(self._jobs.put(job.id, job))
             known = self._request_keys.get(memo_key) if memo_key is not None else None
         _M_SUBMITTED.inc()
         (_M_KEY_MISSES if known is None else _M_KEY_HITS).inc()
@@ -355,28 +337,16 @@ class JobManager:
                 job.cache_key, job.work = content_address(normalized)
             except JobError as exc:
                 with self._lock:
-                    job.status = "failed"
-                    job.error = str(exc)
-                    job.mark_finished()
-                    self._evict_locked()
-                _M_FAILED.inc()
+                    self._finish_locked(job, error=str(exc))
                 return job
             if job.cache_key != known:
                 cached = self.cache.get(job.cache_key)
         with self._lock:
             if memo_key is not None:
-                self._request_keys[memo_key] = job.cache_key
-                self._request_keys.move_to_end(memo_key)
-                while len(self._request_keys) > REQUEST_KEY_CAP:
-                    self._request_keys.popitem(last=False)
+                self._request_keys.put(memo_key, job.cache_key)
             if cached is not None:
-                job.status = "done"
                 job.cached = True
-                job.result_text = cached
-                job.mark_finished()
-            self._evict_locked()
-        if job.cached:
-            _M_DONE.inc()
+                self._finish_locked(job, result_text=cached)
         return job
 
     def start(self, job: Job) -> Job:
@@ -386,25 +356,21 @@ class JobManager:
         with self._lock:
             if job.status == "queued":
                 if self._closed:
-                    self._stop_unstarted(job)
-                    self._evict_locked()
+                    self._finish_locked(job, error=_STOPPED)
                 else:
-                    self._queue.put(job.id)
+                    self._queue.put(job)
         return job
 
     # -- execution ---------------------------------------------------------
 
     def _worker(self) -> None:
         while True:
-            job_id = self._queue.get()
-            if job_id is _SENTINEL:
+            job = self._queue.get()
+            if job is _SENTINEL:
                 return
             with self._lock:
-                # queued jobs are never evicted, so the lookup only
-                # misses if a non-drain close failed the job first
-                job = self._jobs.get(job_id)
-                if job is None or job.status != "queued":
-                    continue
+                if job.status != "queued":
+                    continue  # a non-drain close failed it first
                 job.status = "running"
                 job.mark_started()
                 if job.kind in ("batch", "fuzz"):
@@ -417,49 +383,36 @@ class JobManager:
                     progress=job.progress,
                 )
                 text = result_to_text(doc)
+                self.cache.put(job.cache_key, text)
+                error = None
             except JobError as exc:
-                with self._lock:
-                    job.status = "failed"
-                    job.error = str(exc)
-                    job.mark_finished()
-                    self._evict_locked()
-                self._observe_terminal(job, failed=True)
-                continue
+                text, error = None, str(exc)
             except Exception as exc:  # noqa: BLE001 — a worker must not die
-                with self._lock:
-                    job.status = "failed"
-                    job.error = f"internal error: {type(exc).__name__}: {exc}"
-                    job.mark_finished()
-                    self._evict_locked()
-                self._observe_terminal(job, failed=True)
-                continue
-            self.cache.put(job.cache_key, text)
+                text, error = None, f"internal error: {type(exc).__name__}: {exc}"
             with self._lock:
-                job.result_text = text
-                job.status = "done"
-                job.mark_finished()
-                self._evict_locked()
-            self._observe_terminal(job, failed=False)
+                self._finish_locked(job, error=error, result_text=text)
 
-    @staticmethod
-    def _observe_terminal(job: Job, failed: bool) -> None:
-        """Bump the terminal counters and the run-time histogram for a
-        job that actually executed (cache hits never reach here)."""
-        (_M_FAILED if failed else _M_DONE).inc()
-        if job.finished_mono is not None and job.started_mono is not None:
-            _M_RUN_SECONDS.observe(
-                job.finished_mono - job.started_mono, kind=job.kind
-            )
+    def _finish_locked(self, job: Job, error: Optional[str] = None,
+                       result_text: Optional[str] = None) -> None:
+        """End ``job``: ``failed`` with ``error``, else ``done`` with
+        ``result_text``.  Trims the job table, counts the outcome and,
+        for a job a worker ran, its run time.  Caller holds the lock."""
+        ran = job.started_mono is not None
+        job.status = "done" if error is None else "failed"
+        job.error = error
+        job.result_text = result_text
+        job.mark_finished()
+        _M_EVICTED.inc(self._jobs.trim())
+        (_M_DONE if error is None else _M_FAILED).inc()
+        if ran:
+            _M_RUN_SECONDS.observe(job.finished_mono - job.started_mono, kind=job.kind)
 
     # -- inspection --------------------------------------------------------
 
     def get(self, job_id: str) -> Optional[Job]:
+        """The retained job ``job_id``, made the last to be evicted."""
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is not None:
-                # LRU touch: a fetched job is hot, evict colder ones first
-                self._jobs.move_to_end(job_id)
-            return job
+            return self._jobs.get(job_id)
 
     def jobs(self) -> list[Job]:
         """Every retained job, in submission order (ids are sequential,
@@ -473,7 +426,7 @@ class JobManager:
             for job in self._jobs.values():
                 by_status[job.status] += 1
             submitted = self._counter
-            evicted = self._evicted
+            evicted = self._jobs.evictions
         from repro.sched.timecalc import scan_time_cache_stats
 
         doc = {
@@ -485,7 +438,7 @@ class JobManager:
                 "submitted": submitted,
                 "retained": sum(by_status.values()),
                 "evicted": evicted,
-                "max_jobs": self.max_jobs,
+                "max_jobs": self._jobs.cap,
                 **by_status,
             },
             "cache": self.cache.stats(),
@@ -495,14 +448,6 @@ class JobManager:
 
     # -- shutdown ----------------------------------------------------------
 
-    @staticmethod
-    def _stop_unstarted(job: Job) -> None:
-        """Fail a queued job the closed manager will not run (caller
-        holds the lock)."""
-        job.status = "failed"
-        job.error = "server stopped before execution"
-        job.mark_finished()
-
     def close(self, drain: bool = True) -> None:
         """Stop the pool.  ``drain=True`` finishes every queued job
         first; ``drain=False`` fails still-queued jobs (in-flight jobs
@@ -511,11 +456,10 @@ class JobManager:
             if self._closed:
                 return
             self._closed = True
-        if not drain:
-            with self._lock:
-                for job in self._jobs.values():
+            if not drain:
+                for job in list(self._jobs.values()):
                     if job.status == "queued":
-                        self._stop_unstarted(job)
+                        self._finish_locked(job, error=_STOPPED)
         for _ in self._threads:
             self._queue.put(_SENTINEL)
         for thread in self._threads:

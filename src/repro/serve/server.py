@@ -63,6 +63,7 @@ def render_server_metrics(manager: JobManager) -> str:
         ("cache.result.misses", "counter", None, cache["misses"]),
         ("cache.result.disk_hits", "counter", None, cache["disk_hits"]),
         ("cache.result.evictions", "counter", None, cache["evictions"]),
+        ("cache.result.disk_errors", "counter", None, manager.cache.disk_errors),
         ("cache.result.entries", "gauge", None, cache["entries"]),
         ("cache.result.capacity", "gauge", None, cache["capacity"]),
         ("serve.uptime_seconds", "gauge", None, stats["uptime_seconds"]),
@@ -206,6 +207,8 @@ class ServeServer(ThreadingHTTPServer):
     """Threading HTTP server owning a :class:`JobManager`."""
 
     daemon_threads = True
+    # socketserver's default backlog of 5 drops a burst of connections
+    request_queue_size = 64
 
     def __init__(
         self,

@@ -2,8 +2,13 @@
 (repro.serve.keys): LRU behaviour, disk persistence, and the
 normalization rules the cache's correctness rests on."""
 
+import errno
 import hashlib
 import json
+import os
+import tempfile
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -34,11 +39,11 @@ class TestResultCacheMemory:
         assert cache.get(KEY_B) is None
         assert cache.get(KEY_A) == "a" and cache.get(KEY_C) == "c"
 
-    def test_len_and_contains(self):
+    def test_entries_counted_in_stats(self):
         cache = ResultCache(capacity=4)
-        assert len(cache) == 0 and KEY_A not in cache
+        assert cache.stats()["entries"] == 0
         cache.put(KEY_A, "a")
-        assert len(cache) == 1 and KEY_A in cache
+        assert cache.stats()["entries"] == 1 and cache.get(KEY_A) == "a"
 
     def test_zero_capacity_disables_memory_tier(self):
         cache = ResultCache(capacity=0)
@@ -49,10 +54,11 @@ class TestResultCacheMemory:
         with pytest.raises(ValueError):
             ResultCache(capacity=-1)
 
-    def test_clear_drops_memory(self):
-        cache = ResultCache(capacity=4)
-        cache.put(KEY_A, "a")
-        cache.clear()
+    def test_memory_tier_holds_at_most_capacity(self):
+        cache = ResultCache(capacity=2)
+        for key in (KEY_A, KEY_B, KEY_C):
+            cache.put(key, key[0])
+        assert cache.stats()["entries"] == 2 and cache.evictions == 1
         assert cache.get(KEY_A) is None
 
     def test_stats_shape(self):
@@ -75,9 +81,8 @@ class TestResultCacheDisk:
         assert second.disk_hits == 1
 
     def test_disk_hit_promotes_into_memory(self, tmp_path):
+        ResultCache(capacity=4, cache_dir=tmp_path).put(KEY_A, "a")
         cache = ResultCache(capacity=4, cache_dir=tmp_path)
-        cache.put(KEY_A, "a")
-        cache.clear()
         assert cache.get(KEY_A) == "a"  # from disk
         assert cache.get(KEY_A) == "a"  # now from memory
         assert cache.disk_hits == 1 and cache.hits == 2
@@ -133,7 +138,7 @@ class TestResultCacheDiskIntegrity:
         assert (cache.hits, cache.misses, cache.disk_hits) == (0, 1, 0)
         assert not path.exists()
         assert (tmp_path / f"{KEY_A}.corrupt").read_bytes() == torn
-        assert KEY_A not in cache
+        assert cache.stats()["entries"] == 0
         # the recomputed result writes the entry afresh
         cache.put(KEY_A, self.TEXT)
         again = ResultCache(capacity=4, cache_dir=tmp_path)
@@ -143,6 +148,112 @@ class TestResultCacheDiskIntegrity:
         text = "line\r\nnext\rlast \u00e9\U0001f600\n"
         ResultCache(cache_dir=tmp_path).put(KEY_A, text)
         assert ResultCache(cache_dir=tmp_path).get(KEY_A) == text
+
+
+_REAL_FDOPEN = os.fdopen
+
+
+def _no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _FullDiskHandle:
+    """``os.fdopen`` over a disk with no space left: the write raises."""
+
+    def __init__(self, fd, mode):
+        self.handle = _REAL_FDOPEN(fd, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        _no_space()
+
+
+class TestResultCacheDiskFaults:
+    """A disk fault is a miss on read and a memory-only entry on write,
+    counted in ``disk_errors``; it never escapes the cache."""
+
+    def test_store_that_is_a_regular_file(self, tmp_path):
+        store = tmp_path / "store"
+        store.write_text("not a directory")
+        cache = ResultCache(capacity=4, cache_dir=store)
+        assert cache.get(KEY_A) is None  # NotADirectoryError reading
+        cache.put(KEY_A, "a")  # FileExistsError creating the store
+        assert cache.get(KEY_A) == "a"
+        assert cache.disk_errors == 2
+        assert (cache.hits, cache.misses, cache.disk_hits) == (1, 1, 0)
+        assert "disk_errors" not in cache.stats()
+
+    @pytest.mark.parametrize("step", ["mkdir", "mkstemp", "write", "replace"])
+    def test_failed_write_keeps_the_entry_in_memory(self, tmp_path, monkeypatch, step):
+        store = tmp_path / "store"
+        target = {
+            "mkdir": (Path, "mkdir", _no_space),
+            "mkstemp": (tempfile, "mkstemp", _no_space),
+            "write": (os, "fdopen", _FullDiskHandle),
+            "replace": (os, "replace", _no_space),
+        }[step]
+        cache = ResultCache(capacity=4, cache_dir=store)
+        monkeypatch.setattr(*target)
+        cache.put(KEY_A, "a")
+        monkeypatch.undo()
+        assert cache.disk_errors == 1
+        assert cache.get(KEY_A) == "a" and cache.disk_hits == 0
+        # no entry and no temp file is left behind
+        assert not store.exists() or list(store.iterdir()) == []
+        assert ResultCache(cache_dir=store).get(KEY_A) is None
+
+    def test_failed_read_is_a_miss(self, tmp_path, monkeypatch):
+        ResultCache(cache_dir=tmp_path).put(KEY_A, "a")
+        cache = ResultCache(capacity=4, cache_dir=tmp_path)
+        monkeypatch.setattr(Path, "read_bytes", _no_space)
+        assert cache.get(KEY_A) is None
+        monkeypatch.undo()
+        assert (cache.hits, cache.misses, cache.disk_errors) == (0, 1, 1)
+        assert cache.get(KEY_A) == "a"  # the entry itself is intact
+
+    def test_failed_move_aside_is_a_miss(self, tmp_path, monkeypatch):
+        ResultCache(cache_dir=tmp_path).put(KEY_A, "a")
+        entry = tmp_path / f"{KEY_A}.json"
+        entry.write_bytes(entry.read_bytes()[:-1])
+        cache = ResultCache(capacity=4, cache_dir=tmp_path)
+        monkeypatch.setattr(os, "replace", _no_space)
+        assert cache.get(KEY_A) is None
+        monkeypatch.undo()
+        assert (cache.hits, cache.misses, cache.disk_errors) == (0, 1, 1)
+
+    def test_disk_write_holds_no_lock(self, tmp_path, monkeypatch):
+        """A memory hit does not wait for another thread's disk write."""
+        from repro.serve import cache as cache_module
+
+        cache = ResultCache(capacity=4, cache_dir=tmp_path)
+        cache.put(KEY_A, "a")
+        writing, release = threading.Event(), threading.Event()
+        entry_bytes = cache_module._entry_bytes
+
+        def slow(text):
+            writing.set()
+            assert release.wait(timeout=30)
+            return entry_bytes(text)
+
+        monkeypatch.setattr(cache_module, "_entry_bytes", slow)
+        writer = threading.Thread(target=cache.put, args=(KEY_B, "b"))
+        writer.start()
+        try:
+            assert writing.wait(timeout=10)
+            got = []
+            reader = threading.Thread(target=lambda: got.append(cache.get(KEY_A)))
+            reader.start()
+            reader.join(timeout=1.0)
+            assert got == ["a"]
+        finally:
+            release.set()
+            writer.join(timeout=10)
+        assert ResultCache(cache_dir=tmp_path).get(KEY_B) == "b"
 
 
 class TestNormalization:

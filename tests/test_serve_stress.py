@@ -19,6 +19,10 @@ the counters disagree or the table overshoots its cap.
 The request-key memo shares the same lock: submitters racing over a
 few cached jobs through a memo too small to hold them all must each get
 their own job's stored bytes, and the memo must stay within its cap.
+
+The result cache reads and writes its disk tier outside its lock: with
+threads racing gets and puts over a store, every lookup must still be
+counted once and answer the key's own text.
 """
 
 import sys
@@ -108,6 +112,45 @@ class TestJobManagerStress:
             assert len(manager.jobs()) == final["retained"]
         finally:
             manager.close()
+
+
+class TestResultCacheStress:
+    def test_disk_io_outside_the_lock_loses_no_count(self, tmp_path):
+        cache = ResultCache(capacity=3, cache_dir=tmp_path)
+        keys = [f"{i:064x}" for i in range(6)]
+        gets = [0] * SUBMITTERS
+        barrier = threading.Barrier(SUBMITTERS)
+        errors: list[BaseException] = []
+
+        def racer(slot: int) -> None:
+            try:
+                barrier.wait()
+                for i in range(JOBS_EACH * 4):
+                    key = keys[(slot + i) % len(keys)]
+                    if i % 3 == 0:
+                        cache.put(key, f"text {key}")
+                    else:
+                        assert cache.get(key) in (None, f"text {key}")
+                        gets[slot] += 1
+            except BaseException as exc:  # pragma: no cover — failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=racer, args=(i,)) for i in range(SUBMITTERS)]
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == sum(gets)
+        assert stats["disk_hits"] <= stats["hits"] and stats["entries"] <= 3
+        assert cache.disk_errors == 0
 
 
 class TestRequestKeyMemoStress:
