@@ -75,14 +75,16 @@ def measure_throughput(base_url: str) -> list[dict]:
         errors = []
 
         def hammer():
+            local = ServeClient(base_url, timeout=30.0)
             try:
-                local = ServeClient(base_url, timeout=30.0)
                 for _ in range(JOBS_PER_CLIENT):
                     job = local.submit(D695_JOB)
                     if not job["cached"]:
                         raise RuntimeError("expected a cache hit")
             except Exception as exc:  # noqa: BLE001 — reported below
                 errors.append(exc)
+            finally:
+                local.close()
 
         threads = [threading.Thread(target=hammer) for _ in range(clients)]
         t0 = time.perf_counter()
@@ -116,6 +118,7 @@ def run(out_path: str) -> dict:
         throughput = measure_throughput(server.url)
         stats = client.stats()
     finally:
+        client.close()
         server.stop()
         thread.join(timeout=10)
 

@@ -595,6 +595,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     except (ServeError, OSError) as exc:
         print(f"cannot fetch {args.url}/metrics: {exc}", file=sys.stderr)
         return 1
+    finally:
+        client.close()
     return 0
 
 

@@ -2,7 +2,8 @@
 
 The serve layer mutates shared state from two thread populations at
 once: ``JobManager`` worker threads (job transitions, eviction) and
-HTTP handler threads (submit, poll, ``/stats``).  The convention the
+the server's event-loop thread (submit, poll, ``/stats``), plus
+whichever thread calls ``ServeServer.stop``.  The convention the
 code promises is *attribute-access-under-lock*: any instance attribute
 a class writes while holding its ``threading.Lock`` is part of the
 lock's protected set, and every other touch of that attribute must

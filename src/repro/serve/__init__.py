@@ -17,9 +17,12 @@ remembers the key of every request it has addressed (keyed by the
 request's digest and the generator profiles its specs resolve to), so
 a hit costs a digest and a cache read.
 
-Everything is stdlib (``http.server``, ``json``, ``urllib``): the
-service adds no dependencies over the library it wraps.  Start one with
-``python -m repro serve`` or in-process via :func:`create_server`.
+Everything is stdlib (``asyncio``, ``http.client``, ``json``): the
+service adds no dependencies over the library it wraps.  The server
+answers persistent HTTP/1.1 connections from one event loop, and
+:class:`ServeClient` keeps one connection per thread, so a cache hit
+costs neither a TCP handshake nor a thread.  Start one with ``python -m
+repro serve`` or in-process via :func:`create_server`.
 
 Fuzz *campaigns* (:mod:`repro.gen.campaign`) are deliberately **not** a
 job kind.  Every served job is a cacheable request/response pair — a

@@ -37,7 +37,6 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -84,12 +83,15 @@ class LruTable:
 
     def trim(self) -> int:
         """Evict the coldest evictable entries past ``cap``; how many."""
-        if self.cap is None or len(self._entries) <= self.cap:
+        excess = 0 if self.cap is None else len(self._entries) - self.cap
+        if excess <= 0:
             return 0
-        victims = list(islice(
-            (key for key, value in self._entries.items() if self.evictable(value)),
-            len(self._entries) - self.cap,
-        ))
+        victims = []
+        for key, value in self._entries.items():
+            if self.evictable(value):
+                victims.append(key)
+                if len(victims) == excess:
+                    break
         for key in victims:
             del self._entries[key]
         self.evictions += len(victims)

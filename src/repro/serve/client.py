@@ -1,4 +1,4 @@
-"""Stdlib client for the serving API (:mod:`urllib` — importable
+"""Stdlib client for the serving API (:mod:`http.client` — importable
 anywhere the server is).
 
 The tests, the CI smoke check, and the serving benchmark all speak to
@@ -9,14 +9,22 @@ consumer of the wire protocol::
     job = client.submit({"kind": "integrate", "soc": {"name": "d695"}})
     job = client.wait(job["id"])
     doc = client.result(job["id"])          # the raw v4 document
+
+Each thread that uses a client gets one kept-alive connection, reused
+for every request it makes until it calls :meth:`ServeClient.close`.
+Before a request, a connection whose socket is readable (the server
+closed it, or sent bytes no request asked for) is replaced.  A request is never sent twice: when its answer
+is lost after the write, the error is raised to the caller.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from typing import Optional
 
 
@@ -31,13 +39,30 @@ class ServeError(RuntimeError):
 
 
 class ServeClient:
-    """Thin blocking client over :mod:`urllib.request`."""
+    """Thin blocking client: one kept-alive
+    :class:`http.client.HTTPConnection` per thread."""
 
     def __init__(self, base_url: str, timeout: float = 60.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        url = urllib.parse.urlsplit(self.base_url)
+        self._address = (url.hostname, url.port)
+        self._prefix = url.path
+        self._local = threading.local()
 
     # -- transport ---------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, closed first (so the next request
+        opens a new one) when the server has closed it."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(*self._address, timeout=self.timeout)
+            self._local.connection = connection
+        elif connection.sock is not None and \
+                select.select([connection.sock], [], [], 0)[0]:
+            connection.close()
+        return connection
 
     def request_text(
         self, method: str, path: str, payload: Optional[dict] = None
@@ -48,19 +73,23 @@ class ServeClient:
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", data=body, headers=headers, method=method
-        )
+        connection = self._connection()
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            raw = exc.read().decode("utf-8", errors="replace")
-            try:
-                detail = json.loads(raw).get("error", raw)
-            except (json.JSONDecodeError, AttributeError):
-                detail = raw
-            raise ServeError(exc.code, detail) from exc
+            connection.request(method, self._prefix + path, body=body, headers=headers)
+            response = connection.getresponse()
+            raw = response.read()
+        except BaseException:
+            # the connection's state is unknown; the request is not sent again
+            connection.close()
+            raise
+        if 200 <= response.status < 300:
+            return raw.decode("utf-8")
+        text = raw.decode("utf-8", errors="replace")
+        try:
+            detail = json.loads(text).get("error", text)
+        except (json.JSONDecodeError, AttributeError):
+            detail = text
+        raise ServeError(response.status, detail)
 
     def request(self, method: str, path: str, payload: Optional[dict] = None) -> dict:
         return json.loads(self.request_text(method, path, payload))
@@ -123,5 +152,14 @@ class ServeClient:
         return self.request_text("GET", "/metrics")
 
     def shutdown(self) -> None:
-        """Ask the server to drain and exit."""
+        """Ask the server to drain and exit, then close this thread's
+        connection (the server closes it too once it has drained)."""
         self.request("POST", "/shutdown")
+        self.close()
+
+    def close(self) -> None:
+        """Close the calling thread's connection; its next request
+        opens another."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()

@@ -323,7 +323,9 @@ class JobManager:
                 submitted_at=now,
                 submitted_mono=time.monotonic(),
             )
-            _M_EVICTED.inc(self._jobs.put(job.id, job))
+            evicted = self._jobs.put(job.id, job)
+            if evicted:
+                _M_EVICTED.inc(evicted)
             known = self._request_keys.get(memo_key) if memo_key is not None else None
         _M_SUBMITTED.inc()
         (_M_KEY_MISSES if known is None else _M_KEY_HITS).inc()
@@ -402,7 +404,9 @@ class JobManager:
         job.error = error
         job.result_text = result_text
         job.mark_finished()
-        _M_EVICTED.inc(self._jobs.trim())
+        evicted = self._jobs.trim()
+        if evicted:
+            _M_EVICTED.inc(evicted)
         (_M_DONE if error is None else _M_FAILED).inc()
         if ran:
             _M_RUN_SECONDS.observe(job.finished_mono - job.started_mono, kind=job.kind)

@@ -1,5 +1,5 @@
-"""The HTTP face of the job queue — stdlib only
-(:class:`http.server.ThreadingHTTPServer` + :mod:`json`).
+"""The HTTP face of the job queue: persistent HTTP/1.1 connections
+served from one :mod:`asyncio` event loop, stdlib only.
 
 Endpoints::
 
@@ -15,9 +15,9 @@ Endpoints::
 ``GET /metrics`` renders the process-wide :data:`repro.obs.METRICS`
 registry (scheduler counters, the evaluator-memo cache, scan-time table
 builds, pipeline stage histograms, job counters) plus this server's own
-result cache and job table as extra samples — one scrape covers every
-cache.  While a batch or fuzz job runs, its live scenario counters
-also appear on ``GET /jobs/<id>`` under ``progress``.
+result cache, job table and connection counters as extra samples — one
+scrape covers every cache.  While a batch or fuzz job runs, its live
+scenario counters also appear on ``GET /jobs/<id>`` under ``progress``.
 
 ``POST /jobs`` answers with the full job document, so a submit that
 hits the result cache returns ``status: "done"``, ``cached: true`` and
@@ -25,21 +25,46 @@ the result inline — one round-trip.  ``/jobs/<id>/result`` serves the
 stored text byte-for-byte, which is what makes the cache's
 bit-identical guarantee observable on the wire.
 
+Transport.  :meth:`ServeServer.run` serves from an ``asyncio`` streams
+server on the thread that calls it.  Each connection is a task on that
+loop and stays open between requests (HTTP/1.1 keep-alive), so a client
+that reuses its connection pays for neither a TCP handshake nor a
+thread per request, and an idle connection holds no thread: the
+server's threads are the ``run()`` thread and the job workers.  A
+connection closes after ``Connection: close``, after an HTTP/1.0
+request that does not ask for keep-alive, and after a refused request.
+:meth:`ServeServer.route` answers one request synchronously on the
+loop, so a cache miss's content addressing (2-8 ms on the serve-mixed
+catalog, ~18 ms for a ``huge`` chip) holds up every other connection
+for its duration.
+
 Every response is written from bytes the server already holds: a job
 document splices in its stored result text (:meth:`Job.to_json`), and
-the status line, headers and body leave in one write (for a body up to
-64 KiB).  A job worker holds the interpreter lock while it runs, so a
-second write would wait out a switch interval behind it.  For the same
-reason ``POST /jobs`` accepts a job, writes its ``201`` and only then
-starts it (:meth:`JobManager.accept`, :meth:`JobManager.start`).
+the status line, headers and body leave in one transport write.  A job
+worker holds the interpreter lock while it runs, so a second write
+would wait out a switch interval behind it.  For the same reason
+``POST /jobs`` accepts a job, writes its ``201`` and only then starts
+it (:meth:`JobManager.accept`, :meth:`JobManager.start`).
+
+A request the server cannot read is answered with a JSON ``error`` and
+its connection closed: 400 for a malformed request line or header, 431
+for a head over :data:`MAX_HEAD_BYTES`, 413 for a ``Content-Length``
+that is not an integer in ``0..MAX_BODY_BYTES``, 501 for
+``Transfer-Encoding`` or a method other than GET and POST, 505 for an
+HTTP version other than 1.0 and 1.1.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
+import socket
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+import time
+import traceback
+from http import HTTPStatus
+from typing import Callable, Optional
 
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import JobManager
@@ -49,13 +74,68 @@ from repro.serve.keys import JobError
 #: ``.soc`` text is ~100 KiB; 16 MiB leaves two orders of headroom).
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Largest request head (request line and headers).
+MAX_HEAD_BYTES = 64 * 1024
 
-def render_server_metrics(manager: JobManager) -> str:
+#: Connections the listening socket queues before ``accept`` (the
+#: kernel's queue, so a burst of clients is not dropped).
+LISTEN_BACKLOG = 64
+
+JSON_TYPE = "application/json"
+METRICS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: What :meth:`ServeServer.route` answers: status, content type, body
+#: text, and an action to run once the response is written (or None).
+Response = tuple[int, str, str, Optional[Callable[[], object]]]
+
+
+class _Refused(Exception):
+    """A request the server answers with ``status`` and then closes."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def _json(status: int, doc: dict) -> Response:
+    return status, JSON_TYPE, json.dumps(doc, indent=2), None
+
+
+def _error(status: int, message: str) -> Response:
+    return _json(status, {"error": message})
+
+
+def _parse_head(head: bytes) -> tuple[str, str, str, dict[str, str]]:
+    """Method, target, version and headers (names lowercased) of one
+    request head, which ends in a blank line; :class:`_Refused` when
+    it is malformed."""
+    lines = head.decode("latin-1").split("\r\n")
+    words = lines[0].split()
+    if len(words) != 3 or not words[2].startswith("HTTP/"):
+        raise _Refused(400, f"bad request line: {lines[0]!r}")
+    method, target, version = words
+    if version not in ("HTTP/1.0", "HTTP/1.1"):
+        raise _Refused(505, f"unsupported HTTP version: {version!r}")
+    headers = {}
+    for line in lines[1:-2]:
+        name, colon, value = line.partition(":")
+        if not colon or not name.strip():
+            raise _Refused(400, f"bad header line: {line!r}")
+        headers[name.strip().lower()] = value.strip()
+    if target.startswith("//"):
+        # as http.server did: "//x" is the path "/x", not a host
+        target = "/" + target.lstrip("/")
+    return method, target, version, headers
+
+
+def render_server_metrics(server: "ServeServer") -> str:
     """The ``/metrics`` exposition: the global registry plus samples
     scoped to this server instance (its result cache and job table,
-    which live on the manager rather than in the process registry)."""
+    which live on the manager rather than in the process registry, and
+    its connection counters)."""
     from repro.obs import METRICS
 
+    manager = server.manager
     cache = manager.cache.stats()
     stats = manager.stats()
     extra = [
@@ -66,6 +146,8 @@ def render_server_metrics(manager: JobManager) -> str:
         ("cache.result.disk_errors", "counter", None, manager.cache.disk_errors),
         ("cache.result.entries", "gauge", None, cache["entries"]),
         ("cache.result.capacity", "gauge", None, cache["capacity"]),
+        ("serve.http.connections", "counter", None, server.connections),
+        ("serve.http.requests", "counter", None, server.requests),
         ("serve.uptime_seconds", "gauge", None, stats["uptime_seconds"]),
         ("serve.workers", "gauge", None, stats["workers"]),
     ]
@@ -77,138 +159,12 @@ def render_server_metrics(manager: JobManager) -> str:
     return METRICS.render_prometheus(extra=extra)
 
 
-class ServeHandler(BaseHTTPRequestHandler):
-    """Request router; the job manager lives on the server object."""
+class ServeServer:
+    """An HTTP server owning a :class:`JobManager`.
 
-    server: "ServeServer"
-    protocol_version = "HTTP/1.1"
-    # buffer the status line, headers and a body up to 64 KiB, so that
-    # _send_text's one flush is one write to the socket
-    wbufsize = 64 * 1024 + 4096
-
-    # -- plumbing ----------------------------------------------------------
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def handle_expect_100(self) -> bool:
-        # the buffered wfile would hold the interim answer back, and the
-        # client waits for it before sending the body
-        super().handle_expect_100()
-        self.wfile.flush()
-        return True
-
-    def _send_text(
-        self, status: int, text: str, content_type: str = "application/json"
-    ) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        self.wfile.flush()
-
-    def _send_json(self, status: int, doc: dict) -> None:
-        self._send_text(status, json.dumps(doc, indent=2))
-
-    def _send_error(self, status: int, message: str) -> None:
-        self._send_json(status, {"error": message})
-
-    def _read_body(self) -> Optional[dict]:
-        """The request's JSON body, or ``None`` after answering 400/413."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            self._send_error(413, f"request body must be 0..{MAX_BODY_BYTES} bytes")
-            return None
-        raw = self.rfile.read(length)
-        try:
-            doc = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._send_error(400, f"request body is not valid JSON: {exc}")
-            return None
-        if not isinstance(doc, dict):
-            self._send_error(400, "request body must be a JSON object")
-            return None
-        return doc
-
-    # -- routes ------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        manager = self.server.manager
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        if path == "/healthz":
-            self._send_json(200, {"ok": True})
-        elif path == "/stats":
-            self._send_json(200, manager.stats())
-        elif path == "/metrics":
-            self._send_text(
-                200,
-                render_server_metrics(manager),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
-            )
-        elif path == "/jobs":
-            self._send_json(
-                200,
-                {"jobs": [job.to_dict() for job in manager.jobs()]},
-            )
-        elif path.startswith("/jobs/"):
-            parts = path.split("/")[2:]
-            job = manager.get(parts[0])
-            if job is None:
-                self._send_error(404, f"no such job: {parts[0]!r}")
-            elif parts[1:] == ["result"]:
-                if job.result_text is None:
-                    self._send_error(
-                        409, f"job {job.id} has no result (status: {job.status})"
-                    )
-                else:
-                    self._send_text(200, job.result_text)
-            elif parts[1:]:
-                self._send_error(404, f"unknown path: {self.path!r}")
-            else:
-                self._send_text(200, job.to_json())
-        else:
-            self._send_error(404, f"unknown path: {self.path!r}")
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        path = self.path.split("?", 1)[0].rstrip("/")
-        if path == "/jobs":
-            payload = self._read_body()
-            if payload is None:
-                return
-            manager = self.server.manager
-            try:
-                job = manager.accept(payload)
-            except JobError as exc:
-                self._send_error(400, str(exc))
-                return
-            try:
-                self._send_text(201, job.to_json())
-            finally:
-                # after the 201 is on the wire, and even if writing it
-                # failed: the job was accepted, so it runs
-                manager.start(job)
-        elif path == "/shutdown":
-            self._send_json(200, {"ok": True, "draining": True})
-            # answer first, then stop the server from outside this
-            # handler thread (shutdown() deadlocks if called from a
-            # request being served)
-            threading.Thread(target=self.server.stop, daemon=True).start()
-        else:
-            self._send_error(404, f"unknown path: {self.path!r}")
-
-
-class ServeServer(ThreadingHTTPServer):
-    """Threading HTTP server owning a :class:`JobManager`."""
-
-    daemon_threads = True
-    # socketserver's default backlog of 5 drops a burst of connections
-    request_queue_size = 64
+    Built bound and listening (a backlog of :data:`LISTEN_BACKLOG`);
+    :meth:`run` serves until :meth:`stop`.
+    """
 
     def __init__(
         self,
@@ -219,12 +175,32 @@ class ServeServer(ThreadingHTTPServer):
         verbose: bool = False,
         max_jobs: Optional[int] = None,
     ):
-        super().__init__(address, ServeHandler)
-        self.manager = JobManager(
-            workers=workers, cache=cache, default_backend=backend, max_jobs=max_jobs
-        )
+        self.socket = socket.create_server(address, backlog=LISTEN_BACKLOG)
+        try:
+            self.manager = JobManager(
+                workers=workers, cache=cache, default_backend=backend,
+                max_jobs=max_jobs,
+            )
+        except BaseException:
+            self.socket.close()
+            raise
+        self.server_address = self.socket.getsockname()[:2]
         self.verbose = verbose
-        self._stopped = threading.Event()
+        #: connections accepted and responses written (``/metrics``);
+        #: only the loop thread writes them
+        self.connections = 0
+        self.requests = 0
+        self._lock = threading.Lock()
+        self._stopping = False  # stop() has begun
+        self._quit = False  # the manager is closed: the loop may end
+        self._running = False  # run() was called
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._wake: Optional[asyncio.Event] = None
+        self._done = threading.Event()
+        # loop thread only: each open connection's writer, and whether
+        # the loop is closing them
+        self._connections: set[asyncio.StreamWriter] = set()
+        self._closing = False
 
     @property
     def port(self) -> int:
@@ -235,22 +211,236 @@ class ServeServer(ThreadingHTTPServer):
         host = self.server_address[0]
         return f"http://{host}:{self.port}"
 
-    def stop(self, drain: bool = True) -> None:
-        """Drain the job queue and stop accepting requests (idempotent)."""
-        if self._stopped.is_set():
-            return
-        self._stopped.set()
-        self.manager.close(drain=drain)
-        self.shutdown()
+    # -- lifecycle -----------------------------------------------------------
 
     def run(self) -> None:
-        """Serve until :meth:`stop` (or Ctrl-C, which drains first)."""
+        """Serve on this thread until :meth:`stop` (or Ctrl-C, which
+        drains the job queue first)."""
+        with self._lock:
+            self._running = True
         try:
-            self.serve_forever(poll_interval=0.1)
+            asyncio.run(self._serve())
         except KeyboardInterrupt:
-            self.stop()
+            self._close_manager(drain=True)
         finally:
             self.server_close()
+            self._done.set()
+
+    def stop(self, drain: bool = True) -> None:
+        """Close the job manager (finishing queued jobs when ``drain``),
+        then end :meth:`run`: stop listening and close every connection.
+        Returns once ``run()`` has; callable from any thread but the
+        loop's own, and more than once."""
+        self._close_manager(drain)
+        with self._lock:
+            running = self._running
+        if running:
+            self._done.wait()
+
+    def server_close(self) -> None:
+        """Close the listening socket (``run()`` does on its way out)."""
+        self.socket.close()
+
+    def _close_manager(self, drain: bool) -> None:
+        """Close the manager once, then let the loop end."""
+        with self._lock:
+            first, self._stopping = not self._stopping, True
+        if not first:
+            return
+        self.manager.close(drain=drain)
+        with self._lock:
+            self._quit = True
+            if self._loop is not None:
+                self._loop.call_soon_threadsafe(self._wake.set)
+
+    def _stop_in_background(self) -> None:
+        # from a request on the loop: the drain must not block the loop
+        # (GETs are answered while jobs finish), and stop() waits for
+        # the loop to end
+        threading.Thread(target=self.stop, name="serve-stop", daemon=True).start()
+
+    async def _serve(self) -> None:
+        self._wake = asyncio.Event()
+        server = await asyncio.start_server(
+            self._connection, sock=self.socket, limit=MAX_HEAD_BYTES,
+            backlog=LISTEN_BACKLOG,
+        )
+        with self._lock:
+            self._loop = asyncio.get_running_loop()
+            quit_now = self._quit
+        try:
+            if not quit_now:
+                await self._wake.wait()
+        finally:
+            with self._lock:
+                self._loop = None
+            # accept nothing more; a connection already accepted still
+            # gets its transport (which needs the server open) below
+            asyncio.get_running_loop().remove_reader(self.socket.fileno())
+            self._closing = True
+            for writer in self._connections:
+                transport = writer.transport
+                # an idle connection closes at once; one still holding
+                # output for a client that does not read would never
+                # finish closing
+                if transport.get_write_buffer_size():
+                    transport.abort()
+                else:
+                    transport.close()
+            # every other task on this loop accepts or serves a
+            # connection; one accepted just now starts after _closing
+            # and closes itself
+            while others := asyncio.all_tasks() - {asyncio.current_task()}:
+                await asyncio.wait(others)
+            server.close()
+
+    # -- connections ---------------------------------------------------------
+
+    async def _connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Answer one connection's requests in order until either side
+        closes it."""
+        self.connections += 1
+        if self._closing:
+            writer.close()
+            return
+        self._connections.add(writer)
+        try:
+            while await self._exchange(reader, writer):
+                pass
+        except (OSError, asyncio.IncompleteReadError):
+            pass  # the client went away, mid-request or mid-answer
+        finally:
+            self._connections.discard(writer)
+            writer.close()
+
+    async def _exchange(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Read one request and answer it; whether the connection stays
+        open for the next."""
+        try:
+            head = (await reader.readuntil(b"\r\n\r\n")).lstrip(b"\r\n")
+        except asyncio.IncompleteReadError:
+            return False  # closed between requests
+        except asyncio.LimitOverrunError:
+            refused = _error(431, f"request head is over {MAX_HEAD_BYTES} bytes")
+            return await self._respond(writer, "-", refused, keep=False)
+        if not head:
+            return True  # blank lines between requests
+        request_line = head.split(b"\r\n", 1)[0].decode("latin-1")
+        try:
+            method, target, version, headers = _parse_head(head)
+            connection = headers.get("connection", "").lower()
+            if version == "HTTP/1.1":
+                keep = connection != "close"
+            else:
+                keep = connection == "keep-alive"
+            if method not in ("GET", "POST"):
+                raise _Refused(501, f"unsupported method: {method!r}")
+            if "transfer-encoding" in headers:
+                raise _Refused(501, "Transfer-Encoding is not supported; send Content-Length")
+            try:
+                length = int(headers.get("content-length", "0"))
+            except ValueError:
+                length = -1
+            if not 0 <= length <= MAX_BODY_BYTES:
+                raise _Refused(413, f"request body must be 0..{MAX_BODY_BYTES} bytes")
+        except _Refused as exc:
+            return await self._respond(
+                writer, request_line, _error(exc.status, str(exc)), keep=False
+            )
+        if length and version == "HTTP/1.1" and \
+                headers.get("expect", "").lower() == "100-continue":
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = await reader.readexactly(length) if length else b""
+        try:
+            response = self.route(method, target, body)
+        except Exception as exc:  # noqa: BLE001 — the loop serves on
+            traceback.print_exc()
+            response = _error(500, f"internal error: {type(exc).__name__}: {exc}")
+            keep = False
+        return await self._respond(
+            writer, request_line, response, keep, keep_alive_header=version == "HTTP/1.0"
+        )
+
+    async def _respond(
+        self, writer: asyncio.StreamWriter, request_line: str, response: Response,
+        keep: bool, keep_alive_header: bool = False,
+    ) -> bool:
+        """Write ``response`` in one transport write, then run its
+        after-write action, even when the write failed; returns ``keep``."""
+        status, content_type, text, after = response
+        body = text.encode("utf-8")
+        head = (
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
+        if not keep:
+            head += "Connection: close\r\n"
+        elif keep_alive_header:
+            head += "Connection: keep-alive\r\n"
+        self.requests += 1
+        try:
+            writer.write(head.encode("latin-1") + b"\r\n" + body)
+        finally:
+            if after is not None:
+                after()
+        if self.verbose:
+            host = (writer.get_extra_info("peername") or ("-",))[0]
+            stamp = time.strftime("%d/%b/%Y %H:%M:%S")
+            sys.stderr.write(f'{host} - - [{stamp}] "{request_line}" {status} -\n')
+        await writer.drain()
+        return keep
+
+    # -- routes --------------------------------------------------------------
+
+    def route(self, method: str, target: str, body: bytes) -> Response:
+        """Answer one request (``method`` is GET or POST)."""
+        manager = self.manager
+        path = target.split("?", 1)[0].rstrip("/") or "/"
+        if method == "GET":
+            if path == "/healthz":
+                return _json(200, {"ok": True})
+            if path == "/stats":
+                return _json(200, manager.stats())
+            if path == "/metrics":
+                return 200, METRICS_TYPE, render_server_metrics(self), None
+            if path == "/jobs":
+                return _json(200, {"jobs": [job.to_dict() for job in manager.jobs()]})
+            if path.startswith("/jobs/"):
+                parts = path.split("/")[2:]
+                job = manager.get(parts[0])
+                if job is None:
+                    return _error(404, f"no such job: {parts[0]!r}")
+                if parts[1:] == ["result"]:
+                    if job.result_text is None:
+                        return _error(
+                            409, f"job {job.id} has no result (status: {job.status})"
+                        )
+                    return 200, JSON_TYPE, job.result_text, None
+                if not parts[1:]:
+                    return 200, JSON_TYPE, job.to_json(), None
+        elif path == "/jobs":
+            try:
+                payload = json.loads(body.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                return _error(400, f"request body is not valid JSON: {exc}")
+            if not isinstance(payload, dict):
+                return _error(400, "request body must be a JSON object")
+            try:
+                job = manager.accept(payload)
+            except JobError as exc:
+                return _error(400, str(exc))
+            # started once the 201 is written, and even if writing it
+            # failed: the job was accepted, so it runs
+            return 201, JSON_TYPE, job.to_json(), lambda: manager.start(job)
+        elif path == "/shutdown":
+            return 200, JSON_TYPE, json.dumps({"ok": True, "draining": True}, indent=2), \
+                self._stop_in_background
+        return _error(404, f"unknown path: {target!r}")
 
 
 #: Default job-table cap for servers built through :func:`create_server`

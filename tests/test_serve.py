@@ -1,5 +1,6 @@
-"""End-to-end tests for the serving layer: a real ThreadingHTTPServer
-on a loopback port, driven through the stdlib client.
+"""End-to-end tests for the serving layer: a real ``ServeServer`` (one
+event loop over kept-alive connections) on a loopback port, driven
+through the stdlib client.
 
 Jobs use the tiny generator profile (or dsc with few trials) so the
 suite stays fast; the d695 acceptance path is exercised by the CI smoke
@@ -38,6 +39,7 @@ def server():
     client = ServeClient(server.url, timeout=30.0)
     client.wait_healthy()
     yield client
+    client.close()
     server.stop()
     thread.join(timeout=10)
 
@@ -203,6 +205,7 @@ class TestCacheOverHttp:
                 client.wait_healthy()
                 return callback(client)
             finally:
+                client.close()
                 server.stop()
                 thread.join(timeout=10)
 
@@ -454,6 +457,7 @@ class TestJobEviction:
             hit = client.submit(_tiny(1))
             assert hit["status"] == "done" and hit["cached"] is True
         finally:
+            client.close()
             server.stop()
             thread.join(timeout=10)
 

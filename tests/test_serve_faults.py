@@ -93,6 +93,7 @@ class TestDiskFaults:
             metrics = client.metrics_text().splitlines()
             assert "repro_cache_result_disk_errors 2" in metrics
         finally:
+            client.close()
             server.stop()
             thread.join(timeout=10)
 

@@ -22,7 +22,6 @@ from repro.gen import ScenarioSpec
 from repro.gen.writer import soc_to_text
 from repro.serve import JobManager, ServeClient, create_server
 from repro.serve.jobs import Job, result_to_text
-from repro.serve.server import ServeHandler
 
 TINY = {"kind": "integrate", "soc": {"spec": {"profile": "tiny", "seed": 11}}}
 TINY_TEXT = soc_to_text(ScenarioSpec("tiny", 5, 0).build())
@@ -71,6 +70,7 @@ def live_server():
     client = ServeClient(server.url, timeout=30.0)
     client.wait_healthy()
     yield server, client
+    client.close()
     server.stop()
     thread.join(timeout=10)
     assert not thread.is_alive()
@@ -298,15 +298,15 @@ class TestStartAfterCreated:
 
     def test_job_starts_when_its_201_cannot_be_written(self, live_server, monkeypatch):
         server, client = live_server
-        real_send = ServeHandler._send_text
+        real_send = socket.socket.send
 
-        def send_text(handler, status, text, *args, **kwargs):
-            if status == 201:
+        def send(sock, data, *args):
+            if sock.getsockname()[1] == server.port and \
+                    bytes(data).startswith(b"HTTP/1.1 201 "):
                 raise ConnectionResetError("client went away")
-            real_send(handler, status, text, *args, **kwargs)
+            return real_send(sock, data, *args)
 
-        monkeypatch.setattr(ServeHandler, "_send_text", send_text)
-        monkeypatch.setattr(server, "handle_error", lambda request, address: None)
+        monkeypatch.setattr(socket.socket, "send", send)
         with pytest.raises(OSError):
             client.submit(TINY)
         (job,) = server.manager.jobs()
