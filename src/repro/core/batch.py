@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
@@ -483,16 +482,14 @@ def integrate_many(
     requested = backend
     backend = resolve_backend(backend, workers, len(items))
 
-    started = time.perf_counter()
-    note = None
-    if progress is not None:
-        progress.start(len(items))
+    with span("batch.run", backend=backend, chips=len(items)) as bsp:
+        note = None
+        if progress is not None:
+            progress.start(len(items))
 
-        def note(item: BatchItem) -> None:
-            progress.advance(failed=0 if item.ok else 1)
+            def note(item: BatchItem) -> None:
+                progress.advance(failed=0 if item.ok else 1)
 
-    bsp = span("batch.run", backend=backend, chips=len(items))
-    with bsp:
         out: Optional[list[BatchItem]] = None
         if items and backend == "process":
             chunksize = max(1, len(items) // (workers * _CHUNKS_PER_WORKER))
@@ -536,6 +533,6 @@ def integrate_many(
     return BatchResult(
         items=out,
         workers=workers,
-        elapsed_seconds=time.perf_counter() - started,
+        elapsed_seconds=bsp.seconds,
         backend=backend,
     )

@@ -13,11 +13,12 @@ own:
     >>> Pipeline.default().until("schedule").run(ctx)      # doctest: +SKIP
     >>> ctx.schedule.total_time                            # doctest: +SKIP
 
-Stages mutate the context in place; each records its wall-clock time in
-``ctx.stage_seconds`` (and in the ``pipeline.stage.seconds`` histogram
-— plus one ``pipeline.<stage>`` span when :mod:`repro.obs` tracing is
-enabled).  A stage only reads artifacts produced by earlier stages, so
-any prefix of the default flow is a valid flow.
+Stages mutate the context in place.  Each runs in one
+``pipeline.<stage>`` span (:mod:`repro.obs`) whose ``seconds`` is added
+to ``ctx.stage_seconds`` and observed in the ``pipeline.stage.seconds``
+histogram (and is its record's ``dur`` when tracing is enabled).  A
+stage only reads artifacts produced by earlier stages, so any prefix of
+the default flow is a valid flow.
 
 Test Insertion prices the DFT from cell counts; the netlist is generated
 the first time it is read (:class:`DftDesign`).
@@ -25,7 +26,6 @@ the first time it is read (:class:`DftDesign`).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -140,8 +140,8 @@ class Stage:
     """One box of the Fig.-1 flow.
 
     Subclasses set ``name`` and implement :meth:`execute`; :meth:`run`
-    wraps it with per-stage timing.  Stages are cheap, stateless-ish
-    objects — construct freely, reuse across SOCs.
+    times it in its ``pipeline.<name>`` span.  Stages are cheap,
+    stateless-ish objects — construct freely, reuse across SOCs.
     """
 
     name: str = "stage"
@@ -150,14 +150,10 @@ class Stage:
         raise NotImplementedError
 
     def run(self, ctx: FlowContext) -> FlowContext:
-        started = time.perf_counter()
-        with span("pipeline." + self.name, soc=ctx.soc.name):
+        with span("pipeline." + self.name, soc=ctx.soc.name) as sp:
             self.execute(ctx)
-        elapsed = time.perf_counter() - started
-        ctx.stage_seconds[self.name] = (
-            ctx.stage_seconds.get(self.name, 0.0) + elapsed
-        )
-        _STAGE_SECONDS.observe(elapsed, stage=self.name)
+        ctx.stage_seconds[self.name] = ctx.stage_seconds.get(self.name, 0.0) + sp.seconds
+        _STAGE_SECONDS.observe(sp.seconds, stage=self.name)
         return ctx
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -19,7 +19,6 @@ the result — run partial flows, swap stages, or batch many SOCs through
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -131,17 +130,15 @@ class Steac:
                 Fig.-1 stages from :func:`repro.core.pipeline.default_stages`
                 (plus ``analyze_repair`` when the config enables it).
         """
-        started = time.perf_counter()
-        flow = self.context(soc, stil_texts, pattern_data)
-        if pipeline is None:
-            pipeline = Pipeline(default_stages(
-                repair=self.config.analyze_repair,
-                verify=self.config.verify_schedule,
-            ))
-        sp = span("integrate", soc=soc.name, strategy=self.config.strategy)
-        with sp:
+        with span("integrate", soc=soc.name, strategy=self.config.strategy) as sp:
+            flow = self.context(soc, stil_texts, pattern_data)
+            if pipeline is None:
+                pipeline = Pipeline(default_stages(
+                    repair=self.config.analyze_repair,
+                    verify=self.config.verify_schedule,
+                ))
             pipeline.run(flow)
-        flow.runtime_seconds = time.perf_counter() - started
+        flow.runtime_seconds = sp.seconds
         if sp.id is not None:
             # tracing was on: attach the compact span summary (the
             # ``trace`` section of the v4 result schema)

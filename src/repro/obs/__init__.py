@@ -3,9 +3,9 @@
 Three small, independent pieces (see each module's docstring):
 
 * :mod:`repro.obs.trace` — a process-local :class:`Tracer` of nestable
-  spans, a true no-op while disabled; JSONL export, replayable span
-  trees, and the compact summary that becomes the v4 integration
-  result's ``trace`` section.
+  spans, each the one clock of its region, recorded only while enabled;
+  JSONL export, replayable span trees, and the compact summary that
+  becomes the v4 integration result's ``trace`` section.
 * :mod:`repro.obs.metrics` — a global counter/histogram registry
   rendered in the Prometheus text format (``GET /metrics``,
   ``repro metrics``).

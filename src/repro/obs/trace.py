@@ -8,12 +8,12 @@ manager::
         ...
         sp.set(makespan=41232)
 
-Spans nest through a per-thread stack, so a span opened inside another
-becomes its child without explicit wiring.  When the tracer is
-*disabled* (the default) :func:`span` returns a shared singleton no-op
-object — no allocation, no clock reads, no lock — so instrumented hot
-paths cost one truthiness check (``bench_sched_search.py`` gates the
-end-to-end overhead at <2%).
+A span is the one clock for its region: ``sp.seconds`` is its
+:func:`time.perf_counter` length, traced or not, and every duration the
+flow reports is read from it.  A span made while the tracer is
+*enabled* is also recorded, nesting through a per-thread stack; while
+it is *disabled* (the default) a span takes no lock and records nothing
+(``bench_sched_search.py`` gates the end-to-end overhead at <2%).
 
 Records are plain dicts (``{"id", "parent", "name", "start", "wall",
 "dur", "attrs"}``) — picklable and JSON-native by construction — so
@@ -22,9 +22,9 @@ batch process workers can ship their spans back to the parent
 parent, which remaps ids and re-parents worker roots under the batch
 span).  ``start`` is :func:`time.monotonic` — never steps backwards,
 and on Linux the clock is shared machine-wide, so worker spans still
-order correctly against parent spans.  ``dur`` comes from
-:func:`time.perf_counter` deltas.  ``wall`` is a display-only wall
-timestamp (when did this run happen?) — nothing orders or diffs by it.
+order correctly against parent spans.  ``dur`` is the span's
+``seconds``.  ``wall`` is a display-only wall timestamp (when did this
+run happen?) — nothing orders or diffs by it.
 
 Two consumers read the records:
 
@@ -45,35 +45,17 @@ import time
 from typing import IO, Any, Optional, Union
 
 
-class _NullSpan:
-    """The shared do-nothing span handed out while tracing is disabled."""
-
-    __slots__ = ()
-    id: Optional[int] = None
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-    def set(self, **attrs: Any) -> "_NullSpan":
-        return self
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class Span:
-    """One live timed region; becomes a record dict when it closes."""
+    """One timed region (``seconds`` once closed); recorded, with an
+    ``id``, only when made while its tracer was enabled."""
 
     __slots__ = (
-        "_tracer", "name", "attrs", "id", "parent", "_start", "_wall", "_t0",
+        "_tracer", "name", "attrs", "id", "parent", "seconds", "_start", "_wall", "_t0",
     )
 
     def __init__(
         self,
-        tracer: "Tracer",
+        tracer: Optional["Tracer"],
         name: str,
         attrs: dict[str, Any],
         parent: Optional[int] = None,
@@ -83,6 +65,7 @@ class Span:
         self.attrs = attrs
         self.parent = parent
         self.id: Optional[int] = None
+        self.seconds = 0.0
 
     def set(self, **attrs: Any) -> "Span":
         """Attach (or overwrite) attributes on the open span."""
@@ -91,19 +74,23 @@ class Span:
 
     def __enter__(self) -> "Span":
         tracer = self._tracer
-        stack = tracer._stack()
-        if self.parent is None and stack:
-            self.parent = stack[-1]
-        self.id = next(tracer._ids)
-        stack.append(self.id)
-        self._start = time.monotonic()
-        self._wall = time.time()  # detlint: ignore[DET002] -- display-only run timestamp; ordering uses the monotonic `start`
+        if tracer is not None:
+            stack = tracer._stack()
+            if self.parent is None and stack:
+                self.parent = stack[-1]
+            self.id = next(tracer._ids)
+            stack.append(self.id)
+            self._start = time.monotonic()
+            self._wall = time.time()  # detlint: ignore[DET002] -- display-only run timestamp; ordering uses the monotonic `start`
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc: object) -> bool:
-        dur = time.perf_counter() - self._t0
-        stack = self._tracer._stack()
+        self.seconds = time.perf_counter() - self._t0
+        tracer = self._tracer
+        if tracer is None:
+            return False
+        stack = tracer._stack()
         if stack and stack[-1] == self.id:
             stack.pop()
         elif self.id is not None:  # pragma: no cover — unbalanced exit
@@ -111,13 +98,13 @@ class Span:
                 stack.remove(self.id)
             except ValueError:
                 pass
-        self._tracer._append({
+        tracer._append({
             "id": self.id,
             "parent": self.parent,
             "name": self.name,
             "start": self._start,
             "wall": self._wall,
-            "dur": dur,
+            "dur": self.seconds,
             "attrs": self.attrs,
         })
         return False
@@ -126,9 +113,9 @@ class Span:
 class Tracer:
     """A process-local span recorder.
 
-    Disabled by default: :meth:`span` then returns the singleton no-op
-    span.  Enabling is process-wide for this tracer; the per-thread
-    span stack keeps concurrent threads' spans correctly parented.
+    Disabled by default: its spans then only time.  Enabling is
+    process-wide for this tracer; the per-thread span stack keeps
+    concurrent threads' spans correctly parented.
     """
 
     def __init__(self) -> None:
@@ -167,18 +154,14 @@ class Tracer:
 
     # -- span creation -----------------------------------------------------
 
-    def span(
-        self, name: str, parent: Optional[int] = None, **attrs: Any
-    ) -> Union[Span, _NullSpan]:
-        """A new child span (no-op while disabled).
+    def span(self, name: str, parent: Optional[int] = None, **attrs: Any) -> Span:
+        """A new child span (timed, but not recorded, while disabled).
 
         ``parent`` pins the parent id explicitly — for a caller on
         another thread, whose own span stack is empty; same-thread
         callers inherit the innermost open span from the stack.
         """
-        if not self._enabled:
-            return _NULL_SPAN
-        return Span(self, name, attrs, parent=parent)
+        return Span(self if self._enabled else None, name, attrs, parent=parent)
 
     # -- record access -----------------------------------------------------
 
@@ -230,8 +213,8 @@ class Tracer:
 TRACER = Tracer()
 
 
-def span(name: str, parent: Optional[int] = None, **attrs: Any) -> Union[Span, _NullSpan]:
-    """A span on the global :data:`TRACER` (no-op while disabled)."""
+def span(name: str, parent: Optional[int] = None, **attrs: Any) -> Span:
+    """A span on the global :data:`TRACER` (recorded only while enabled)."""
     return TRACER.span(name, parent=parent, **attrs)
 
 

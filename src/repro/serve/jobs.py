@@ -344,7 +344,8 @@ class JobManager:
             if job.cache_key != known:
                 cached = self.cache.get(job.cache_key)
         with self._lock:
-            if memo_key is not None:
+            if memo_key is not None and job.cache_key != known:
+                # a hit's get above already refreshed the memo entry
                 self._request_keys.put(memo_key, job.cache_key)
             if cached is not None:
                 job.cached = True

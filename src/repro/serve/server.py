@@ -51,7 +51,8 @@ its connection closed: 400 for a malformed request line or header, 431
 for a head over :data:`MAX_HEAD_BYTES`, 413 for a ``Content-Length``
 that is not an integer in ``0..MAX_BODY_BYTES``, 501 for
 ``Transfer-Encoding`` or a method other than GET and POST, 505 for an
-HTTP version other than 1.0 and 1.1.
+HTTP version other than 1.0 and 1.1.  That close lingers (see
+:data:`LINGER_BYTES`), so a client still sending reads the answer.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ MAX_HEAD_BYTES = 64 * 1024
 #: Connections the listening socket queues before ``accept`` (the
 #: kernel's queue, so a burst of clients is not dropped).
 LISTEN_BACKLOG = 64
+
+#: A refused connection drops what the client still sends, up to this
+#: many bytes or seconds, so a client still writing reads the answer.
+LINGER_BYTES = 2 * MAX_BODY_BYTES
+LINGER_SECONDS = 2.0
 
 JSON_TYPE = "application/json"
 METRICS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -126,6 +132,12 @@ def _parse_head(head: bytes) -> tuple[str, str, str, dict[str, str]]:
         # as http.server did: "//x" is the path "/x", not a host
         target = "/" + target.lstrip("/")
     return method, target, version, headers
+
+
+async def _drop_input(reader: asyncio.StreamReader) -> None:
+    left = LINGER_BYTES
+    while left > 0 and (chunk := await reader.read(MAX_HEAD_BYTES)):
+        left -= len(chunk)
 
 
 def render_server_metrics(server: "ServeServer") -> str:
@@ -320,17 +332,15 @@ class ServeServer:
     ) -> bool:
         """Read one request and answer it; whether the connection stays
         open for the next."""
+        request_line = "-"
         try:
-            head = (await reader.readuntil(b"\r\n\r\n")).lstrip(b"\r\n")
-        except asyncio.IncompleteReadError:
-            return False  # closed between requests
-        except asyncio.LimitOverrunError:
-            refused = _error(431, f"request head is over {MAX_HEAD_BYTES} bytes")
-            return await self._respond(writer, "-", refused, keep=False)
-        if not head:
-            return True  # blank lines between requests
-        request_line = head.split(b"\r\n", 1)[0].decode("latin-1")
-        try:
+            try:
+                head = (await reader.readuntil(b"\r\n\r\n")).lstrip(b"\r\n")
+            except asyncio.LimitOverrunError:
+                raise _Refused(431, f"request head is over {MAX_HEAD_BYTES} bytes") from None
+            if not head:
+                return True  # blank lines between requests
+            request_line = head.split(b"\r\n", 1)[0].decode("latin-1")
             method, target, version, headers = _parse_head(head)
             connection = headers.get("connection", "").lower()
             if version == "HTTP/1.1":
@@ -347,10 +357,18 @@ class ServeServer:
                 length = -1
             if not 0 <= length <= MAX_BODY_BYTES:
                 raise _Refused(413, f"request body must be 0..{MAX_BODY_BYTES} bytes")
+        except asyncio.IncompleteReadError:
+            return False  # closed between requests
         except _Refused as exc:
-            return await self._respond(
-                writer, request_line, _error(exc.status, str(exc)), keep=False
-            )
+            # the body stays unread: answer, half-close, and drop what the
+            # client still sends (see LINGER_BYTES) before closing
+            await self._respond(writer, request_line, _error(exc.status, str(exc)), keep=False)
+            writer.write_eof()
+            try:
+                await asyncio.wait_for(_drop_input(reader), LINGER_SECONDS)
+            except asyncio.TimeoutError:
+                pass
+            return False
         if length and version == "HTTP/1.1" and \
                 headers.get("expect", "").lower() == "100-continue":
             writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")

@@ -11,6 +11,7 @@ delta-based (the registry accumulates across tests by design).
 import io
 import json
 import threading
+import time
 
 import pytest
 
@@ -42,20 +43,33 @@ def traced():
 
 
 class TestTracerCore:
-    def test_disabled_span_is_shared_noop(self):
+    def test_disabled_span_times_and_records_nothing(self):
         assert not tracing_enabled()
-        sp1 = span("anything", key="value")
-        sp2 = span("other")
-        assert sp1 is sp2  # the singleton: no allocation when disabled
-        assert sp1.id is None
-        with sp1 as inner:
+        sp = span("anything", key="value")
+        assert sp.id is None
+        before = time.perf_counter()
+        with sp as inner:
+            assert inner is sp
             inner.set(more="attrs")
+            assert TRACER._stack() == []  # joins no span stack
+        after = time.perf_counter()
+        assert sp.id is None
+        assert 0.0 < sp.seconds <= after - before  # measured all the same
         assert TRACER.records() == []
+
+    def test_span_made_while_disabled_stays_unrecorded(self):
+        tracer = Tracer()
+        sp = tracer.span("early")
+        tracer.enable()
+        with sp:
+            pass
+        assert sp.id is None and sp.seconds > 0.0
+        assert tracer.records() == []
 
     def test_nesting_parents_through_the_stack(self):
         tracer = Tracer()
         tracer.enable()
-        with tracer.span("outer"):
+        with tracer.span("outer") as sp:
             with tracer.span("inner"):
                 pass
         outer = next(r for r in tracer.records() if r["name"] == "outer")
@@ -63,6 +77,7 @@ class TestTracerCore:
         assert inner["parent"] == outer["id"]
         assert outer["parent"] is None
         assert inner["dur"] <= outer["dur"]
+        assert (outer["id"], outer["dur"]) == (sp.id, sp.seconds)  # one clock
 
     def test_attrs_from_kwargs_and_set(self):
         tracer = Tracer()
@@ -342,6 +357,24 @@ class TestPipelineTracing:
             + METRICS.value("cache.evaluator_memo.misses")
         ) > memo_before
 
+    def test_stage_and_runtime_seconds_are_span_durations(self, traced, monkeypatch):
+        from repro.core import pipeline
+
+        observed = {}
+        monkeypatch.setattr(
+            pipeline._STAGE_SECONDS, "observe",
+            lambda value, stage: observed.__setitem__(stage, value),
+        )
+        result = self._integrate()
+        records = TRACER.records()
+        (root,) = [r for r in records if r["name"] == "integrate"]
+        assert result.runtime_seconds == root["dur"]
+        stages = {
+            r["name"][len("pipeline."):]: r["dur"]
+            for r in records if r["name"].startswith("pipeline.")
+        }
+        assert result.stage_seconds == stages == observed
+
     def test_stage_histogram_observes(self):
         before = METRICS.snapshot().get(
             'pipeline.stage.seconds_count{stage="schedule"}', 0
@@ -393,6 +426,26 @@ class TestBatchTracing:
         assert inner, "worker-side child spans were not adopted"
         # transport field never leaks into the serialized document
         assert "spans" not in json.dumps(batch.to_dict())
+
+    def test_batch_and_item_seconds_are_span_durations(self, traced):
+        from repro.core import Steac
+
+        batch = Steac().integrate_many(
+            self._specs(2), backend="process", workers=2
+        )
+        assert batch.ok and batch.backend == "process"
+        records = TRACER.records()
+        (run,) = [r for r in records if r["name"] == "batch.run"]
+        assert batch.elapsed_seconds == run["dur"]
+        index_of = {
+            r["id"]: r["attrs"]["index"] for r in records if r["name"] == "batch.item"
+        }
+        integrated = {
+            index_of[r["parent"]]: r["dur"] for r in records if r["name"] == "integrate"
+        }
+        assert integrated == {
+            item.index: item.result.runtime_seconds for item in batch.items
+        }
 
     def test_progress_counts_batch_items(self):
         from repro.core import Steac

@@ -520,6 +520,22 @@ class TestRequestKeyMemo:
         hits1, misses1 = _memo_counts()
         assert (hits1 - hits0, misses1 - misses0) == (len(variants), 1)
 
+    @pytest.mark.parametrize("capacity", [8, 0], ids=["result-cached", "result-gone"])
+    def test_memo_is_written_only_when_its_key_changes(self, monkeypatch, capacity):
+        manager = JobManager(workers=1, cache=ResultCache(capacity=capacity))
+        puts, put = [], manager._request_keys.put
+        monkeypatch.setattr(manager._request_keys, "put",
+                            lambda key, value: puts.append(value) or put(key, value))
+        try:
+            first = _settle(manager.submit(TINY))
+            for _ in range(3):
+                assert _settle(manager.submit(TINY)).cache_key == first.cache_key
+        finally:
+            manager.close()
+        # a repeat's lookup already made its entry the most recent
+        assert puts == [first.cache_key]
+        assert len(manager._request_keys) == 1
+
     def test_remembered_key_without_result_rebuilds_its_work(self, address_calls):
         hits0, _ = _memo_counts()
         manager = JobManager(workers=1, cache=ResultCache(capacity=0))

@@ -11,7 +11,8 @@ kept-alive connections.
 * ``TestHostileInput`` sends malformed and hostile requests over raw
   sockets to a ``repro serve`` child process.  Each gets a JSON error
   (a client that hangs up gets nothing), nothing reaches the child's
-  stderr, and ``/healthz`` answers afterwards.
+  stderr, and ``/healthz`` answers afterwards.  A client still sending
+  an oversized body reads its 413: the server closes lingering.
 * ``TestConnections`` covers keep-alive, pipelining, closing, the
   server's threads, the connection counters and the client's reuse of
   its connection.
@@ -325,6 +326,28 @@ class TestHostileInput:
             _assert_closed(sock)
         child.assert_unharmed()
 
+    def test_oversized_submit_is_answered_413(self, child):
+        client = ServeClient(child.url, timeout=30.0)
+        try:
+            for _ in range(3):
+                with pytest.raises(ServeError) as err:
+                    client.submit({"kind": "integrate", "soc": {"soc_text": "x" * 17_000_000}})
+                assert err.value.status == 413
+        finally:
+            client.close()
+        child.assert_unharmed()
+
+    def test_body_sent_after_a_refusal_is_dropped(self, child):
+        with socket.create_connection(("127.0.0.1", child.port), timeout=30) as sock:
+            sock.sendall(POST_JOBS + b"Content-Length: 20000000\r\n\r\n")
+            sock.sendall(b"x" * 4_000_000)  # a reset here, if the server closed at once
+            stream = sock.makefile("rb")
+            status, headers, body = _read_response(stream)
+            assert (status, headers["connection"]) == (413, "close")
+            assert json.loads(body) == {"error": f"request body must be 0..{MAX_BODY_BYTES} bytes"}
+            assert stream.read() == b""  # then the server's half-close
+        child.assert_unharmed()
+
     def test_body_that_is_not_json_keeps_the_connection(self, child):
         with socket.create_connection(("127.0.0.1", child.port), timeout=10) as sock:
             stream = sock.makefile("rb")
@@ -497,6 +520,38 @@ class TestConnections:
             _assert_closed(idle)
         server.stop()  # once more, after run() returned
         assert capfd.readouterr().err == ""
+
+    def test_shutdown_returns_while_a_refused_connection_lingers(self, monkeypatch, capfd):
+        monkeypatch.setattr("repro.serve.server.LINGER_SECONDS", 60.0)
+        server = create_server(workers=1)
+        thread = _serve_in_thread(server)
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            sock.sendall(POST_JOBS + f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode())
+            stream = sock.makefile("rb")
+            assert _read_response(stream)[0] == 413
+            assert stream.read() == b""  # half-closed; the server still reads
+            started = time.monotonic()
+            _stop(server, thread)
+            assert time.monotonic() - started < 10.0
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("bound", ["seconds", "bytes"])
+    def test_a_refused_connection_lingers_within_its_bounds(self, served, monkeypatch, bound):
+        server, _ = served
+        monkeypatch.setattr("repro.serve.server.LINGER_SECONDS", 0.2 if bound == "seconds" else 60.0)
+        if bound == "bytes":
+            monkeypatch.setattr("repro.serve.server.LINGER_BYTES", 1 << 16)
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            sock.sendall(POST_JOBS + f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode())
+            if bound == "bytes":
+                try:
+                    sock.sendall(b"x" * (1 << 20))
+                except OSError:
+                    pass  # the server stopped reading after its bound
+            deadline = time.monotonic() + 10.0
+            while server._connections:  # the client never closes: the server does
+                assert time.monotonic() < deadline, "the refused connection was never closed"
+                time.sleep(0.01)
 
     def test_requests_are_answered_while_jobs_drain(self, monkeypatch):
         started, release = threading.Event(), threading.Event()
