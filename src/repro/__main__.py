@@ -92,6 +92,43 @@ def _backend_choices() -> list[str]:
     return list(BACKENDS)
 
 
+#: The sweep definition ``fuzz`` and ``campaign run`` share: the
+#: options :func:`_add_sweep_options` declares, passed on as keywords.
+_SWEEP_OPTIONS = (
+    "profile", "seeds", "seed_base", "strategies", "ilp_max_tasks", "workers",
+    "backend",
+)
+
+
+def _add_sweep_options(
+    parser: argparse.ArgumentParser,
+    seeds: int,
+    profiles: list[str],
+    strategies: list[str],
+) -> None:
+    """Declare the sweep options on ``parser``, with ``seeds`` chips by
+    default."""
+    parser.add_argument("--seeds", type=int, default=seeds,
+                        help="number of generated chips (one seed each)")
+    parser.add_argument("--seed-base", type=int, default=0,
+                        help="first seed of the corpus")
+    parser.add_argument("--profile", choices=profiles, default="tiny",
+                        help="generator profile for the corpus")
+    parser.add_argument("--strategies", nargs="*", choices=strategies,
+                        default=None, metavar="STRATEGY",
+                        help="strategies to race (default: every registered one)")
+    parser.add_argument("--ilp-max-tasks", type=int, default=6,
+                        help="skip the exact MILP above this task count")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker count for the sweep (default: 1)")
+    parser.add_argument("--backend", choices=_backend_choices(), default="auto",
+                        help="executor backend for the sweep")
+
+
+def _sweep_kwargs(args: argparse.Namespace) -> dict:
+    return {name: getattr(args, name) for name in _SWEEP_OPTIONS}
+
+
 def _finite_float(text: str) -> float:
     """``float(text)`` refusing ``nan`` and ``inf``, which would run and print non-JSON."""
     with contextlib.suppress(ValueError):
@@ -344,20 +381,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     the ITC'02 writer/parser (the sweep itself lives in
     :mod:`repro.gen.fuzzing`, shared with ``repro serve``).  Exit 1 on
     any violation."""
-    from repro.gen.fuzzing import run_fuzz
+    from repro.gen.fuzzing import cell_outcome, run_fuzz
     from repro.util import Table
 
     if args.seeds < 1:
         raise SystemExit(f"--seeds must be at least 1, got {args.seeds}")
-    report = run_fuzz(
-        profile=args.profile,
-        seeds=args.seeds,
-        seed_base=args.seed_base,
-        strategies=args.strategies,
-        ilp_max_tasks=args.ilp_max_tasks,
-        workers=args.workers,
-        backend=args.backend,
-    )
+    report = run_fuzz(**_sweep_kwargs(args))
     strategies = report["strategies"]
     scenario_docs = report["scenarios"]
     violation_count = report["violation_count"]
@@ -370,18 +399,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         title=f"differential fuzz: {args.seeds} x {args.profile!r} seeds "
         f"{args.seed_base}..{args.seed_base + args.seeds - 1}",
     )
+    marks = {"skipped": "skip", "infeasible": "INFEASIBLE",
+             "crashed": "CRASHED", "violated": "VIOLATED"}
     for doc in scenario_docs:
         row = [doc["soc"], doc["tasks"], doc["lower_bound"]]
         for strategy in strategies:
             cell = doc["strategies"][strategy]
-            if "skipped" in cell:
-                row.append("skip")
-            elif "infeasible" in cell:
-                row.append("INFEASIBLE")
-            elif "crashed" in cell:
-                row.append("CRASHED")
-            else:
-                row.append(cell["total_time"] if cell["ok"] else "VIOLATED")
+            outcome = cell_outcome(cell)
+            row.append(cell["total_time"] if outcome == "ok" else marks[outcome])
         row.append("ok" if doc["roundtrip_ok"] else "FAIL")
         table.add_row(row)
     print(table.render())
@@ -487,15 +512,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         else:
             report = run_campaign(
                 args.dir,
-                profile=args.profile,
-                seeds=args.seeds,
-                seed_base=args.seed_base,
-                strategies=args.strategies,
-                ilp_max_tasks=args.ilp_max_tasks,
                 chunk_size=args.chunk_size,
-                workers=args.workers,
-                backend=args.backend,
                 max_chunks=args.max_chunks,
+                **_sweep_kwargs(args),
             )
     except CampaignInterrupted as exc:
         status = Campaign.open(args.dir).status()
@@ -715,21 +734,7 @@ def main(argv: list[str] | None = None) -> int:
     p_fuzz = sub.add_parser(
         "fuzz", help="differentially fuzz every scheduler over generated SOCs"
     )
-    p_fuzz.add_argument("--seeds", type=int, default=20,
-                        help="number of generated chips (one seed each)")
-    p_fuzz.add_argument("--seed-base", type=int, default=0,
-                        help="first seed of the corpus")
-    p_fuzz.add_argument("--profile", choices=profiles, default="tiny",
-                        help="generator profile for the corpus")
-    p_fuzz.add_argument("--strategies", nargs="*", choices=strategies, default=None,
-                        metavar="STRATEGY",
-                        help="strategies to race (default: every registered one)")
-    p_fuzz.add_argument("--ilp-max-tasks", type=int, default=6,
-                        help="skip the exact MILP above this task count")
-    p_fuzz.add_argument("--workers", type=int, default=None,
-                        help="worker count for the corpus sweep (default: 1)")
-    p_fuzz.add_argument("--backend", choices=_backend_choices(), default="auto",
-                        help="executor backend for the corpus sweep")
+    _add_sweep_options(p_fuzz, 20, profiles, strategies)
     p_fuzz.add_argument("--json", action="store_true",
                         help="emit the machine-readable fuzz report")
     p_fuzz.add_argument("--trace-out", metavar="FILE",
@@ -747,23 +752,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     pc_run.add_argument("dir", help="campaign directory (created; must not "
                                     "already hold a campaign)")
-    pc_run.add_argument("--seeds", type=int, default=1000,
-                        help="number of generated chips (one seed each)")
-    pc_run.add_argument("--seed-base", type=int, default=0,
-                        help="first seed of the corpus")
-    pc_run.add_argument("--profile", choices=profiles, default="tiny",
-                        help="generator profile for the corpus")
-    pc_run.add_argument("--strategies", nargs="*", choices=strategies,
-                        default=None, metavar="STRATEGY",
-                        help="strategies to race (default: every registered one)")
-    pc_run.add_argument("--ilp-max-tasks", type=int, default=6,
-                        help="skip the exact MILP above this task count")
+    _add_sweep_options(pc_run, 1000, profiles, strategies)
     pc_run.add_argument("--chunk-size", type=int, default=200,
                         help="scenarios per checkpoint barrier")
-    pc_run.add_argument("--workers", type=int, default=None,
-                        help="worker count for each chunk (default: 1)")
-    pc_run.add_argument("--backend", choices=_backend_choices(), default="auto",
-                        help="executor backend for chunk dispatch")
     pc_run.add_argument("--max-chunks", type=int, default=None,
                         help="pause (exit 3) after this many chunks — a "
                              "deterministic interrupt for smoke tests")

@@ -92,10 +92,6 @@ class MarchTest:
         """Operations per cell (the 'xN' in 'March C- is a 10N test')."""
         return sum(len(e.ops) for e in self.elements)
 
-    @property
-    def has_pause(self) -> bool:
-        return any(e.pause_before for e in self.elements)
-
     def operation_count(self, words: int) -> int:
         """Total RAM operations over a ``words``-cell array."""
         return self.complexity * words

@@ -48,9 +48,8 @@ scan-time tables are built in closed form
 (:mod:`repro.sched.timecalc`) and die with its cores.
 
 Every fan-out in the package — batches, fuzz sweeps, campaigns and the
-repair Monte-Carlo — dispatches through :class:`ChunkRunner`, directly
-or through :func:`map_backend` (its one-chunk form); it is the only
-code that builds a process pool.
+repair Monte-Carlo — opens a :class:`ChunkRunner` and maps its work
+through it; it is the only code that builds a process pool.
 """
 
 from __future__ import annotations
@@ -344,31 +343,6 @@ def _drain(results: Iterable, progress: Optional[Callable]) -> list:
     return out
 
 
-def map_backend(
-    fn: Callable,
-    iterables: Sequence[Iterable],
-    backend: str,
-    workers: int = 1,
-    chunksize: int = 1,
-    initializer: Optional[Callable] = None,
-    initargs: tuple = (),
-    progress: Optional[Callable] = None,
-) -> list:
-    """Order-preserving ``map(fn, *iterables)`` on a concrete backend —
-    one chunk through a short-lived :class:`ChunkRunner`.
-
-    ``serial`` runs a plain loop; ``process`` fans out over a pool
-    (``executor.map`` preserves input order regardless of completion
-    order), so ``fn`` must be picklable (module-level), and
-    ``initializer`` (when given) runs once per worker process — the
-    serial loop ignores it.  ``progress`` (when given) is called with
-    each result as it is collected — the hook live job progress
-    (:class:`repro.obs.JobProgress`) hangs off.
-    """
-    with ChunkRunner(backend, workers, initializer, initargs) as runner:
-        return runner.map(fn, iterables, chunksize=chunksize, progress=progress)
-
-
 class ChunkRunner:
     """A persistent executor for chunked dispatch with barrier semantics
     — the one place the package builds a process pool.
@@ -380,7 +354,9 @@ class ChunkRunner:
     lifetime and exposes :meth:`map`, which is a
     **barrier**: it returns only when every item of the chunk is done,
     in input order — the caller can checkpoint the instant it returns
-    and lose at most the next in-flight chunk to a crash.
+    and lose at most the next in-flight chunk to a crash.  A one-shot
+    fan-out (a batch, a fuzz sweep, the repair Monte-Carlo) opens a
+    runner for a single :meth:`map`.
 
     Use as a context manager.  A bare ``with executor:`` block would,
     on a ``KeyboardInterrupt`` raised while draining results, *block*
@@ -418,8 +394,12 @@ class ChunkRunner:
     ) -> list:
         """Order-preserving ``map(fn, *iterables)`` over one chunk —
         blocks until the whole chunk is collected (the checkpoint
-        barrier).  ``chunksize`` batches items per pool round-trip;
-        ``progress`` is called with each result as it lands."""
+        barrier).  ``serial`` runs a plain loop in the calling thread
+        (the ``initializer`` is not run); ``process`` needs a picklable
+        (module-level) ``fn``.  ``chunksize`` batches items per pool
+        round-trip; ``progress`` is called with each result as it
+        lands — the hook live job progress
+        (:class:`repro.obs.JobProgress`) hangs off."""
         if self._pool is None:
             return _drain((fn(*args) for args in zip(*iterables)), progress)
         return _drain(self._pool.map(fn, *iterables, chunksize=chunksize), progress)
@@ -494,16 +474,18 @@ def integrate_many(
         if items and backend == "process":
             chunksize = max(1, len(items) // (workers * _CHUNKS_PER_WORKER))
             try:
-                out = map_backend(
-                    _process_one,
-                    (range(len(items)), items),
+                with ChunkRunner(
                     backend,
                     workers,
-                    chunksize=chunksize,
                     initializer=_init_process_worker,
                     initargs=(config, tracing_enabled()),
-                    progress=note,
-                )
+                ) as runner:
+                    out = runner.map(
+                        _process_one,
+                        (range(len(items)), items),
+                        chunksize=chunksize,
+                        progress=note,
+                    )
             except Exception:
                 # anything escaping pool.map is pool machinery, not
                 # integration logic (per-item errors are already caught in
@@ -524,12 +506,12 @@ def integrate_many(
                     item.spans = None
         if out is None:  # serial, an empty batch, or the auto fallback
             steac = Steac(config)
-            out = map_backend(
-                lambda i, item: _integrate_item(steac, i, item),
-                (range(len(items)), items),
-                "serial",
-                progress=note,
-            )
+            with ChunkRunner("serial") as runner:
+                out = runner.map(
+                    lambda i, item: _integrate_item(steac, i, item),
+                    (range(len(items)), items),
+                    progress=note,
+                )
     return BatchResult(
         items=out,
         workers=workers,

@@ -2,7 +2,10 @@
 
 ``repro fuzz`` is one-shot and in-memory; a soak over a million
 generated chips must survive a crash, a ``kill -9``, or a Ctrl-C and
-pick up where it stopped.  A :class:`Campaign` owns a directory:
+pick up where it stopped.  Both are one sweep: a fuzz run resolves its
+definition as a one-chunk :class:`CampaignConfig`, and both hand
+scenarios to workers only through :func:`repro.gen.fuzzing.sweep`.  A
+:class:`Campaign` owns a directory:
 
 ``campaign.json``
     The immutable campaign definition (``repro/campaign/v1``): profile,
@@ -59,14 +62,19 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.gen.fuzzing import (
+    CELL_OUTCOMES,
+    cell_outcome,
+    scenario_warning_count,
+    sweep,
+)
 from repro.obs import METRICS, JobProgress, span
 
 CAMPAIGN_SCHEMA = "repro/campaign/v1"
@@ -84,8 +92,12 @@ _DUPLICATES = METRICS.counter("campaign.duplicates", "violations deduped away")
 _CHUNKS = METRICS.counter("campaign.chunks", "chunk barriers checkpointed")
 _RESUMES = METRICS.counter("campaign.resumes", "campaign resumes")
 
-#: Fresh per-strategy tally (scenario outcomes, not violation counts).
-_STAT_KEYS = ("ok", "violated", "infeasible", "crashed", "skipped")
+
+def _field_values(record) -> dict:
+    """A dataclass record's fields by name.  The values are shared, not
+    copied: ``dataclasses.asdict`` would deep-copy the whole checkpoint
+    state (findings, dedupe keys) at every chunk barrier."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 @dataclass(frozen=True)
@@ -125,14 +137,8 @@ class CampaignConfig:
     def to_dict(self) -> dict:
         return {
             "schema": CAMPAIGN_SCHEMA,
-            "profile": self.profile,
-            "seeds": self.seeds,
-            "seed_base": self.seed_base,
+            **_field_values(self),
             "strategies": list(self.strategies),
-            "ilp_max_tasks": self.ilp_max_tasks,
-            "chunk_size": self.chunk_size,
-            "workers": self.workers,
-            "backend": self.backend,
         }
 
     @classmethod
@@ -146,16 +152,9 @@ class CampaignConfig:
                 f"campaign backend {doc['backend']!r} is no longer supported "
                 f"(choose from {', '.join(BACKENDS)}); start a fresh directory"
             )
-        return cls(
-            profile=doc["profile"],
-            seeds=doc["seeds"],
-            seed_base=doc["seed_base"],
-            strategies=tuple(doc["strategies"]),
-            ilp_max_tasks=doc["ilp_max_tasks"],
-            chunk_size=doc["chunk_size"],
-            workers=doc["workers"],
-            backend=doc["backend"],
-        )
+        values = {f.name: doc[f.name] for f in fields(cls)}
+        values["strategies"] = tuple(values["strategies"])
+        return cls(**values)
 
 
 def _config_digest(doc: dict) -> str:
@@ -185,42 +184,28 @@ class _Checkpoint:
     def to_dict(self) -> dict:
         return {
             "schema": CHECKPOINT_SCHEMA,
-            "config_digest": self.config_digest,
-            "cursor": self.cursor,
-            "violation_count": self.violation_count,
-            "warning_count": self.warning_count,
-            "duplicates": self.duplicates,
-            "strategy_stats": self.strategy_stats,
-            "seen": self.seen,
-            "findings": self.findings,
+            **_field_values(self),
             "elapsed_seconds": round(self.elapsed_seconds, 6),
-            "resumes": self.resumes,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "_Checkpoint":
-        return cls(
-            config_digest=doc["config_digest"],
-            cursor=doc["cursor"],
-            violation_count=doc["violation_count"],
-            warning_count=doc["warning_count"],
-            duplicates=doc["duplicates"],
-            strategy_stats=doc["strategy_stats"],
-            seen=list(doc["seen"]),
-            findings=list(doc["findings"]),
-            elapsed_seconds=doc["elapsed_seconds"],
-            resumes=doc["resumes"],
-        )
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
 
-def _write_atomic(path: Path, doc: dict) -> None:
-    """Crash-safe JSON write: temp file in the same directory, fsync,
-    ``os.replace`` — a reader (or a resume after ``kill -9``) sees the
-    old document or the new one, never a torn half."""
+def _json_text(doc: dict) -> str:
+    """A campaign JSON file's bytes."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Crash-safe write, the one way the campaign writes a file whole:
+    temp file in the same directory, fsync, ``os.replace`` — a reader
+    (or a resume after ``kill -9``) sees the old file or the new one,
+    never a torn or unsynced half."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
@@ -261,11 +246,11 @@ class Campaign:
         campaign.findings_dir.mkdir(exist_ok=True)
         campaign.config = config.resolved()
         config_doc = campaign.config.to_dict()
-        _write_atomic(campaign.config_path, config_doc)
+        _write_atomic(campaign.config_path, _json_text(config_doc))
         campaign.state = _Checkpoint(
             config_digest=_config_digest(config_doc),
             strategy_stats={
-                name: dict.fromkeys(_STAT_KEYS, 0)
+                name: dict.fromkeys(CELL_OUTCOMES, 0)
                 for name in campaign.config.strategies
             },
         )
@@ -330,7 +315,7 @@ class Campaign:
     # -- persistence ---------------------------------------------------------
 
     def _checkpoint(self) -> None:
-        _write_atomic(self.checkpoint_path, self.state.to_dict())
+        _write_atomic(self.checkpoint_path, _json_text(self.state.to_dict()))
 
     def _truncate_scenarios(self) -> None:
         """Drop scenario-log lines past the checkpoint cursor — the
@@ -406,7 +391,6 @@ class Campaign:
 
     def _chunk_loop(self, max_chunks, progress) -> None:
         from repro.core.batch import ChunkRunner
-        from repro.gen.fuzzing import fuzz_scenario
 
         config = self.config
         chunks_run = 0
@@ -421,20 +405,9 @@ class Campaign:
                         f"repro campaign resume {self.dir}"
                     )
                 first = config.seed_base + self.state.cursor
-                seeds = list(
-                    range(first, min(first + config.chunk_size,
-                                     config.seed_base + config.seeds))
-                )
-                with span("campaign.chunk", first=first, size=len(seeds)):
-                    outcomes = runner.map(
-                        fuzz_scenario,
-                        (
-                            itertools.repeat(config.profile),
-                            seeds,
-                            itertools.repeat(config.strategies),
-                            itertools.repeat(config.ilp_max_tasks),
-                        ),
-                    )
+                size = min(config.chunk_size, config.seeds - self.state.cursor)
+                with span("campaign.chunk", first=first, size=size):
+                    outcomes = sweep(runner, config, first, size, progress)
                 # transactional absorb: the chunk's effects (counters,
                 # dedupe keys, findings) accumulate in a staged copy;
                 # ``self.state`` stays at the last barrier, so an
@@ -444,13 +417,11 @@ class Campaign:
                 # way are rewritten identically when the chunk re-runs.
                 staged = copy.deepcopy(self.state)
                 seen = {tuple(key) for key in staged.seen}
-                for seed, (doc, count) in zip(seeds, outcomes):
+                for seed, (doc, count) in enumerate(outcomes, first):
                     self._absorb(staged, seen, seed, doc, count, log)
-                    if progress is not None:
-                        progress.advance(violations=count)
                 log.flush()
                 os.fsync(log.fileno())
-                staged.cursor += len(seeds)
+                staged.cursor += size
                 now = time.perf_counter()
                 staged.elapsed_seconds += now - started
                 started = now
@@ -469,7 +440,6 @@ class Campaign:
         """Fold one finished scenario into the chunk's staged state:
         log line, per-strategy tallies, and dedupe/shrink for every new
         error signature."""
-        from repro.gen.fuzzing import scenario_warning_count
         from repro.gen.shrink import scenario_signatures
 
         log.write(json.dumps(doc, sort_keys=True) + "\n")
@@ -479,18 +449,9 @@ class Campaign:
         _VIOLATIONS.inc(violation_count)
         for strategy, cell in doc["strategies"].items():
             stats = state.strategy_stats.setdefault(
-                strategy, dict.fromkeys(_STAT_KEYS, 0)
+                strategy, dict.fromkeys(CELL_OUTCOMES, 0)
             )
-            if "skipped" in cell:
-                stats["skipped"] += 1
-            elif "infeasible" in cell:
-                stats["infeasible"] += 1
-            elif "crashed" in cell:
-                stats["crashed"] += 1
-            elif cell["ok"]:
-                stats["ok"] += 1
-            else:
-                stats["violated"] += 1
+            stats[cell_outcome(cell)] += 1
         for sig in scenario_signatures(doc):
             self._record_finding(state, seen, seed, doc, sig)
 
@@ -562,15 +523,12 @@ class Campaign:
         text = _REPRO_PREFIX + json.dumps(replay, sort_keys=True) + "\n" + body
         path = self.dir / finding["file"]
         path.parent.mkdir(exist_ok=True)
-        with open(path, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
+        _write_atomic(path, text)
 
     def _finish(self) -> dict:
         """Assemble (and persist) the final report."""
         report = self.report()
-        _write_atomic(self.report_path, report)
+        _write_atomic(self.report_path, _json_text(report))
         return report
 
     def report(self) -> dict:

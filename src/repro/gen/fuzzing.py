@@ -5,7 +5,10 @@ round-tripped through the ``.soc`` writer/parser.
 This is the engine behind ``python -m repro fuzz`` *and* the serving
 layer's ``fuzz`` job kind — both produce the same
 ``repro/fuzz-report/v2`` document, so a sweep submitted over HTTP is
-byte-comparable with one run from the shell.  :func:`fuzz_scenario` is
+byte-comparable with one run from the shell.  A fuzz sweep is a
+one-chunk campaign: :func:`run_fuzz` resolves its definition through
+:class:`repro.gen.campaign.CampaignConfig`, and it and every campaign
+chunk run scenarios through :func:`sweep`.  :func:`fuzz_scenario` is
 module-level and fed only ``(profile, seed)`` coordinates, never live
 models, so the process backend can pickle the work out to workers.
 """
@@ -110,6 +113,48 @@ def scenario_warning_count(doc: dict) -> int:
     )
 
 
+#: What one strategy cell of a scenario came to (a campaign's
+#: per-strategy tally counts these).
+CELL_OUTCOMES = ("ok", "violated", "infeasible", "crashed", "skipped")
+
+
+def cell_outcome(cell: dict) -> str:
+    """Classify one strategy cell (:func:`strategy_cell`) as one of
+    :data:`CELL_OUTCOMES`."""
+    for outcome in ("skipped", "infeasible", "crashed"):
+        if outcome in cell:
+            return outcome
+    return "ok" if cell["ok"] else "violated"
+
+
+def sweep(runner, config, first: int, count: int, progress=None) -> list:
+    """Run scenarios for seeds ``first .. first + count - 1`` of a
+    resolved sweep definition (:class:`repro.gen.campaign.CampaignConfig`)
+    on a :class:`repro.core.batch.ChunkRunner`, in seed order.  Returns
+    ``[(scenario doc, violation count), ...]``.
+
+    The one place a scenario is handed to a runner: :func:`run_fuzz`
+    sweeps once, a campaign once per chunk.  ``progress`` (a
+    :class:`repro.obs.JobProgress`) advances as each scenario lands.
+    """
+    note = None
+    if progress is not None:
+
+        def note(outcome) -> None:
+            progress.advance(violations=outcome[1])
+
+    return runner.map(
+        fuzz_scenario,
+        (
+            itertools.repeat(config.profile),
+            range(first, first + count),
+            itertools.repeat(config.strategies),
+            itertools.repeat(config.ilp_max_tasks),
+        ),
+        progress=note,
+    )
+
+
 def run_fuzz(
     profile: str = "tiny",
     seeds: int = 20,
@@ -124,56 +169,50 @@ def run_fuzz(
     ``repro/fuzz-report/v2`` document (``doc["ok"]`` is the verdict;
     the CLI and the serving layer both wrap this call).
 
-    ``workers=None`` takes :func:`repro.core.batch.default_workers`:
-    one worker per seed (capped at the CPUs) for an explicit
-    ``process`` request, a serial sweep otherwise.
+    The sweep resolves as a one-chunk campaign
+    (:meth:`repro.gen.campaign.CampaignConfig.resolved`): ``workers=None``
+    takes :func:`repro.core.batch.default_workers`, one worker per seed
+    (capped at the CPUs) for an explicit ``process`` request and a
+    serial sweep otherwise.
 
     ``progress`` is an optional :class:`repro.obs.JobProgress` bumped
     once per finished scenario (with its violation count), so a served
     fuzz job exposes live ``done/total`` while the sweep runs.
     """
-    from repro.core.batch import default_workers, map_backend, resolve_backend
+    from repro.core.batch import ChunkRunner
+    from repro.gen.campaign import CampaignConfig
     from repro.obs import span
-    from repro.sched import available_strategies
 
     if seeds < 1:
         raise ValueError(f"fuzz needs at least 1 seed, got {seeds}")
-    strategy_list = list(strategies or available_strategies())
-    seed_list = list(range(seed_base, seed_base + seeds))
-    worker_count = default_workers(workers, backend, len(seed_list))
-    resolved = resolve_backend(backend, worker_count, len(seed_list))
-    note = None
+    config = CampaignConfig(
+        profile=profile,
+        seeds=seeds,
+        seed_base=seed_base,
+        strategies=tuple(strategies or ()),
+        ilp_max_tasks=ilp_max_tasks,
+        chunk_size=seeds,
+        workers=workers,
+        backend=backend,
+    ).resolved()
     if progress is not None:
-        progress.start(len(seed_list))
-
-        def note(outcome) -> None:
-            progress.advance(violations=outcome[1])
-
-    with span("fuzz.run", profile=profile, seeds=seeds, backend=resolved):
-        outcomes = map_backend(
-            fuzz_scenario,
-            (
-                itertools.repeat(profile),
-                seed_list,
-                itertools.repeat(tuple(strategy_list)),
-                itertools.repeat(ilp_max_tasks),
-            ),
-            resolved,
-            worker_count,
-            progress=note,
-        )
+        progress.start(seeds)
+    with span(
+        "fuzz.run", profile=profile, seeds=seeds, backend=config.backend
+    ), ChunkRunner(config.backend, config.workers) as runner:
+        outcomes = sweep(runner, config, seed_base, seeds, progress)
     violation_count = sum(count for _, count in outcomes)
     return {
         "schema": FUZZ_SCHEMA,
         "profile": profile,
         "seed_base": seed_base,
         "seeds": seeds,
-        "strategies": strategy_list,
+        "strategies": list(config.strategies),
         # the execution coordinates a reproduction needs: the resolved
         # backend (like batch-result v3 records it), the worker count,
         # and the MILP gate that decided which scenarios skipped "ilp"
-        "backend": resolved,
-        "workers": worker_count,
+        "backend": config.backend,
+        "workers": config.workers,
         "ilp_max_tasks": ilp_max_tasks,
         "ok": violation_count == 0,
         "violation_count": violation_count,

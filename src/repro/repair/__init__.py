@@ -36,7 +36,6 @@ from repro.repair.montecarlo import (
 from repro.repair.redundancy import (
     DEFAULT_REDUNDANCY,
     bisr_gates,
-    bisr_report,
     diagnosis_geometry,
 )
 from repro.repair.registry import (
@@ -66,7 +65,6 @@ __all__ = [
     "analyze_soc_repair",
     "available_allocators",
     "bisr_gates",
-    "bisr_report",
     "defect_bitmap",
     "diagnose_defects",
     "diagnosis_geometry",

@@ -315,7 +315,7 @@ def estimate_repair_rate(
             none (None = such memories are unrepairable when they fail).
         model_rows: word-line cap for the modelled arrays.
     """
-    from repro.core.batch import map_backend
+    from repro.core.batch import ChunkRunner
 
     if trials <= 0:
         raise ValueError(f"trial count must be positive, got {trials}")
@@ -327,20 +327,19 @@ def estimate_repair_rate(
     result = RepairRateResult(seed=seed, allocator=allocator)
     workers = max(1, min(workers, trials))
     bounds = [(trials * i) // workers for i in range(workers + 1)]
-    chunks = map_backend(
-        _run_trials,
-        (
-            itertools.repeat(pairs),
-            itertools.repeat(model),
-            itertools.repeat(allocator),
-            itertools.repeat(seed),
-            bounds[:-1],
-            [end - start for start, end in zip(bounds, bounds[1:])],
-            itertools.repeat(model_rows),
-        ),
-        "process" if workers > 1 else "serial",
-        workers,
-    )
+    with ChunkRunner("process" if workers > 1 else "serial", workers) as runner:
+        chunks = runner.map(
+            _run_trials,
+            (
+                itertools.repeat(pairs),
+                itertools.repeat(model),
+                itertools.repeat(allocator),
+                itertools.repeat(seed),
+                bounds[:-1],
+                [end - start for start, end in zip(bounds, bounds[1:])],
+                itertools.repeat(model_rows),
+            ),
+        )
     for chunk in chunks:
         result.merge(chunk)
     return result

@@ -11,7 +11,6 @@ same DFT-area report as the test controller and TAM multiplexer.
 
 from __future__ import annotations
 
-from repro.netlist.area import AreaReport
 from repro.soc.memory import MemorySpec, RedundancySpec
 
 #: Spares assumed when a memory spec carries no redundancy of its own
@@ -69,21 +68,3 @@ def bisr_gates(spec: MemorySpec, redundancy: RedundancySpec | None = None) -> fl
         total += count * per_line
     return total
 
-
-def bisr_report(
-    memories: list[MemorySpec],
-    chip_gates: float,
-    default: RedundancySpec | None = None,
-) -> AreaReport:
-    """Per-memory BISR area report against the chip's gate count.
-
-    ``default`` (e.g. :data:`DEFAULT_REDUNDANCY`) applies to memories
-    whose spec carries no redundancy; None leaves them unrepaired.
-    """
-    report = AreaReport(chip_gates=chip_gates)
-    for spec in memories:
-        red = spec.redundancy if spec.redundancy is not None else default
-        gates = bisr_gates(spec, red)
-        if gates > 0.0 and red is not None:
-            report.add(f"BISR {spec.name}", gates, note=red.describe())
-    return report

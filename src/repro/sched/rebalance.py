@@ -51,13 +51,7 @@ def rebalance_advice(core: Core, width: int) -> RebalanceAdvice:
 
 def rebalance_report(soc: Soc, result: ScheduleResult) -> Table:
     """Integrator feedback for every soft scanned core in a schedule."""
-    widths: dict[str, int] = {}
-    for session in result.sessions:
-        for test in session.tests:
-            if test.task.is_scan:
-                widths[test.task.core_name] = max(
-                    widths.get(test.task.core_name, 0), test.width
-                )
+    widths = result.scheduled_widths()
     table = Table(
         ["Core", "TAM width", "Old chains (max)", "Rebalanced chains (max)"],
         title="Scan-chain rebalancing feedback (soft cores)",

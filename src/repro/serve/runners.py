@@ -121,32 +121,15 @@ def _dispatch(
             )
             .to_dict()
         )
+    # a normalized fuzz or repair job's fields are its entry point's
+    # keywords; only the chip reference travels as a built chip
+    fields = {k: v for k, v in normalized.items() if k not in ("kind", "soc")}
     if kind == "fuzz":
         from repro.gen import run_fuzz
 
-        return run_fuzz(
-            profile=normalized["profile"],
-            seeds=normalized["seeds"],
-            seed_base=normalized["seed_base"],
-            strategies=normalized["strategies"],
-            ilp_max_tasks=normalized["ilp_max_tasks"],
-            workers=workers,
-            backend=backend,
-            progress=progress,
-        )
+        return run_fuzz(workers=workers, backend=backend, progress=progress, **fields)
     if kind == "repair":
         from repro.repair import repair_report
 
-        return repair_report(
-            work[0],
-            seed=normalized["seed"],
-            trials=normalized["trials"],
-            workers=workers or 0,
-            allocator=normalized["allocator"],
-            defects=normalized["defects"],
-            defect_density=normalized["defect_density"],
-            spare_rows=normalized["spare_rows"],
-            spare_cols=normalized["spare_cols"],
-            model_rows=normalized["model_rows"],
-        )
+        return repair_report(work[0], workers=workers or 0, **fields)
     raise JobError(f"unknown job kind {kind!r}")

@@ -94,13 +94,6 @@ class MemorySpec:
     def is_two_port(self) -> bool:
         return self.mem_type is MemoryType.TWO_PORT
 
-    def with_redundancy(self, redundancy: RedundancySpec) -> "MemorySpec":
-        """A copy of this spec carrying the given spare resources (the
-        spec itself is frozen)."""
-        import dataclasses
-
-        return dataclasses.replace(self, redundancy=redundancy)
-
     def describe(self) -> str:
         """Human-readable geometry, e.g. ``"16Kx16 SP"``."""
         words = self.words

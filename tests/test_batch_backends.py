@@ -12,7 +12,7 @@ import pickle
 import pytest
 
 from repro.core import Steac, SteacConfig, integrate_many
-from repro.core.batch import ChunkRunner, map_backend, resolve_backend
+from repro.core.batch import ChunkRunner, resolve_backend
 from repro.gen import ScenarioSpec, scenario_specs
 from repro.sched import ScanTimeModel, core_scan_time, schedule_sessions, tasks_from_soc
 from repro.soc.dsc import build_dsc_chip, build_usb_core
@@ -85,16 +85,16 @@ class TestBackends:
             with pytest.raises(ValueError):
                 resolve_backend(gone, 4, 8)
 
-    def test_map_backend_preserves_order_and_rejects_auto(self):
+    def test_chunk_runner_preserves_order_and_rejects_auto(self):
         args = (range(5), range(5))
-        serial = map_backend(weave, args, "serial")
+        with ChunkRunner("serial") as runner:
+            serial = runner.map(weave, args)
         assert serial == [0, 11, 22, 33, 44]
         for chunksize in (1, 2):
-            assert map_backend(
-                weave, args, "process", workers=2, chunksize=chunksize
-            ) == serial
+            with ChunkRunner("process", workers=2) as runner:
+                assert runner.map(weave, args, chunksize=chunksize) == serial
         with pytest.raises(ValueError):
-            map_backend(weave, args, "auto")
+            ChunkRunner("auto")
 
     def test_chunk_runner_joins_pool_on_error(self):
         """An exception inside the runner cancels queued work and then

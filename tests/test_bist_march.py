@@ -82,8 +82,8 @@ class TestLibrary:
 
     def test_with_retention_adds_pauses(self):
         ret = with_retention(MARCH_C_MINUS)
-        assert ret.has_pause
-        assert not MARCH_C_MINUS.has_pause
+        assert any(e.pause_before for e in ret.elements)
+        assert not any(e.pause_before for e in MARCH_C_MINUS.elements)
         assert ret.complexity == MARCH_C_MINUS.complexity
 
     def test_ops_properties(self):

@@ -421,6 +421,56 @@ class TestFindings:
         with pytest.raises(ValueError, match="repro"):
             load_repro(plain)
 
+    def test_failed_repro_write_leaves_no_soc_file(self, tmp_path,
+                                                   broken_strategy,
+                                                   monkeypatch):
+        """A repro file reaches its name only once it is durable: an
+        fsync that fails mid-write leaves the temp file, never a
+        ``.soc`` a replay would trust."""
+        campaign = Campaign.create(
+            tmp_path / "c",
+            CampaignConfig(profile="tiny", seeds=1,
+                           strategies=(broken_strategy,), backend="serial"),
+        )
+
+        def failing_fsync(fd):
+            raise OSError("fsync failed")
+
+        # the first fsync of the run is the finding's repro write
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="fsync failed"):
+            campaign.run()
+        findings = tmp_path / "c" / "findings"
+        assert list(findings.glob("*.soc")) == []
+        assert len(list(findings.glob("*.soc.tmp"))) == 1
+
+
+class TestFuzzParity:
+    """A campaign and ``repro fuzz`` over the same sweep agree byte for
+    byte: each scenario log line is the fuzz report's scenario, and the
+    verdict and execution coordinates match."""
+
+    STRATEGIES = ["session", "nonsession", "serial"]
+
+    @pytest.mark.parametrize(
+        "seed_base, seeds, chunk_size, backend, workers",
+        [(7, 13, 5, "serial", None), (0, 6, 4, "process", 2)],
+    )
+    def test_scenario_log_and_verdict_match_run_fuzz(
+        self, tmp_path, seed_base, seeds, chunk_size, backend, workers
+    ):
+        sweep = dict(profile="tiny", seeds=seeds, seed_base=seed_base,
+                     strategies=self.STRATEGIES, backend=backend,
+                     workers=workers)
+        fuzz = run_fuzz(**sweep)
+        report = run_campaign(tmp_path / "c", chunk_size=chunk_size, **sweep)
+        lines = (tmp_path / "c" / "scenarios.jsonl").read_text().splitlines()
+        assert lines == [json.dumps(doc, sort_keys=True)
+                         for doc in fuzz["scenarios"]]
+        for key in ("strategies", "ilp_max_tasks", "backend", "workers",
+                    "ok", "violation_count", "warning_count"):
+            assert report[key] == fuzz[key], key
+
 
 class TestShrinker:
     def test_shrink_is_one_minimal(self):

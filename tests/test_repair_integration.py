@@ -1,6 +1,7 @@
 """Tests for the repair subsystem's platform integration: the
 AnalyzeRepair stage, the v2 result schema, and the BISR area model."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,10 +9,8 @@ import pytest
 from repro.core import Pipeline, Steac, SteacConfig, default_stages
 from repro.repair import (
     DEFAULT_REDUNDANCY,
-    AnalyzeRepair,
     analyze_soc_repair,
     bisr_gates,
-    bisr_report,
 )
 from repro.soc import MemorySpec, RedundancySpec, Soc
 from repro.soc.demo import build_demo_core
@@ -49,15 +48,6 @@ class TestBisrArea:
     def test_spec_redundancy_used_when_no_override(self):
         spec = MemorySpec("m", words=1024, bits=8, redundancy=RedundancySpec(2, 0))
         assert bisr_gates(spec) > 0.0
-
-    def test_report_covers_defaulted_memories(self):
-        memories = [
-            MemorySpec("a", words=1024, bits=8),
-            MemorySpec("b", words=512, bits=8, redundancy=RedundancySpec(1, 0)),
-        ]
-        report = bisr_report(memories, chip_gates=100_000, default=DEFAULT_REDUNDANCY)
-        assert [i.name for i in report.items] == ["BISR a", "BISR b"]
-        assert report.overhead_percent > 0
 
 
 class TestAnalyzeRepairStage:
@@ -154,7 +144,7 @@ class TestRedundancySpecModel:
 
     def test_with_redundancy_returns_updated_copy(self):
         spec = MemorySpec("m", words=64, bits=4)
-        updated = spec.with_redundancy(RedundancySpec(1, 2))
+        updated = dataclasses.replace(spec, redundancy=RedundancySpec(1, 2))
         assert spec.redundancy is None
         assert updated.redundancy == RedundancySpec(1, 2)
         assert updated.name == spec.name

@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo repair-rate engine (repro.repair.montecarlo)."""
 
+import dataclasses
 import random
 
 import pytest
@@ -159,7 +160,8 @@ class TestEstimateRepairRate:
     def test_spec_redundancy_overrides_default(self):
         """Memories with their own RedundancySpec ignore default_spares:
         zero own spares make any failing chip unrepairable."""
-        bare = [m.with_redundancy(RedundancySpec(0, 0)) for m in small_memories()]
+        bare = [dataclasses.replace(m, redundancy=RedundancySpec(0, 0))
+                for m in small_memories()]
         result = estimate_repair_rate(
             bare, trials=40, seed=7, model=DENSE,
             default_spares=RedundancySpec(8, 8),

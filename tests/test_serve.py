@@ -250,6 +250,37 @@ class TestOtherJobKinds:
         doc = server.result(job["id"])
         assert doc["schema"] == "repro/repair-report/v1"
 
+    def test_fuzz_job_result_is_run_fuzz_text(self, server):
+        """A served fuzz job is the library sweep's document, byte for
+        byte."""
+        from repro.gen import run_fuzz
+
+        params = {"profile": "tiny", "seeds": 3, "seed_base": 5,
+                  "strategies": ["session", "nonsession", "serial"],
+                  "ilp_max_tasks": 4}
+        job = server.wait(server.submit({"kind": "fuzz", **params})["id"])
+        assert job["status"] == "done"
+        assert server.result_text(job["id"]) == json.dumps(
+            run_fuzz(**params), indent=2
+        )
+
+    def test_repair_job_result_is_repair_report_text(self, server):
+        """A served repair job is ``repair_report``'s document, byte for
+        byte."""
+        from repro.repair import repair_report
+        from repro.soc.dsc import build_dsc_chip
+
+        params = {"seed": 3, "trials": 20, "allocator": "greedy",
+                  "defects": 2, "defect_density": 0.5, "spare_rows": 1,
+                  "spare_cols": 3, "model_rows": 16}
+        job = server.wait(server.submit(
+            {"kind": "repair", "soc": {"name": "dsc"}, **params}
+        )["id"])
+        assert job["status"] == "done"
+        assert server.result_text(job["id"]) == json.dumps(
+            repair_report(build_dsc_chip(), **params), indent=2
+        )
+
     def test_batch_job(self, server):
         job = server.wait(server.submit({
             "kind": "batch",

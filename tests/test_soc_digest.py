@@ -176,8 +176,9 @@ class TestDigestSensitivity:
         assert soc.memories
         spec = soc.memories[0]
         current = spec.redundancy or RedundancySpec(0, 0)
-        respared = spec.with_redundancy(
-            RedundancySpec(current.spare_rows + 1, current.spare_cols)
+        respared = dataclasses.replace(
+            spec,
+            redundancy=RedundancySpec(current.spare_rows + 1, current.spare_cols),
         )
         mutated = dataclasses.replace(
             soc, memories=[respared] + soc.memories[1:]
