@@ -1,8 +1,9 @@
 """Lint-rule plugin registry: rules resolve by id.
 
-Mirrors :mod:`repro.sched.registry` / :mod:`repro.repair.registry` —
-built-in rule families register at import, and downstream code can
-plug in its own rule without touching the engine:
+Rules are held by id in :data:`RULES`, a
+:class:`repro.util.registry.Registry`.  The built-in rule families
+register at import, and downstream code can plug in its own rule
+without touching the engine:
 
     >>> from repro.analysis.registry import Rule, register_rule
     >>> @register_rule
@@ -27,6 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Optional, TypeVar
 
 from repro.analysis.findings import SEVERITIES, Finding
+from repro.util.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.engine import FileContext
@@ -86,7 +88,7 @@ class ProjectRule(Rule):
         return ()
 
 
-_REGISTRY: dict[str, Rule] = {}
+RULES: Registry[Rule] = Registry("lint rule")
 
 _R = TypeVar("_R", bound="type[Rule]")
 
@@ -104,36 +106,27 @@ def register_rule(cls: _R) -> _R:
         raise ValueError(
             f"rule {rule.id} severity {rule.severity!r} not in {SEVERITIES}"
         )
-    _REGISTRY[rule.id] = rule
+    RULES.register(rule.id, rule)
     return cls
 
 
 def get_rule(rule_id: str) -> Rule:
-    """Look up a rule by id.
-
-    Raises:
-        ValueError: unknown id (message lists what is available).
-    """
+    """Look up a rule by id (``ValueError`` listing the available ones
+    for an unknown id)."""
     _load_builtin_rules()
-    try:
-        return _REGISTRY[rule_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown lint rule {rule_id!r}; "
-            f"available: {', '.join(available_rules())}"
-        ) from None
+    return RULES.lookup(rule_id)
 
 
 def available_rules() -> list[str]:
     """Registered rule ids, sorted."""
     _load_builtin_rules()
-    return sorted(_REGISTRY)
+    return RULES.names()
 
 
 def all_rules() -> list[Rule]:
     """Every registered rule, in id order."""
     _load_builtin_rules()
-    return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
+    return [RULES[rule_id] for rule_id in RULES.names()]
 
 
 def _load_builtin_rules() -> None:

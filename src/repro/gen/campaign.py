@@ -123,11 +123,20 @@ class CampaignConfig:
 
     def resolved(self) -> "CampaignConfig":
         """Pin every late-bound default (strategy list, worker count,
-        backend) so the stored definition is self-contained."""
-        from repro.core.batch import default_workers, resolve_backend
-        from repro.sched import available_strategies
+        backend) so the stored definition is self-contained.
 
-        strategies = tuple(self.strategies or available_strategies())
+        Raises:
+            ValueError: a profile or strategy name nothing is registered
+                under (a typo is not a scheduler crash in every scenario).
+        """
+        from repro.core.batch import default_workers, resolve_backend
+        from repro.gen.profiles import get_profile
+        from repro.sched.registry import STRATEGIES
+
+        get_profile(self.profile)
+        strategies = tuple(self.strategies or STRATEGIES.names())
+        for name in strategies:
+            STRATEGIES.lookup(name)
         workers = default_workers(
             self.workers, self.backend, min(self.seeds, self.chunk_size)
         )
@@ -242,9 +251,9 @@ class Campaign:
                 f"here; resume it (repro campaign resume {campaign.dir}) or pick "
                 "a fresh directory"
             )
+        campaign.config = config.resolved()
         campaign.dir.mkdir(parents=True, exist_ok=True)
         campaign.findings_dir.mkdir(exist_ok=True)
-        campaign.config = config.resolved()
         config_doc = campaign.config.to_dict()
         _write_atomic(campaign.config_path, _json_text(config_doc))
         campaign.state = _Checkpoint(

@@ -4,9 +4,9 @@ A :class:`GenProfile` is the parameter envelope one generated chip is
 drawn from: how many cores, how their scan chains and pattern counts are
 distributed, how many embedded memories (and whether they carry repair
 spares), and how tight the power/pin budgets are.  Profiles are
-registered by name — the CLI ``generate``/``fuzz`` commands and the
-corpus API resolve them through :func:`get_profile`, mirroring the
-scheduler and allocator registries:
+registered by name in :data:`PROFILES` (a
+:class:`repro.util.registry.Registry`) — the CLI ``generate``/``fuzz``
+commands and the corpus API resolve them through :func:`get_profile`:
 
     >>> from repro.gen import register_profile, GenProfile
     >>> register_profile(GenProfile(name="mychip", cores=(12, 12)))
@@ -20,6 +20,8 @@ stress-benchmark size (``benchmarks/bench_generator_scaling.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.util.registry import Registry
 
 
 @dataclass(frozen=True)
@@ -105,33 +107,19 @@ class GenProfile:
         return self.name.replace("-", "_")
 
 
-_REGISTRY: dict[str, GenProfile] = {}
+PROFILES: Registry[GenProfile] = Registry("generator profile")
+
+#: Look up a profile by name (``ValueError`` listing the available ones
+#: for an unknown name).
+get_profile = PROFILES.lookup
+
+#: Registered profile names, sorted.
+available_profiles = PROFILES.names
 
 
 def register_profile(profile: GenProfile) -> GenProfile:
     """Register ``profile`` under its name (last registration wins)."""
-    _REGISTRY[profile.name] = profile
-    return profile
-
-
-def get_profile(name: str) -> GenProfile:
-    """Look up a profile by name.
-
-    Raises:
-        ValueError: unknown name (message lists what is available).
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown generator profile {name!r}; "
-            f"available: {', '.join(available_profiles())}"
-        ) from None
-
-
-def available_profiles() -> list[str]:
-    """Registered profile names, sorted."""
-    return sorted(_REGISTRY)
+    return PROFILES.register(profile.name, profile)
 
 
 # -- the shipped size ladder -------------------------------------------------

@@ -147,12 +147,6 @@ class Module:
     def output_ports(self) -> list[str]:
         return [p.name for p in self.ports if p.direction is PortDir.OUT]
 
-    def instance(self, name: str) -> Instance:
-        for inst in self.instances:
-            if inst.name == name:
-                return inst
-        raise KeyError(f"module {self.name!r} has no instance {name!r}")
-
     def cell_counts(self, netlist: Optional[Netlist] = None) -> dict[str, int]:
         """Histogram of leaf-cell usage (recursing through hierarchy when
         a :class:`Netlist` is provided)."""

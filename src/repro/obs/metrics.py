@@ -104,11 +104,6 @@ class Histogram:
             row = self._samples.get(_label_key(labels))
             return row[-2] if row else 0
 
-    def sum(self, **labels: str) -> float:
-        with self._lock:
-            row = self._samples.get(_label_key(labels))
-            return row[-1] if row else 0.0
-
     def samples(self) -> dict[LabelKey, list[float]]:
         with self._lock:
             return {key: list(row) for key, row in self._samples.items()}

@@ -127,10 +127,6 @@ class Tracer:
 
     # -- state -------------------------------------------------------------
 
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
     def enable(self) -> None:
         self._enabled = True
 

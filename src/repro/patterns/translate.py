@@ -179,6 +179,11 @@ def wir_preamble(program: AteProgram, instruction: WrapperInstruction, statics: 
     )
 
 
+def wir_preamble_cycles(instruction: WrapperInstruction) -> int:
+    """Cycles :func:`wir_preamble` spends programming the WIR (shift + update)."""
+    return len(wir_shift_sequence(instruction)) + 1
+
+
 def wrapper_scan_program(
     core: Core,
     wrapper_patterns: WrapperPatternSet,
@@ -201,7 +206,7 @@ def wrapper_scan_program(
         statics[pin] = "1"  # resets held inactive (active-low convention)
     for pin in controls["te"]:
         statics[pin] = "1"
-    preamble_len = len(wir_shift_sequence(WrapperInstruction.INTEST_PARALLEL)) + 1
+    preamble_len = wir_preamble_cycles(WrapperInstruction.INTEST_PARALLEL)
     wir_preamble(program, WrapperInstruction.INTEST_PARALLEL, statics)
     statics["parallel_sel"] = "1"
 

@@ -1,8 +1,8 @@
 """Allocator plugin registry: repair solvers resolve by name.
 
-Mirrors :mod:`repro.sched.registry` — ``exact`` and ``greedy`` ship
-built in, and downstream code can register its own solver without
-touching the platform:
+``exact`` and ``greedy`` ship built in, held in :data:`ALLOCATORS` (a
+:class:`repro.util.registry.Registry`), and downstream code can
+register its own solver without touching the platform:
 
     >>> from repro.repair.registry import register_allocator
     >>> @register_allocator("mine")
@@ -16,11 +16,13 @@ Every allocator shares one calling convention::
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Protocol
 
 from repro.repair.allocate import RepairSolution, solve_exact, solve_greedy
 from repro.repair.bitmap import FailBitmap
 from repro.soc.memory import RedundancySpec
+from repro.util.registry import Registry
 
 
 class AllocatorFn(Protocol):
@@ -29,41 +31,20 @@ class AllocatorFn(Protocol):
     def __call__(self, bitmap: FailBitmap, spares: RedundancySpec) -> RepairSolution: ...
 
 
-_REGISTRY: dict[str, AllocatorFn] = {}
+ALLOCATORS: Registry[AllocatorFn] = Registry("repair allocator")
+
+#: Look up an allocator by name (``ValueError`` listing the available
+#: ones for an unknown name).
+get_allocator = ALLOCATORS.lookup
+
+#: Registered allocator names, sorted.
+available_allocators = ALLOCATORS.names
 
 
 def register_allocator(name: str) -> Callable[[AllocatorFn], AllocatorFn]:
-    """Decorator: register ``fn`` as the repair allocator ``name``.
-
-    Re-registering a name replaces the previous entry (last one wins),
-    so tests and plugins can shadow a built-in.
-    """
-
-    def decorator(fn: AllocatorFn) -> AllocatorFn:
-        _REGISTRY[name] = fn
-        return fn
-
-    return decorator
-
-
-def get_allocator(name: str) -> AllocatorFn:
-    """Look up an allocator by name.
-
-    Raises:
-        ValueError: unknown name (message lists what is available).
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown repair allocator {name!r}; "
-            f"available: {', '.join(available_allocators())}"
-        ) from None
-
-
-def available_allocators() -> list[str]:
-    """Registered allocator names, sorted."""
-    return sorted(_REGISTRY)
+    """Decorator: register ``fn`` as the repair allocator ``name`` (the
+    last registration wins, so tests and plugins can shadow a built-in)."""
+    return functools.partial(ALLOCATORS.register, name)
 
 
 def resolve_allocation(
@@ -73,5 +54,5 @@ def resolve_allocation(
     return get_allocator(name)(bitmap, spares)
 
 
-register_allocator("exact")(solve_exact)
-register_allocator("greedy")(solve_greedy)
+ALLOCATORS.register("exact", solve_exact)
+ALLOCATORS.register("greedy", solve_greedy)

@@ -3,8 +3,9 @@
 The Core Test Scheduler ships four strategies — ``session`` (the paper's
 contribution), ``nonsession`` and ``serial`` (the Section-3 baselines),
 and ``ilp`` (the exact MILP used to validate the heuristic).  Each is
-registered here under its name so callers (``SteacConfig.strategy``, the
-CLI ``--strategy`` flag, ``compare_strategies``) pick schedulers by name
+registered in :data:`STRATEGIES`, a :class:`repro.util.registry.Registry`,
+under its name so callers (``SteacConfig.strategy``, the CLI
+``--strategy`` flag, ``compare_strategies``) pick schedulers by name
 instead of hardcoding a dispatch chain, and so downstream code can plug
 in new strategies without touching the platform:
 
@@ -24,11 +25,13 @@ default session-sharing policy, for instance).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional, Protocol
 
 from repro.sched.ioalloc import SharingPolicy
 from repro.sched.result import ScheduleResult, TestTask
 from repro.soc.soc import Soc
+from repro.util.registry import Registry
 
 
 class SchedulerFn(Protocol):
@@ -44,45 +47,21 @@ class SchedulerFn(Protocol):
     ) -> ScheduleResult: ...
 
 
-_REGISTRY: dict[str, SchedulerFn] = {}
+STRATEGIES: Registry[SchedulerFn] = Registry("scheduling strategy")
 
-#: Default cap on MILP session count — matches the heuristic's
-#: ``max_sessions`` search bound in :func:`repro.sched.session.schedule_sessions`.
-ILP_DEFAULT_MAX_SESSIONS = 8
+#: Look up a strategy by name (``ValueError`` listing the available ones
+#: for an unknown name).
+get_scheduler = STRATEGIES.lookup
+
+#: Registered strategy names, sorted.
+available_strategies = STRATEGIES.names
 
 
 def register_scheduler(name: str) -> Callable[[SchedulerFn], SchedulerFn]:
-    """Decorator: register ``fn`` as the scheduling strategy ``name``.
-
-    Re-registering a name replaces the previous entry (last one wins),
-    so tests and plugins can shadow a built-in.
-    """
-
-    def decorator(fn: SchedulerFn) -> SchedulerFn:
-        _REGISTRY[name] = fn
-        return fn
-
-    return decorator
-
-
-def get_scheduler(name: str) -> SchedulerFn:
-    """Look up a strategy by name.
-
-    Raises:
-        ValueError: unknown name (message lists what is available).
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduling strategy {name!r}; "
-            f"available: {', '.join(available_strategies())}"
-        ) from None
-
-
-def available_strategies() -> list[str]:
-    """Registered strategy names, sorted."""
-    return sorted(_REGISTRY)
+    """Decorator: register ``fn`` as the scheduling strategy ``name``
+    (the last registration wins, so tests and plugins can shadow a
+    built-in)."""
+    return functools.partial(STRATEGIES.register, name)
 
 
 def resolve_schedule(
@@ -153,6 +132,7 @@ def _ilp(
     policy: Optional[SharingPolicy] = None,
 ) -> ScheduleResult:
     from repro.sched.ilp import schedule_ilp
+    from repro.sched.session import MAX_SESSIONS
 
-    cap = n_sessions or min(len(tasks), ILP_DEFAULT_MAX_SESSIONS) or 1
+    cap = n_sessions or min(len(tasks), MAX_SESSIONS) or 1
     return schedule_ilp(soc, tasks, n_sessions=cap)

@@ -64,6 +64,11 @@ from repro.sched.result import ScheduledTest, ScheduleResult, Session, TestTask
 from repro.sched.timecalc import SESSION_RECONFIG_CYCLES
 from repro.soc.soc import Soc
 
+#: How many candidate session counts :func:`schedule_sessions` searches,
+#: from the mutex-forced floor up; the ``ilp`` strategy's default session
+#: cap reads it too.
+MAX_SESSIONS = 8
+
 
 class InfeasibleScheduleError(ValueError):
     """Raised when no feasible schedule exists for the given resources."""
@@ -563,20 +568,20 @@ def schedule_sessions(
     n_sessions: int | None = None,
     policy: SharingPolicy = SharingPolicy(),
     reconfig: int = SESSION_RECONFIG_CYCLES,
-    max_sessions: int = 8,
 ) -> ScheduleResult:
     """Session-based schedule for ``tasks`` on ``soc``.
 
-    When ``n_sessions`` is None, a window of ``max_sessions`` candidate
-    session counts is searched, starting at the mutex-forced floor (the
-    most tasks holding one exclusive resource, :attr:`TestTask.exclusive`:
-    a core, the chip's functional interface or the BIST engine) and capped
-    at the task count — ``floor .. min(#tasks, floor + max_sessions - 1)``.
-    For small chips (floor 1) this is the classic ``1 .. max_sessions``
-    search; large chips with many functional tests start higher and
-    stay schedulable.  ``max_sessions`` sizes the search window — it is
-    not a hard cap on the returned session count; pass ``n_sessions``
-    to pin the count exactly.  The best feasible result is returned.
+    When ``n_sessions`` is None, a window of :data:`MAX_SESSIONS`
+    candidate session counts is searched, starting at the mutex-forced
+    floor (the most tasks holding one exclusive resource,
+    :attr:`TestTask.exclusive`: a core, the chip's functional interface or
+    the BIST engine) and capped at the task count — ``floor ..
+    min(#tasks, floor + MAX_SESSIONS - 1)``.  For small chips (floor 1)
+    this is the classic ``1 .. MAX_SESSIONS`` search; large chips with
+    many functional tests start higher and stay schedulable.
+    ``MAX_SESSIONS`` sizes the search window — it is not a hard cap on
+    the returned session count; pass ``n_sessions`` to pin the count
+    exactly.  The best feasible result is returned.
 
     Candidate counts are pruned against the session lower bound: once
     the incumbent makespan reaches
@@ -593,9 +598,9 @@ def schedule_sessions(
         candidates = [n_sessions]
     else:
         forced = max(exclusive_tallies((t, 1) for t in tasks).values())
-        # a window of max_sessions candidate counts starting at the floor
-        # (degenerates to the classic 1..max_sessions for small chips)
-        candidates = list(range(forced, min(len(tasks), forced + max_sessions - 1) + 1))
+        # a window of MAX_SESSIONS candidate counts starting at the floor
+        # (degenerates to the classic 1..MAX_SESSIONS for small chips)
+        candidates = list(range(forced, min(len(tasks), forced + MAX_SESSIONS - 1) + 1))
     evaluator = _SessionEvaluator(soc, policy, tasks)
     floor = session_schedule_floor(soc, tasks, reconfig)
     stats = {"rounds": 0, "moves": 0, "moves_bounded": 0, "moves_pruned": 0,

@@ -96,12 +96,6 @@ class Soc:
         """Total embedded SRAM capacity in bits."""
         return sum(m.capacity_bits for m in self.memories)
 
-    @property
-    def raw_control_ios(self) -> int:
-        """Control IOs if every wrapped core got dedicated pins (the
-        paper's "total test IOs of the three large cores are 19")."""
-        return sum(c.control_needs.total for c in self.wrapped_cores)
-
     def digest(self) -> str:
         """The chip's stable content address (sha256 hex).
 

@@ -27,22 +27,17 @@ from repro.patterns.core_patterns import CorePatternSet
 
 # one definition, shared with the translator, so the checker can never
 # drift from what it checks
-from repro.patterns.translate import CHIP_SESSION_PREAMBLE
+from repro.patterns.translate import CHIP_SESSION_PREAMBLE, wir_preamble_cycles
 from repro.sched.ioalloc import SharingPolicy
 from repro.sched.timecalc import scan_test_time
 from repro.soc.core import Core
 from repro.verify.invariants import verify_schedule
 from repro.verify.report import VerificationReport
 from repro.wrapper.balance import WrapperPlan, wrapper_cell_counts
-from repro.wrapper.wir import WrapperInstruction, wir_shift_sequence
+from repro.wrapper.wir import WrapperInstruction
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pipeline import FlowContext
-
-
-def _wir_preamble_cycles(instruction: WrapperInstruction) -> int:
-    """Cycles the translator spends programming the WIR (shift + update)."""
-    return len(wir_shift_sequence(instruction)) + 1
 
 
 def check_wrapper_plan(
@@ -99,12 +94,12 @@ def check_program_cycles(
     the session preamble)."""
     report.check("translation")
     if kind == "scan":
-        preamble = _wir_preamble_cycles(WrapperInstruction.INTEST_PARALLEL)
+        preamble = wir_preamble_cycles(WrapperInstruction.INTEST_PARALLEL)
         body = scan_test_time(
             plan.scan_in_depth, plan.scan_out_depth, len(patterns.scan_vectors)
         )
     else:
-        preamble = _wir_preamble_cycles(WrapperInstruction.FUNCTIONAL)
+        preamble = wir_preamble_cycles(WrapperInstruction.FUNCTIONAL)
         body = len(patterns.functional_vectors)
     wrapper_level = preamble + body
     allowed = {wrapper_level, wrapper_level + CHIP_SESSION_PREAMBLE}

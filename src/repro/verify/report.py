@@ -80,13 +80,6 @@ class VerificationReport:
         """True when no *error*-severity violation was found."""
         return not self.errors
 
-    def merge(self, other: "VerificationReport") -> "VerificationReport":
-        """Fold another report's findings into this one."""
-        self.violations.extend(other.violations)
-        for rule in other.rules_checked:
-            self.check(rule)
-        return self
-
     def to_dict(self) -> dict:
         """JSON-native report document."""
         return {

@@ -113,6 +113,10 @@ class TestPklRules:
         src = "register_scheduler('quick', lambda soc: None)\n"
         assert "PKL001" in fired(src, FREE_PATH)
 
+    def test_pkl001_lambda_on_a_registry_object_fires(self):
+        src = "STRATEGIES.register('quick', lambda soc, tasks: None)\n"
+        assert "PKL001" in fired(src, FREE_PATH)
+
     def test_pkl001_decorated_nested_function_fires(self):
         src = """\
         def build():

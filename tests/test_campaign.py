@@ -39,7 +39,7 @@ from repro.gen.shrink import (
 )
 from repro.obs import JobProgress
 from repro.sched import InfeasibleScheduleError, SharingPolicy
-from repro.sched.registry import _REGISTRY, register_scheduler
+from repro.sched.registry import STRATEGIES, register_scheduler
 from repro.sched.session import schedule_serial
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,7 +63,7 @@ def broken_strategy():
         raise RuntimeError("deliberate crash")
 
     yield "broken"
-    _REGISTRY.pop("broken", None)
+    STRATEGIES.pop("broken", None)
 
 
 @pytest.fixture
@@ -76,7 +76,7 @@ def lossy_strategy():
         return schedule_serial(soc, tasks[:1], policy=policy or SharingPolicy())
 
     yield "lossy"
-    _REGISTRY.pop("lossy", None)
+    STRATEGIES.pop("lossy", None)
 
 
 @pytest.fixture
@@ -88,7 +88,7 @@ def refusing_strategy():
         raise InfeasibleScheduleError("deliberate refusal")
 
     yield "refusing"
-    _REGISTRY.pop("refusing", None)
+    STRATEGIES.pop("refusing", None)
 
 
 class TestCampaignLifecycle:
@@ -126,6 +126,19 @@ class TestCampaignLifecycle:
             CampaignConfig(seeds=0)
         with pytest.raises(ValueError):
             CampaignConfig(chunk_size=0)
+
+    def test_unknown_names_refused_before_any_file(self, tmp_path):
+        """A name nothing is registered under is refused when the sweep
+        resolves: an unknown strategy is not run as a crash in every
+        scenario and shrunk into a finding, and an unknown profile does
+        not leave a directory behind that can neither run nor resume."""
+        with pytest.raises(ValueError, match="unknown scheduling strategy 'nope'; "):
+            run_campaign(tmp_path / "c", seeds=2, strategies=["nope"],
+                         backend="serial")
+        with pytest.raises(ValueError, match="unknown generator profile 'nope'; "):
+            run_campaign(tmp_path / "c", profile="nope", seeds=2,
+                         strategies=["serial"], backend="serial")
+        assert not (tmp_path / "c").exists()
 
     def test_status_snapshot(self, tmp_path):
         with pytest.raises(CampaignInterrupted):
@@ -471,6 +484,11 @@ class TestFuzzParity:
                     "ok", "violation_count", "warning_count"):
             assert report[key] == fuzz[key], key
 
+    def test_unknown_strategy_refused_like_a_campaign(self):
+        with pytest.raises(ValueError) as exc:
+            run_fuzz(seeds=2, strategies=["nope", "session"])
+        assert str(exc.value).startswith("unknown scheduling strategy 'nope'; ")
+
 
 class TestShrinker:
     def test_shrink_is_one_minimal(self):
@@ -664,7 +682,7 @@ class TestCampaignCli:
                      broken_strategy, "--backend", "serial"]) == 1
         report = json.loads((tmp_path / "c" / "report.json").read_text())
         repro_file = str(tmp_path / "c" / report["findings"][0]["file"])
-        _REGISTRY.pop(broken_strategy)
+        STRATEGIES.pop(broken_strategy)
         try:
             assert main(["campaign", "replay", repro_file]) == 1
             assert "DOES NOT FIRE" in capsys.readouterr().out

@@ -331,7 +331,7 @@ class TestFuzzCommand:
         """A deliberately broken plugin strategy must be caught and turn
         the exit code — the differential harness's whole point."""
         from repro.sched import SharingPolicy
-        from repro.sched.registry import _REGISTRY, register_scheduler
+        from repro.sched.registry import STRATEGIES, register_scheduler
         from repro.sched.session import schedule_serial
 
         @register_scheduler("lossy")
@@ -346,13 +346,13 @@ class TestFuzzCommand:
             assert "task-coverage" in out
             assert "reproduce a chip with" in out
         finally:
-            _REGISTRY.pop("lossy", None)
+            STRATEGIES.pop("lossy", None)
 
     def test_violations_set_exit_code_json(self, capsys):
         """--json must carry the verdict in-band (ok=false,
         violation_count>0) and still exit 1."""
         from repro.sched import SharingPolicy
-        from repro.sched.registry import _REGISTRY, register_scheduler
+        from repro.sched.registry import STRATEGIES, register_scheduler
         from repro.sched.session import schedule_serial
 
         @register_scheduler("lossy")
@@ -366,7 +366,7 @@ class TestFuzzCommand:
             assert doc["ok"] is False
             assert doc["violation_count"] > 0
         finally:
-            _REGISTRY.pop("lossy", None)
+            STRATEGIES.pop("lossy", None)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(SystemExit):
@@ -380,7 +380,7 @@ class TestFuzzCommand:
     def test_crashing_strategy_recorded_not_fatal(self, capsys):
         """A plugin scheduler that raises must become a reported
         violation with replay coordinates, not a sweep-killing traceback."""
-        from repro.sched.registry import _REGISTRY, register_scheduler
+        from repro.sched.registry import STRATEGIES, register_scheduler
 
         @register_scheduler("explosive")
         def explosive(soc, tasks, *, n_sessions=None, policy=None):
@@ -394,7 +394,7 @@ class TestFuzzCommand:
             assert "ZeroDivisionError: boom" in out
             assert "reproduce a chip with" in out
         finally:
-            _REGISTRY.pop("explosive", None)
+            STRATEGIES.pop("explosive", None)
 
 
 class TestBatchCommand:
@@ -454,7 +454,7 @@ class TestBatchCommand:
         """``batch --verify`` under a schedule-dropping strategy must
         exit non-zero — scripts gate on it."""
         from repro.sched import SharingPolicy
-        from repro.sched.registry import _REGISTRY, register_scheduler
+        from repro.sched.registry import STRATEGIES, register_scheduler
         from repro.sched.session import schedule_serial
 
         @register_scheduler("lossy")
@@ -466,13 +466,13 @@ class TestBatchCommand:
                          "--verify"]) == 1
             assert "1 violations" in capsys.readouterr().out
         finally:
-            _REGISTRY.pop("lossy", None)
+            STRATEGIES.pop("lossy", None)
 
     def test_verify_violation_json_exit_code(self, capsys):
         """The --json variant must agree with the human one: ok=false
         in the document AND exit 1."""
         from repro.sched import SharingPolicy
-        from repro.sched.registry import _REGISTRY, register_scheduler
+        from repro.sched.registry import STRATEGIES, register_scheduler
         from repro.sched.session import schedule_serial
 
         @register_scheduler("lossy")
@@ -486,7 +486,7 @@ class TestBatchCommand:
             assert doc["ok"] is False
             assert doc["items"][0]["verification_ok"] is False
         finally:
-            _REGISTRY.pop("lossy", None)
+            STRATEGIES.pop("lossy", None)
 
     def test_generated_spec_json_carries_verification(self, capsys):
         assert main(["batch", "gen-tiny-5", "--verify", "--json"]) == 0

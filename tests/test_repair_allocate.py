@@ -16,7 +16,7 @@ from repro.repair import (
     solve_exact,
     solve_greedy,
 )
-from repro.repair.registry import _REGISTRY
+from repro.repair.registry import ALLOCATORS
 from repro.soc import RedundancySpec
 
 
@@ -177,4 +177,4 @@ class TestRegistry:
             resolve_allocation("test_plugin", bitmap((0, 0)), RedundancySpec(1, 0))
             assert len(calls) == 1
         finally:
-            _REGISTRY.pop("test_plugin", None)
+            ALLOCATORS.pop("test_plugin", None)

@@ -10,7 +10,7 @@ from repro.sched import (
     schedule_sessions,
     tasks_from_soc,
 )
-from repro.sched.registry import _REGISTRY
+from repro.sched.registry import STRATEGIES
 from repro.soc import Soc
 from repro.soc.demo import build_demo_core
 
@@ -50,7 +50,7 @@ class TestRegistry:
             result = resolve_schedule("always_serial", soc, tasks)
             assert result.total_time == resolve_schedule("serial", soc, tasks).total_time
         finally:
-            _REGISTRY.pop("always_serial", None)
+            STRATEGIES.pop("always_serial", None)
 
     def test_nonsession_keeps_dedicated_pin_premise(self):
         """The registry must not leak the session-sharing policy into the

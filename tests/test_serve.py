@@ -242,6 +242,15 @@ class TestOtherJobKinds:
         assert doc["schema"] == "repro/fuzz-report/v2"
         assert doc["ok"] is True and len(doc["scenarios"]) == 2
 
+    def test_fuzz_job_with_unknown_strategy_fails(self, server):
+        """An unknown strategy fails the sweep (it is no scheduler crash
+        in every scenario), and a failed sweep is not cached."""
+        payload = {"kind": "fuzz", "seeds": 1, "strategies": ["nope"]}
+        for _ in range(2):
+            job = server.wait(server.submit(payload)["id"])
+            assert job["status"] == "failed" and job["cached"] is False
+            assert "unknown scheduling strategy 'nope'" in job["error"]
+
     def test_repair_job(self, server):
         job = server.wait(server.submit({
             "kind": "repair", "soc": {"name": "dsc"}, "trials": 20,
@@ -590,16 +599,17 @@ class TestRequestKeyMemo:
 
         from repro.gen import profiles
 
-        monkeypatch.setattr(profiles, "_REGISTRY", dict(profiles._REGISTRY))
+        # ``setitem`` takes the profile out again when the test ends
+        monkeypatch.setitem(
+            profiles.PROFILES, "memo-guard",
+            replace(profiles.TINY, name="memo-guard", cores=(2, 2)),
+        )
         payload = {
             "kind": "integrate",
             "soc": {"spec": {"profile": "memo-guard", "seed": 1}},
         }
         manager = JobManager(workers=1)
         try:
-            profiles.register_profile(
-                replace(profiles.TINY, name="memo-guard", cores=(2, 2))
-            )
             before = _settle(manager.submit(payload))
             profiles.register_profile(
                 replace(profiles.TINY, name="memo-guard", cores=(5, 5))
@@ -623,7 +633,9 @@ class TestRequestKeyMemo:
         from repro.serve.keys import normalize_payload
         from repro.serve.runners import content_address
 
-        monkeypatch.setattr(profiles, "_REGISTRY", dict(profiles._REGISTRY))
+        monkeypatch.setitem(
+            profiles.PROFILES, "queue-guard", GenProfile(name="queue-guard", cores=(2, 2))
+        )
         release = threading.Event()
         real_execute = jobs.execute
 
@@ -638,7 +650,6 @@ class TestRequestKeyMemo:
         }
         manager = JobManager(workers=1)
         try:
-            profiles.register_profile(GenProfile(name="queue-guard", cores=(2, 2)))
             job = manager.submit(payload)
             profiles.register_profile(GenProfile(name="queue-guard", cores=(6, 6)))
             release.set()

@@ -54,7 +54,7 @@ class TestControlIos:
     and 2 SE signals'."""
 
     def test_total_is_19(self, dsc):
-        assert dsc.raw_control_ios == 19
+        assert sum(c.control_needs.total for c in dsc.wrapped_cores) == 19
 
     def test_class_breakdown(self, dsc):
         needs = [dsc.core(n).control_needs for n in ("USB", "TV", "JPEG")]

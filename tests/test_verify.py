@@ -61,14 +61,6 @@ class TestReport:
         with pytest.raises(ValueError, match="severity"):
             Violation("r", "s", "m", severity="fatal")
 
-    def test_merge_folds_rules_and_violations(self):
-        a = VerificationReport(soc_name="x")
-        a.check("one")
-        b = VerificationReport(soc_name="x")
-        b.add("two", "s", "boom")
-        a.merge(b)
-        assert set(a.rules_checked) == {"one", "two"} and not a.ok
-
 
 class TestAcceptsLegalSchedules:
     @pytest.mark.parametrize("strategy", ["session", "nonsession", "serial"])
@@ -327,7 +319,7 @@ class TestPipelineIntegration:
         assert result.verification.ok
 
         # sabotage: a scheduler plugin that drops every other task
-        from repro.sched.registry import _REGISTRY, register_scheduler
+        from repro.sched.registry import STRATEGIES, register_scheduler
 
         @register_scheduler("lossy")
         def lossy(soc, tasks, *, n_sessions=None, policy=None):
@@ -342,7 +334,7 @@ class TestPipelineIntegration:
                     verify_strict=True, strategy="lossy",
                 )).integrate(soc)
         finally:
-            _REGISTRY.pop("lossy", None)
+            STRATEGIES.pop("lossy", None)
 
     def test_batch_surfaces_verification(self):
         socs = [SocGenerator(s, "tiny").generate() for s in range(3)]
@@ -361,7 +353,7 @@ class TestPipelineIntegration:
         — the chip integrated — but flips ``verified_ok`` and therefore
         the batch-level ``ok`` (object, document, and CLI exit code all
         agree)."""
-        from repro.sched.registry import _REGISTRY, register_scheduler
+        from repro.sched.registry import STRATEGIES, register_scheduler
         from repro.sched.session import schedule_serial
 
         @register_scheduler("lossy-batch")
@@ -384,4 +376,4 @@ class TestPipelineIntegration:
             assert doc["items"][0]["verification_ok"] is False
             assert "violations" in batch.render()
         finally:
-            _REGISTRY.pop("lossy-batch", None)
+            STRATEGIES.pop("lossy-batch", None)
