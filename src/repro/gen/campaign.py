@@ -362,7 +362,10 @@ class Campaign:
         (raising :class:`CampaignInterrupted`) — the deterministic
         "interrupt" used by tests and the CI smoke.
         """
-        config = self.config
+        # resolving the stored definition again changes nothing, but
+        # refuses a name not registered in this process (a resume without
+        # the plugin that created the campaign) before any file is touched
+        config = self.config.resolved()
         state = self.state
         if progress is not None:
             progress.start(config.seeds)

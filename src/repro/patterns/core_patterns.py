@@ -87,26 +87,3 @@ class CorePatternSet:
     chain_order: list[str] = field(default_factory=list)
     scan_vectors: list[ScanVector] = field(default_factory=list)
     functional_vectors: list[FunctionalVector] = field(default_factory=list)
-
-    def validate_against_chains(self, chain_lengths: dict[str, int]) -> list[str]:
-        """Check every scan vector's load/unload lengths match the chain
-        lengths; returns problem strings (empty = clean)."""
-        problems = []
-        for i, vec in enumerate(self.scan_vectors):
-            for chain, bits in vec.loads.items():
-                expected = chain_lengths.get(chain)
-                if expected is None:
-                    problems.append(f"vector {i}: unknown chain {chain!r}")
-                elif len(bits) != expected:
-                    problems.append(
-                        f"vector {i}: chain {chain!r} load is {len(bits)} bits, "
-                        f"chain length is {expected}"
-                    )
-            for chain, bits in vec.unloads.items():
-                expected = chain_lengths.get(chain)
-                if expected is not None and len(bits) != expected:
-                    problems.append(
-                        f"vector {i}: chain {chain!r} unload is {len(bits)} bits, "
-                        f"chain length is {expected}"
-                    )
-        return problems

@@ -44,9 +44,17 @@ The candidate-``k`` loop and the local-search rounds are additionally
 pruned against the session lower bound
 (:func:`repro.sched.bounds.session_schedule_floor`): once the incumbent
 reaches the floor, nothing can *strictly* improve, so stopping early
-cannot change the answer.  The pre-incremental search and the unbounded
-local search are retained under ``tests/oracles/`` as differential-test
-oracles — the engines are bit-identical by construction and by test.
+cannot change the answer.  Nor can stopping the loop after a feasible
+count whose local search kept a member-less session in every state it
+passed through (the seed and each accepted move): ties go to the lowest
+index, so count ``k+1`` seeds as count ``k`` plus one empty session and
+scans each move into it right after the same move into an earlier empty
+one (a swap with an empty session has no candidates), so it accepts the
+same moves in the same rounds and ties; ties keep the earlier count, and
+by induction so does every later count.  The pre-incremental search
+(over the whole window) and the unbounded local search are retained
+under ``tests/oracles/`` as differential-test oracles — the engines are
+bit-identical by construction and by test.
 """
 
 from __future__ import annotations
@@ -92,7 +100,8 @@ _M_MOVES_PRUNED = METRICS.counter(
 )
 _M_CANDIDATES_PRUNED = METRICS.counter(
     "sched.candidates.pruned",
-    "candidate session counts skipped once the incumbent hit the floor",
+    "candidate session counts skipped because the incumbent hit the floor "
+    "or an earlier count kept an empty session throughout its search",
 )
 _M_FLOOR_EXITS = METRICS.counter(
     "sched.floor_exits", "local-search terminations by reason"
@@ -410,7 +419,7 @@ def _local_search(
     floor: int,
     max_rounds: int = 60,
     stats: Optional[dict] = None,
-) -> tuple[list[tuple[int, ...]], int]:
+) -> tuple[list[tuple[int, ...]], int, bool]:
     """First-improvement local search (moves, then swaps), incremental.
 
     A move or swap touches two sessions: only those two memberships are
@@ -434,7 +443,10 @@ def _local_search(
     incumbent reaches ``floor`` — every feasible makespan is ≥ the
     floor, so no *strict* improvement exists and the reference search's
     remaining rounds would scan and accept nothing.  Returns the
-    improved memberships and their makespan.
+    improved memberships, their makespan, and whether every state passed
+    through kept a member-less session (module docstring), from a running
+    count: a move emptying its source adds one, a move into an empty
+    session removes one, and a swap changes none.
 
     ``stats`` (when given) accumulates search telemetry — plain local
     integer counters, flushed by the caller, so the hot loop never
@@ -453,6 +465,8 @@ def _local_search(
     sum_len = sum(ln for ln in lengths if ln)
     active = sum(1 for ln in lengths if ln)
     best_total = _makespan(sum_len, active, reconfig)
+    empty = members.count(())
+    kept_empty = empty > 0
     rounds = moves = bounded = pruned = 0
     exit_reason = "max_rounds"
     drops: list = [None] * k
@@ -502,6 +516,8 @@ def _local_search(
                 a = a0 + (len_src > 0) + (len_dst > 0)
                 total = s0 + len_src + len_dst + reconfig * (a - 1) if a else 0
                 if total < best_total:
+                    empty += (not keys[ti]) - (not members[dst])
+                    kept_empty = kept_empty and empty > 0
                     members[src], members[dst] = keys[ti], new_dst
                     lengths[src], lengths[dst] = len_src, len_dst
                     sum_len, active, best_total = s0 + len_src + len_dst, a, total
@@ -559,7 +575,7 @@ def _local_search(
         stats["moves_bounded"] += bounded
         stats["moves_pruned"] += pruned
         stats["exits"][exit_reason] += 1
-    return members, best_total
+    return members, best_total, kept_empty
 
 
 def schedule_sessions(
@@ -583,13 +599,13 @@ def schedule_sessions(
     the returned session count; pass ``n_sessions`` to pin the count
     exactly.  The best feasible result is returned.
 
-    Candidate counts are pruned against the session lower bound: once
-    the incumbent makespan reaches
-    :func:`~repro.sched.bounds.session_schedule_floor`, no remaining
-    candidate can strictly improve it (ties keep the earlier candidate,
-    exactly as the unpruned loop would), so the loop stops.  The result
-    is bit-identical to the retained pre-incremental search, the test
-    oracle ``schedule_sessions_reference``.
+    The loop stops once no remaining count can strictly improve the
+    incumbent (ties keep the earlier count, as the full loop would): at
+    :func:`~repro.sched.bounds.session_schedule_floor`, or after a
+    feasible count whose search kept an empty session throughout, which
+    every larger count repeats (module docstring).  The result is
+    bit-identical to the retained pre-incremental search over the whole
+    window, the test oracle ``schedule_sessions_reference``.
     """
     if not tasks:
         return ScheduleResult(soc_name=soc.name, strategy="session-based",
@@ -620,11 +636,14 @@ def schedule_sessions(
                 if seeded is None:
                     continue
                 members, lengths = seeded
-                members, total = _local_search(
+                members, total, kept_empty = _local_search(
                     members, lengths, evaluator, reconfig, floor, stats=stats
                 )
                 if best_total is None or total < best_total:
                     best_members, best_total = members, total
+                if kept_empty:  # every larger k repeats this search
+                    candidates_pruned = len(candidates) - ci - 1
+                    break
             if sp.id is not None:
                 sp.set(
                     floor=floor, makespan=best_total,

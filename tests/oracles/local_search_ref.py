@@ -6,8 +6,11 @@ drop-one memberships once per round.  This body is kept verbatim as the
 oracle for ``tests/test_sched_incremental.py``: it slices and looks up
 both touched memberships for every candidate it scans.  Patched in as
 ``repro.sched.session._local_search``, it must give the same schedule
-and the same ``rounds`` and ``moves`` counts as the shipped search.  Do
-not optimize it; its value is being the unoptimized baseline.
+and the same ``rounds`` and ``moves`` counts as the shipped search.  It
+counts member-less sessions as the shipped search does, only to return
+the flag that stops the candidate-count window; the search itself is
+unchanged.  Do not optimize it; its value is being the unoptimized
+baseline.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ def local_search_reference(
     floor: int,
     max_rounds: int = 60,
     stats: Optional[dict] = None,
-) -> tuple[list[tuple[int, ...]], int]:
+) -> tuple[list[tuple[int, ...]], int, bool]:
     """First-improvement local search (moves, then swaps), incremental.
 
     A move or swap touches two sessions: only those two memberships are
@@ -34,7 +37,10 @@ def local_search_reference(
     stop early once the incumbent reaches ``floor`` — every feasible
     makespan is ≥ the floor, so no *strict* improvement exists and the
     reference search's remaining rounds would scan and accept nothing.
-    Returns the improved memberships and their makespan.
+    Returns the improved memberships, their makespan, and whether a
+    member-less session was kept in every state the search passed
+    through (the seed and each accepted candidate), as the shipped
+    search reports it.
 
     ``stats`` (when given) accumulates search telemetry — plain local
     integer counters, flushed by the caller, so the hot loop never
@@ -50,6 +56,8 @@ def local_search_reference(
     sum_len = sum(ln for ln in lengths if ln)
     active = sum(1 for ln in lengths if ln)
     best_total = _makespan(sum_len, active, reconfig)
+    empty = members.count(())
+    kept_empty = empty > 0
     rounds = moves = pruned = 0
     exit_reason = "max_rounds"
     for _ in range(max_rounds):
@@ -86,6 +94,8 @@ def local_search_reference(
                         a += 1
                 total = _makespan(s, a, reconfig)
                 if total < best_total:
+                    empty += (not new_src) - (not members[dst])
+                    kept_empty = kept_empty and empty > 0
                     members[src], members[dst] = new_src, new_dst
                     lengths[src], lengths[dst] = len_src, len_dst
                     sum_len, active, best_total = s, a, total
@@ -138,4 +148,4 @@ def local_search_reference(
         stats["moves"] += moves
         stats["moves_pruned"] += pruned
         stats["exits"][exit_reason] += 1
-    return members, best_total
+    return members, best_total, kept_empty

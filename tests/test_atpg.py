@@ -24,6 +24,8 @@ from repro.soc.demo import build_demo_core, build_demo_core_module
 from repro.stil import core_from_stil, core_to_stil
 from repro.wrapper import generate_wrapper
 
+from oracles.scan_vectors import chain_length_problems
+
 
 def make_and_or() -> Module:
     # y = (a & b) | c
@@ -215,7 +217,7 @@ class TestGenerateScanPatterns:
 
     def test_vectors_well_formed(self, atpg):
         chain_lengths = {"c0": 2}
-        assert atpg.patterns.validate_against_chains(chain_lengths) == []
+        assert chain_length_problems(atpg.patterns, chain_lengths) == []
         assert all(len(v.pi) == 3 for v in atpg.patterns.scan_vectors)
 
     def test_stil_round_trip_preserves_vectors(self, atpg):

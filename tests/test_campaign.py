@@ -299,6 +299,28 @@ class TestResume:
         with pytest.raises(ValueError, match="definition changed"):
             resume_campaign(tmp_path / "c")
 
+    def test_resume_refuses_unregistered_plugin_strategy(self, tmp_path):
+        """A campaign created with a plugin strategy, resumed in a
+        process without the plugin, is refused before it touches the
+        directory: the strategy is not run as a crash in every resumed
+        scenario and shrunk into a finding."""
+        STRATEGIES.register("plugin", STRATEGIES.lookup("serial"))
+        try:
+            with pytest.raises(CampaignInterrupted):
+                run_campaign(tmp_path / "c", profile="tiny", seeds=4,
+                             chunk_size=2, strategies=["plugin"],
+                             backend="serial", max_chunks=1)
+        finally:
+            STRATEGIES.pop("plugin", None)
+        files = [tmp_path / "c" / name
+                 for name in ("checkpoint.json", "scenarios.jsonl")]
+        before = [path.read_bytes() for path in files]
+        with pytest.raises(ValueError, match="unknown scheduling strategy 'plugin'; "):
+            resume_campaign(tmp_path / "c")
+        assert [path.read_bytes() for path in files] == before
+        doc = campaign_status(tmp_path / "c")
+        assert doc["done"] == 2 and doc["complete"] is False
+
     def test_resume_refuses_foreign_checkpoint_schema(self, tmp_path):
         with pytest.raises(CampaignInterrupted):
             run_campaign(tmp_path / "c", profile="tiny", seeds=4,

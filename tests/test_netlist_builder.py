@@ -8,6 +8,8 @@ from repro.atpg import generate_scan_patterns
 from repro.netlist import Simulator
 from repro.netlist.builder import random_combinational, random_scan_core
 
+from oracles.scan_vectors import chain_length_problems
+
 
 class TestRandomCombinational:
     def test_structure(self):
@@ -57,7 +59,7 @@ class TestRandomScanCore:
         and the suite detects what the fault simulator says it does."""
         module, core = random_scan_core("rc", n_inputs=4, n_gates=12, n_flops=4, seed=seed)
         result = generate_scan_patterns(module, core)
-        assert result.patterns.validate_against_chains({"c0": 4}) == []
+        assert chain_length_problems(result.patterns, {"c0": 4}) == []
         assert 0.0 <= result.coverage <= 100.0
         detected = len(result.fault_result.detected)
         undetected = len(result.fault_result.undetected)

@@ -4,15 +4,16 @@ the retained reference implementation.
 ``repro.sched.session`` evaluates candidate moves by delta — only the
 one or two sessions a move touches are re-evaluated, memoized session
 lengths are reused corpus-wide, candidates a session-length lower bound
-rules out are dismissed without a lookup, and the search short-circuits
-once the incumbent reaches the computable floor.  None of that may
-change a single byte of output: ``schedule_sessions_reference``
+rules out are dismissed without a lookup, the search short-circuits
+once the incumbent reaches the computable floor, and the candidate-count
+window stops after a count whose search kept an empty session.  None of
+that may change a single byte of output: ``schedule_sessions_reference``
 (``tests/oracles/session_ref.py``) keeps the original full-
-rematerialization search verbatim, and these tests race the two on
-generated corpora and on the d695 golden workload, comparing the
-canonical JSON serialization bit for bit.  The unbounded local search
-(``tests/oracles/local_search_ref.py``) races the bounded one on the
-search's own counters too.
+rematerialization search verbatim over the whole window, and these
+tests race the two on generated corpora and on the d695 golden
+workload, comparing the canonical JSON serialization bit for bit.  The
+unbounded local search (``tests/oracles/local_search_ref.py``) races
+the bounded one on the search's own counters too.
 """
 
 import copy
@@ -42,7 +43,8 @@ from repro.sched import (  # noqa: E402
     tasks_from_soc,
 )
 from repro.sched import session as session_module  # noqa: E402
-from repro.sched.session import _SessionEvaluator  # noqa: E402
+from repro.sched.bounds import exclusive_tallies  # noqa: E402
+from repro.sched.session import MAX_SESSIONS, _SessionEvaluator  # noqa: E402
 from repro.sched.timecalc import ScanTimeModel  # noqa: E402
 from repro.soc import Soc, TestKind  # noqa: E402
 from repro.soc.dsc import build_dsc_chip  # noqa: E402
@@ -200,6 +202,47 @@ class TestBoundedSearch:
         assert bounded == unbounded
 
 
+class TestWindowStop:
+    """The premise of the candidate-count loop's stop: once a count's
+    local search kept a member-less session in every state it passed
+    through, every larger count in the window schedules exactly as that
+    count does, so the counts the loop skips could not have won."""
+
+    @settings(max_examples=40, **COMMON)
+    @given(chip=st.one_of(
+               st.tuples(st.sampled_from(["tiny", "small", "d695-like"]),
+                         st.integers(min_value=0, max_value=10_000)),
+               st.tuples(st.just("large"), st.integers(min_value=0, max_value=35))),
+           policy=POLICIES)
+    def test_counts_after_the_stop_schedule_like_it(self, chip, policy):
+        profile, seed = chip
+        soc = SocGenerator(seed, profile).generate()
+        tasks = tasks_for(soc)
+        search, searched = session_module._local_search, []
+
+        def recording(members, *args, **kwargs):
+            result = search(members, *args, **kwargs)
+            searched.append((len(members), result[2]))
+            return result
+
+        before = METRICS.value("sched.candidates.pruned")
+        with mock.patch.object(session_module, "_local_search", recording):
+            schedule_sessions(soc, tasks, policy=policy)
+        skipped = METRICS.value("sched.candidates.pruned") - before
+        # the loop stops at the first count that kept an empty session
+        assert not any(kept for _, kept in searched[:-1]), searched
+        stop, kept = searched[-1]
+        if not kept:
+            return
+        forced = max(exclusive_tallies((t, 1) for t in tasks).values())
+        later = range(stop + 1, min(len(tasks), forced + MAX_SESSIONS - 1) + 1)
+        assert skipped == len(later), (searched, skipped)
+        expected = schedule_sessions(soc, tasks, n_sessions=stop, policy=policy).to_dict()
+        for k in later:
+            assert schedule_sessions(soc, tasks, n_sessions=k, policy=policy).to_dict() \
+                == expected, f"{profile} seed={seed} policy={policy}: k={k} vs {stop}"
+
+
 class TestLengthBound:
     """The contract the search's bound rests on, on real CompileBist
     tasks under any sharing policy and pin budget: adding a task to a
@@ -280,15 +323,19 @@ class TestGoldenAnchor:
 class TestTraversal:
     """The search's path, not just its answer: rounds, moves evaluated,
     memo hits and misses, candidates the session-length bound dismissed,
-    and the makespan are pinned per chip.  A drift in the neighbourhood,
-    its order, the bound, or the memo's accounting (seeding the memo with
-    the empty membership, say) fails here even when the schedule
-    survives.  Rounds, moves and makespans are those of the unbounded
-    search; the bound removes memo lookups only."""
+    candidate session counts skipped, and the makespan are pinned per
+    chip.  A drift in the neighbourhood, its order, the bound, the
+    window's stop, or the memo's accounting (seeding the memo with the
+    empty membership, say) fails here even when the schedule survives.
+    Rounds, moves and makespans are those of the unbounded search; the
+    bound removes memo lookups only.  The counts after one whose search
+    kept an empty session are skipped, and they only re-read
+    memberships already priced, so the misses are those of the full
+    window."""
 
     COUNTERS = ("sched.rounds", "sched.moves.evaluated",
                 "cache.evaluator_memo.hits", "cache.evaluator_memo.misses",
-                "sched.moves.bounded")
+                "sched.moves.bounded", "sched.candidates.pruned")
 
     def traversal(self, soc, tasks):
         before = [METRICS.value(name) for name in self.COUNTERS]
@@ -299,17 +346,17 @@ class TestTraversal:
     def test_d695(self):
         soc = d695_soc(test_pins=48)
         assert self.traversal(soc, tasks_from_soc(soc)) == \
-            [43, 1_539, 1_449, 193, 850, 31_073]
+            [13, 324, 284, 193, 105, 5, 31_073]
 
     def test_dsc(self):
         soc = build_dsc_chip()
         assert self.traversal(soc, tasks_for(soc)) == \
-            [3, 222, 288, 47, 129, 2_410_258]
+            [2, 140, 188, 47, 78, 1, 2_410_258]
 
     def test_large(self):
         soc = SocGenerator(4, "large").generate()
         assert self.traversal(soc, tasks_for(soc)) == \
-            [16, 2_660, 1_914, 98, 2_476, 169_575]
+            [4, 539, 279, 98, 493, 6, 169_575]
 
 
 class TestBounds:

@@ -746,6 +746,7 @@ class TestObservability:
             "repro_sched_moves_evaluated",
             "repro_sched_moves_bounded",
             "repro_sched_moves_pruned",
+            "repro_sched_candidates_pruned",
             # plus the serve layer's own families
             "repro_serve_jobs_submitted",
             "repro_serve_job_run_seconds_bucket",
