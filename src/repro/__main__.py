@@ -41,9 +41,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import sys
+
+from repro.util import document_text
 
 
 @contextlib.contextmanager
@@ -68,30 +69,6 @@ def _maybe_trace(args: argparse.Namespace):
         print(f"wrote {count} span(s) to {path}", file=sys.stderr)
 
 
-def _strategy_choices() -> list[str]:
-    from repro.sched.registry import available_strategies
-
-    return available_strategies()
-
-
-def _allocator_choices() -> list[str]:
-    from repro.repair.registry import available_allocators
-
-    return available_allocators()
-
-
-def _profile_choices() -> list[str]:
-    from repro.gen.profiles import available_profiles
-
-    return available_profiles()
-
-
-def _backend_choices() -> list[str]:
-    from repro.core.batch import BACKENDS
-
-    return list(BACKENDS)
-
-
 #: The sweep definition ``fuzz`` and ``campaign run`` share: the
 #: options :func:`_add_sweep_options` declares, passed on as keywords.
 _SWEEP_OPTIONS = (
@@ -108,6 +85,8 @@ def _add_sweep_options(
 ) -> None:
     """Declare the sweep options on ``parser``, with ``seeds`` chips by
     default."""
+    from repro.core.batch import BACKENDS
+
     parser.add_argument("--seeds", type=int, default=seeds,
                         help="number of generated chips (one seed each)")
     parser.add_argument("--seed-base", type=int, default=0,
@@ -121,7 +100,7 @@ def _add_sweep_options(
                         help="skip the exact MILP above this task count")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker count for the sweep (default: 1)")
-    parser.add_argument("--backend", choices=_backend_choices(), default="auto",
+    parser.add_argument("--backend", choices=BACKENDS, default="auto",
                         help="executor backend for the sweep")
 
 
@@ -263,9 +242,8 @@ def _cmd_d695(args: argparse.Namespace) -> int:
     soc = _resolve({"name": "d695", "test_pins": args.pins}, "d695")
     result = resolve_schedule(args.strategy, soc, tasks_from_soc(soc))
     if args.json:
-        print(json.dumps(
-            {"schema": "repro/schedule-result/v1", "soc": soc.name, **result.to_dict()},
-            indent=2, sort_keys=True,
+        print(document_text(
+            {"schema": "repro/schedule-result/v1", "soc": soc.name, **result.to_dict()}
         ))
     else:
         print(result.render())
@@ -306,7 +284,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
         model_rows=args.model_rows,
     )
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(document_text(doc))
     else:
         print(render_repair_report(doc))
     return 0
@@ -322,7 +300,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     generator = SocGenerator(args.seed, args.profile)
     socs = [generator.generate(i) for i in range(args.count)]
     if args.json:
-        text = json.dumps({
+        text = document_text({
             "schema": "repro/generated-soc/v1",
             "profile": args.profile,
             "seed": args.seed,
@@ -339,7 +317,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 }
                 for soc in socs
             ],
-        }, indent=2, sort_keys=True) + "\n"
+        }) + "\n"
         if args.out:
             with open(args.out, "w") as handle:
                 handle.write(text)
@@ -392,7 +370,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     violation_count = report["violation_count"]
     ok = report["ok"]
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(document_text(report))
         return 0 if ok else 1
     table = Table(
         ["SOC", "Tasks", "LB"] + strategies + ["Roundtrip"],
@@ -488,7 +466,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         if args.action == "status":
             doc = campaign_status(args.dir)
             if args.json:
-                print(json.dumps(doc, indent=2, sort_keys=True))
+                print(document_text(doc))
             else:
                 state = "complete" if doc["complete"] else "in progress"
                 print(f"campaign {args.dir}: {state}, {doc['done']}/{doc['total']} "
@@ -499,7 +477,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         if args.action == "replay":
             doc = replay_repro(args.dir)
             if args.json:
-                print(json.dumps(doc, indent=2, sort_keys=True))
+                print(document_text(doc))
             else:
                 sig = doc["signature"]
                 verdict = "fires" if doc["fires"] else "DOES NOT FIRE"
@@ -524,7 +502,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     except (FileExistsError, FileNotFoundError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(document_text(report))
     else:
         print(_render_campaign_report(report))
     return 0 if report["ok"] else 1
@@ -620,9 +598,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.core.batch import BACKENDS
     from repro.gen.corpus import NAMED_CHIPS
+    from repro.gen.profiles import PROFILES
+    from repro.repair.registry import ALLOCATORS
+    from repro.sched.registry import STRATEGIES
 
-    strategies = _strategy_choices()
+    strategies = STRATEGIES.names()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="STEAC SOC test integration platform (Wu, DATE 2005 reproduction)",
@@ -652,7 +634,7 @@ def main(argv: list[str] | None = None) -> int:
                               "(default: a DSC pin-budget sweep)")
     p_batch.add_argument("--workers", type=int, default=None,
                          help="worker count (default: one per SOC, capped at CPUs)")
-    p_batch.add_argument("--backend", choices=_backend_choices(), default="auto",
+    p_batch.add_argument("--backend", choices=BACKENDS, default="auto",
                          help="executor backend (auto picks serial for trivial "
                               "batches, process otherwise)")
     p_batch.add_argument("--strategy", choices=strategies, default="session",
@@ -696,7 +678,7 @@ def main(argv: list[str] | None = None) -> int:
                           help="Monte-Carlo chips sampled")
     p_repair.add_argument("--workers", type=int, default=None,
                           help="Monte-Carlo process count (default: serial)")
-    p_repair.add_argument("--allocator", choices=_allocator_choices(), default="greedy",
+    p_repair.add_argument("--allocator", choices=ALLOCATORS.names(), default="greedy",
                           help="repair allocator (registry name)")
     p_repair.add_argument("--defects", type=int, default=3,
                           help="defects injected per memory in the diagnosis table")
@@ -717,7 +699,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_strat.set_defaults(func=_cmd_strategies)
 
-    profiles = _profile_choices()
+    profiles = PROFILES.names()
     p_gen = sub.add_parser(
         "generate", help="generate synthetic SOCs (repro.gen), in .soc format"
     )
@@ -824,7 +806,7 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--workers", type=int, default=2,
                          help="concurrent jobs (each job parallelizes "
                               "internally via --backend)")
-    p_serve.add_argument("--backend", choices=_backend_choices(), default=None,
+    p_serve.add_argument("--backend", choices=BACKENDS, default=None,
                          help="default executor backend for submitted jobs")
     p_serve.add_argument("--cache-dir", default=None,
                          help="persist cached results to this directory")

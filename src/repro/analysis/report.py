@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import json
-
 from repro.analysis.engine import LintReport
+from repro.util import document_text
 
 LINT_SCHEMA = "repro/lint-report/v1"
 
@@ -23,7 +22,7 @@ def render_human(report: LintReport) -> str:
 
 
 def render_json(report: LintReport) -> str:
-    """The ``repro/lint-report/v1`` document (sorted keys, 2-space)."""
+    """The ``repro/lint-report/v1`` document as :func:`document_text`."""
     doc = {
         "schema": LINT_SCHEMA,
         "ok": report.ok,
@@ -33,4 +32,4 @@ def render_json(report: LintReport) -> str:
         "suppressed": report.suppressed,
         "findings": [finding.to_dict() for finding in report.findings],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return document_text(doc)

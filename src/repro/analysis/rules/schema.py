@@ -41,6 +41,7 @@ from typing import Iterable, Optional
 from repro.analysis.engine import FileContext
 from repro.analysis.findings import Finding
 from repro.analysis.registry import ProjectRule, register_rule
+from repro.util import document_text, publish
 
 #: The committed schema-id → fingerprint map, relative to the repo root.
 FINGERPRINT_FILE = "src/repro/analysis/schema_fingerprints.json"
@@ -212,7 +213,7 @@ def write_fingerprints(
         ),
         "schemas": fingerprints,
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    publish(path, document_text(doc) + "\n")
 
 
 @register_rule

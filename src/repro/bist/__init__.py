@@ -6,15 +6,7 @@ controller, sequencers, per-memory TPGs), and power-aware BIST
 scheduling that plugs into the Core Test Scheduler.
 """
 
-from repro.bist.backgrounds import (
-    IntraWordCouplingFault,
-    WordMarchResult,
-    WordMemory,
-    WordStuckBitFault,
-    run_word_march,
-    standard_backgrounds,
-    word_march_cycles,
-)
+from repro.bist.backgrounds import standard_backgrounds, word_march_cycles
 from repro.bist.compiler import BistEngine, BistRunResult, Brains, BrainsConfig
 from repro.bist.controller import make_bist_controller
 from repro.bist.faults import (
@@ -66,11 +58,6 @@ from repro.bist.sequencer import MicroOp, make_sequencer, microcode
 from repro.bist.tpg import TpgRunResult, make_tpg, march_cycles, run_tpg
 
 __all__ = [
-    "IntraWordCouplingFault",
-    "WordMarchResult",
-    "WordMemory",
-    "WordStuckBitFault",
-    "run_word_march",
     "standard_backgrounds",
     "word_march_cycles",
     "BistEngine",

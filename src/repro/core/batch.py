@@ -54,7 +54,6 @@ through it; it is the only code that builds a process pool.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -72,7 +71,7 @@ from typing import (
 from repro.core.results import BATCH_SCHEMA, IntegrationResult
 from repro.obs import TRACER, span, tracing_enabled
 from repro.soc.soc import Soc
-from repro.util import Table, format_cycles
+from repro.util import Table, document_text, format_cycles
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.steac import Steac, SteacConfig
@@ -183,8 +182,8 @@ class BatchResult:
             "items": [item.to_dict() for item in self.items],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return document_text(self.to_dict())
 
     def render(self) -> str:
         """One-line-per-SOC batch summary table."""

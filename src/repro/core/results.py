@@ -55,11 +55,9 @@ InsertDft's closed-form cell counts: the document needs no netlist.
 
 from __future__ import annotations
 
-import json
-
 from repro.core.pipeline import FlowContext
 from repro.netlist import AreaReport, cell_area
-from repro.util import Table, format_cycles
+from repro.util import Table, document_text, format_cycles
 
 RESULT_SCHEMA = "repro/integration-result/v4"
 # bumped alongside the item schema: batch documents embed v4 item
@@ -152,9 +150,10 @@ class IntegrationResult(FlowContext):
             "stage_seconds": {k: round(v, 6) for k, v in self.stage_seconds.items()},
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        """``to_dict()`` as JSON text; round-trips through ``json.loads``."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """``to_dict()`` as :func:`repro.util.document_text`; round-trips
+        through ``json.loads``."""
+        return document_text(self.to_dict())
 
     # -- console report ----------------------------------------------------
 

@@ -12,13 +12,13 @@ scenarios to workers only through :func:`repro.gen.fuzzing.sweep`.  A
     seed range, strategies, chunk size, backend.  Written once at
     creation; resume refuses a directory whose definition changed.
 ``checkpoint.json``
-    All mutable progress, written **atomically** (temp file + fsync +
-    ``os.replace``) at every chunk barrier: the seed cursor,
-    per-strategy stats, dedupe keys already seen, findings, accumulated
-    runtime, and a digest of the resolved definition (resume refuses a
-    mismatch).  The checkpoint is RNG-free — every scenario is
-    regenerated from its ``(profile, seed)`` coordinates — so a resumed
-    campaign is deterministic.  An in-flight chunk accumulates its
+    All mutable progress, written **atomically** by
+    :func:`repro.util.publish` (temp file, fsync, ``os.replace``) at
+    every chunk barrier: the seed cursor, per-strategy stats, dedupe
+    keys already seen, findings, accumulated runtime, and a digest of
+    the resolved definition (resume refuses a mismatch).  The checkpoint
+    is RNG-free — every scenario is regenerated from its ``(profile,
+    seed)`` coordinates — so a resumed campaign is deterministic.  An in-flight chunk accumulates its
     effects in a *staged copy* of this state and folds them in only at
     the barrier, so the in-memory checkpoint state is persistable at
     any instant.
@@ -76,6 +76,7 @@ from repro.gen.fuzzing import (
     sweep,
 )
 from repro.obs import METRICS, JobProgress, span
+from repro.util import document_text, publish
 
 CAMPAIGN_SCHEMA = "repro/campaign/v1"
 CHECKPOINT_SCHEMA = "repro/campaign-checkpoint/v1"
@@ -202,24 +203,6 @@ class _Checkpoint:
         return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
 
-def _json_text(doc: dict) -> str:
-    """A campaign JSON file's bytes."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Crash-safe write, the one way the campaign writes a file whole:
-    temp file in the same directory, fsync, ``os.replace`` — a reader
-    (or a resume after ``kill -9``) sees the old file or the new one,
-    never a torn or unsynced half."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
 class CampaignInterrupted(Exception):
     """Internal marker: the chunk loop stopped at a barrier without
     finishing (``max_chunks`` pause); state is checkpointed."""
@@ -255,7 +238,7 @@ class Campaign:
         campaign.dir.mkdir(parents=True, exist_ok=True)
         campaign.findings_dir.mkdir(exist_ok=True)
         config_doc = campaign.config.to_dict()
-        _write_atomic(campaign.config_path, _json_text(config_doc))
+        publish(campaign.config_path, document_text(config_doc) + "\n")
         campaign.state = _Checkpoint(
             config_digest=_config_digest(config_doc),
             strategy_stats={
@@ -324,7 +307,7 @@ class Campaign:
     # -- persistence ---------------------------------------------------------
 
     def _checkpoint(self) -> None:
-        _write_atomic(self.checkpoint_path, _json_text(self.state.to_dict()))
+        publish(self.checkpoint_path, document_text(self.state.to_dict()) + "\n")
 
     def _truncate_scenarios(self) -> None:
         """Drop scenario-log lines past the checkpoint cursor — the
@@ -535,12 +518,12 @@ class Campaign:
         text = _REPRO_PREFIX + json.dumps(replay, sort_keys=True) + "\n" + body
         path = self.dir / finding["file"]
         path.parent.mkdir(exist_ok=True)
-        _write_atomic(path, text)
+        publish(path, text)
 
     def _finish(self) -> dict:
         """Assemble (and persist) the final report."""
         report = self.report()
-        _write_atomic(self.report_path, _json_text(report))
+        publish(self.report_path, document_text(report) + "\n")
         return report
 
     def report(self) -> dict:

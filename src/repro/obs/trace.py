@@ -42,7 +42,7 @@ import itertools
 import json
 import threading
 import time
-from typing import IO, Any, Optional, Union
+from typing import Any, Optional
 
 
 class Span:
@@ -191,17 +191,13 @@ class Tracer:
                 merged["parent"] = mapping.get(r["parent"], parent)
                 self._records.append(merged)
 
-    def export_jsonl(self, path_or_file: Union[str, IO[str]]) -> int:
-        """Write every record as one JSON object per line; returns the
-        record count."""
+    def export_jsonl(self, path: str) -> int:
+        """Write every record to ``path`` as one JSON object per line;
+        returns the record count."""
         records = self.records()
-        if hasattr(path_or_file, "write"):
+        with open(path, "w") as handle:
             for record in records:
-                path_or_file.write(json.dumps(record, sort_keys=True) + "\n")
-        else:
-            with open(path_or_file, "w") as handle:
-                for record in records:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
         return len(records)
 
 
@@ -230,13 +226,10 @@ def disable_tracing() -> None:
 # -- replay / aggregation ----------------------------------------------------
 
 
-def load_jsonl(path_or_file: Union[str, IO[str]]) -> list[dict[str, Any]]:
+def load_jsonl(path: str) -> list[dict[str, Any]]:
     """Read records back from a ``--trace-out`` JSONL file."""
-    if hasattr(path_or_file, "read"):
-        lines = path_or_file.read().splitlines()
-    else:
-        with open(path_or_file) as handle:
-            lines = handle.read().splitlines()
+    with open(path) as handle:
+        lines = handle.read().splitlines()
     return [json.loads(line) for line in lines if line.strip()]
 
 

@@ -45,7 +45,6 @@ from repro.sched.timecalc import (
     WIR_PROGRAM_CYCLES,
     ScanTimeModel,
     clear_scan_time_cache,
-    core_scan_time,
     functional_test_time,
     scan_test_time,
     scan_time_cache_stats,
@@ -88,7 +87,6 @@ __all__ = [
     "tasks_from_soc",
     "ScanTimeModel",
     "clear_scan_time_cache",
-    "core_scan_time",
     "scan_time_cache_stats",
     "functional_test_time",
     "scan_test_time",

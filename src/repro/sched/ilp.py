@@ -33,7 +33,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.sched.ioalloc import BIST_PORT_PINS
 from repro.sched.result import ScheduledTest, ScheduleResult, Session, TestTask
-from repro.sched.session import InfeasibleScheduleError, build_session
+from repro.sched.session import InfeasibleScheduleError, _finalize_sessions, build_session
 from repro.sched.timecalc import SESSION_RECONFIG_CYCLES
 from repro.soc.soc import Soc
 
@@ -71,22 +71,23 @@ def schedule_ilp(
     """Optimal session-based schedule with at most ``n_sessions`` sessions.
 
     Zero-duration tasks (zero-pattern tests) are excluded from the MILP
-    and re-attached as one trailing zero-length no-op session — the same
-    treatment the session heuristic applies — because a zero-length test
-    conflicts with nothing and costs nothing, so it cannot affect the
-    optimum (modelling it would wrongly charge ``reconfig`` per used
-    session and break the ``ilp <= heuristic`` invariant).
+    and re-attached as one trailing zero-length no-op session by
+    :func:`~repro.sched.session._finalize_sessions`, as the session and
+    serial strategies do, because a zero-length test conflicts with
+    nothing and costs nothing, so it cannot affect the optimum
+    (modelling it would wrongly charge ``reconfig`` per used session and
+    break the ``ilp <= heuristic`` invariant).
     """
     if not tasks:
         return ScheduleResult(soc_name=soc.name, strategy="ilp", pin_budget=soc.test_pins)
-    zero_tasks = [t for t in tasks if t.serial_time == 0]
+    noop = Session(
+        index=0, tests=[ScheduledTest(task=t, width=1) for t in tasks if t.serial_time == 0]
+    )
     tasks = [t for t in tasks if t.serial_time > 0]
     if not tasks:
-        noop = Session(
-            index=0, tests=[ScheduledTest(task=t, width=1, start=0) for t in zero_tasks]
-        )
+        finished, total = _finalize_sessions([noop], reconfig)
         return ScheduleResult(
-            soc_name=soc.name, strategy="ilp", sessions=[noop], total_time=0,
+            soc_name=soc.name, strategy="ilp", sessions=finished, total_time=total,
             pin_budget=soc.test_pins, notes="all tasks zero-length",
         )
     pins = soc.test_pins
@@ -241,34 +242,25 @@ def schedule_ilp(
         if var.kind == "x" and value > 0.5:
             tname, s, w = var.key
             memberships[s].append((task_by_name[tname], w))
-    out_sessions: list[Session] = []
-    offset = 0
+    decoded: list[Session] = []
     for s in sessions:
         if not memberships[s]:
             continue
         members = [t for t, _ in memberships[s]]
-        session = build_session(len(out_sessions), members, soc)
+        session = build_session(len(decoded), members, soc)
         if session is None:
             # honor the ILP's width choices directly (build_session may
             # reject only due to heuristic width assignment differences)
             session = Session(
-                index=len(out_sessions),
+                index=len(decoded),
                 tests=[ScheduledTest(task=t, width=max(w, 1)) for t, w in memberships[s]],
             )
-        for test in session.tests:
-            test.start = offset
-        offset += session.length + reconfig
-        out_sessions.append(session)
-    total = sum(s.length for s in out_sessions) + reconfig * max(0, len(out_sessions) - 1)
-    if zero_tasks:
-        out_sessions.append(Session(
-            index=len(out_sessions),
-            tests=[ScheduledTest(task=t, width=1, start=total) for t in zero_tasks],
-        ))
+        decoded.append(session)
+    finished, total = _finalize_sessions(decoded + [noop], reconfig)
     return ScheduleResult(
         soc_name=soc.name,
         strategy="ilp",
-        sessions=out_sessions,
+        sessions=finished,
         total_time=total,
         pin_budget=pins,
         notes=f"MILP optimum (HiGHS), objective {result.fun - reconfig:.0f}",

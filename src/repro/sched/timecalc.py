@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 from repro.obs import METRICS
 from repro.soc.core import Core
-from repro.wrapper.balance import (
-    design_wrapper,
-    fill_level,
-    internal_loads,
-    wrapper_cell_counts,
-)
+from repro.wrapper.balance import fill_level, internal_loads, wrapper_cell_counts
 from repro.wrapper.wir import WIR_BITS
 
 #: Cycles to program one wrapper's WIR (shift opcode + update + select).
@@ -75,18 +70,6 @@ def clear_scan_time_cache() -> None:
     perfbench resets caches between ops through this name."""
 
 
-def core_scan_time(core: Core, width: int, patterns: int | None = None) -> int:
-    """Scan test time of ``core`` at TAM width ``width``.
-
-    Uses the balanced wrapper plan for that width; ``patterns`` defaults
-    to the core's total scan pattern count.
-    """
-    if patterns is None:
-        patterns = core.scan_patterns
-    plan = design_wrapper(core, width)
-    return scan_test_time(plan.scan_in_depth, plan.scan_out_depth, patterns)
-
-
 @dataclass(frozen=True)
 class ScanTimeModel:
     """Declarative ``width -> cycles`` model for one core's scan test.
@@ -125,7 +108,8 @@ class ScanTimeModel:
         """Precompute the table for ``core`` over widths ``1..max_width``
         (default: the core's largest useful scan width).
 
-        Each width prices the plan :func:`design_wrapper` would build:
+        Each width prices the plan
+        :func:`~repro.wrapper.balance.design_wrapper` would build:
         the same :func:`internal_loads`, sorted, and the depths its two
         :func:`fill_cells` passes reach, read from :func:`fill_level`
         without building a fill; the cells are counted once per core.

@@ -4,7 +4,9 @@ The platform's four entry points — ``integrate``, ``batch``, ``fuzz``,
 ``repair`` — become *submitted jobs*: ``POST /jobs`` returns a job id,
 ``GET /jobs/<id>`` reports progress, and finished jobs carry the exact
 wire documents (``repro/integration-result/v4`` and friends) the CLI
-emits, so shell and HTTP consumers are byte-comparable.
+emits, both rendered by :func:`repro.util.document_text`, so shell and
+HTTP consumers are byte-comparable: a served result is the matching
+``--json`` stdout without its final newline.
 
 Results are content-addressed: the cache key is sha256 over the
 normalized job config plus the :meth:`repro.soc.Soc.digest` of every

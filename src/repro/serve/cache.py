@@ -14,10 +14,10 @@ Two tiers:
   set — users sweeping the same benchmark chips hit here in
   microseconds;
 * an optional directory store (``cache_dir``) persists every entry as
-  ``<key>.json`` (written atomically: temp file + rename), so cache
-  contents survive server restarts and can be shared between servers on
-  one filesystem.  A memory miss that hits disk is promoted back into
-  the LRU.
+  ``<key>.json`` (written by :func:`repro.util.publish`: temp file,
+  fsync, rename), so cache contents survive server restarts and can be
+  shared between servers on one filesystem.  A memory miss that hits
+  disk is promoted back into the LRU.
 
 A disk entry is a first line ``sha256:<hex digest of the body>`` and
 then the body, the stored text in UTF-8.  Every disk read checks the
@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Optional
+
+from repro.util import publish
 
 
 _DIGEST_PREFIX = b"sha256:"
@@ -126,24 +127,6 @@ def _read_entry(path: Path) -> Optional[str]:
     return None
 
 
-def _write_entry(path: Path, text: str) -> None:
-    """Publish ``text`` at ``path`` atomically: temp file, then rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=f".{path.stem[:8]}-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(_entry_bytes(text))
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 class ResultCache:
     """Thread-safe LRU + optional directory store for result documents.
 
@@ -218,7 +201,8 @@ class ResultCache:
         if path is None:
             return
         try:
-            _write_entry(path, text)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            publish(path, _entry_bytes(text))
         except OSError:
             with self._lock:
                 self.disk_errors += 1

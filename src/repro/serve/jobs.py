@@ -63,6 +63,7 @@ from repro.serve.cache import LruTable, ResultCache
 from repro.serve.keys import JobError, normalize_payload, soc_refs
 from repro.serve.runners import content_address, execute
 from repro.soc.digest import digest_document
+from repro.util import document_text
 
 # v2 adds the nullable ``progress`` key (live done/total/violations for
 # batch and fuzz jobs) and derives queue/run durations from a monotonic
@@ -205,10 +206,10 @@ class Job:
         with the result, when there is one, as its last key.
 
         The result is spliced in from the stored text instead of being
-        parsed and encoded again.  That text is ``result_to_text``'s
-        ``indent=2`` rendering, in which every newline is structural
-        (``json`` escapes one inside a string), so nesting it one level
-        down is a replace.
+        parsed and encoded again.  That text is the result's
+        :func:`repro.util.document_text`, in which every newline is
+        structural (``json`` escapes one inside a string), so nesting it
+        one level down is a replace.
         """
         text = json.dumps(self.to_dict(), indent=2)
         result = self.result_text
@@ -221,12 +222,6 @@ class Job:
 
 def _is_terminal(job: Job) -> bool:
     return job.status in ("done", "failed")
-
-
-def result_to_text(doc: dict) -> str:
-    """The serialized form of a result document — produced exactly once
-    per cache entry, so hits are bit-identical to the populating miss."""
-    return json.dumps(doc, indent=2)
 
 
 class JobManager:
@@ -385,7 +380,7 @@ class JobManager:
                     job.normalized, job.work, job.execution,
                     progress=job.progress,
                 )
-                text = result_to_text(doc)
+                text = document_text(doc)
                 self.cache.put(job.cache_key, text)
                 error = None
             except JobError as exc:

@@ -6,9 +6,11 @@
 :func:`execute` runs the job on those same chips, through the library
 entry points the CLI uses (``Steac.integrate``, ``integrate_many``,
 ``run_fuzz``, ``repair_report``), so a served result is the verbatim
-wire document of the matching shell command, and the chip a cache key
-names is the chip the result was computed on (a generator profile
-re-registered while the job is queued changes neither).  A chip
+wire document of the matching shell command (the worker stores its
+:func:`repro.util.document_text`, which ``--json`` prints), and the
+chip a cache key names is the chip the result was computed on (a
+generator profile re-registered while the job is queued changes
+neither).  A chip
 reference resolves through :func:`repro.gen.corpus.work_item`, the
 resolver the CLI's batch specs use too.  Both raise
 :class:`repro.serve.keys.JobError` for user-caused failures (a

@@ -41,5 +41,5 @@ class VerifySchedule(Stage):
     def execute(self, ctx: FlowContext) -> None:
         ctx.require("schedule")
         report = ctx.verification = verify_integration(ctx)
-        if getattr(ctx.config, "verify_strict", False) and not report.ok:
+        if ctx.config.verify_strict and not report.ok:
             raise InvariantViolationError(report)

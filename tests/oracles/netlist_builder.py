@@ -1,6 +1,7 @@
-"""Procedural netlist construction helpers.
+"""Procedural netlist construction helpers for the tests.
 
-Two generators used across tests, examples and benchmarks:
+Two seeded generators, used only by the tests (``test_netlist_builder``
+and the ATPG engine race):
 
 * :func:`random_combinational` — a seeded random gate cloud (ATPG and
   fault-simulation stress input);

@@ -14,9 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.atpg import CombEngine, ParallelSim
 from repro.netlist import LIBRARY
-from repro.netlist.builder import random_combinational
-
 from oracles import parallel_sim_ref
+from oracles.netlist_builder import random_combinational
 
 #: every combinational library cell; ``random_combinational`` itself
 #: draws only 2-input AND/OR/NAND/NOR/XOR/XNOR gates and BUFs

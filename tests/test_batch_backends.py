@@ -14,8 +14,9 @@ import pytest
 from repro.core import Steac, SteacConfig, integrate_many
 from repro.core.batch import ChunkRunner, resolve_backend
 from repro.gen import ScenarioSpec, scenario_specs
-from repro.sched import ScanTimeModel, core_scan_time, schedule_sessions, tasks_from_soc
+from repro.sched import ScanTimeModel, scan_test_time, schedule_sessions, tasks_from_soc
 from repro.soc.dsc import build_dsc_chip, build_usb_core
+from repro.wrapper.balance import design_wrapper
 
 
 def quick_config() -> SteacConfig:
@@ -27,7 +28,8 @@ class TestScanTimeModelPickle:
         usb = build_usb_core()
         model = ScanTimeModel.for_core(usb, patterns=716, max_width=4)
         for width in range(1, 5):
-            assert model(width) == core_scan_time(usb, width, 716)
+            plan = design_wrapper(usb, width)
+            assert model(width) == scan_test_time(plan.scan_in_depth, plan.scan_out_depth, 716)
 
     def test_model_clamps_out_of_range_widths(self):
         model = ScanTimeModel.for_core(build_usb_core(), patterns=10, max_width=4)

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bist import MARCH_C_MINUS, MATS_PLUS
-from repro.bist.backgrounds import (
+from repro.bist.backgrounds import standard_backgrounds, word_march_cycles
+
+from oracles.word_march import (
     IntraWordCouplingFault,
     WordMemory,
     WordStuckBitFault,
     run_word_march,
-    standard_backgrounds,
-    word_march_cycles,
 )
 
 

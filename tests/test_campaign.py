@@ -460,8 +460,8 @@ class TestFindings:
                                                    broken_strategy,
                                                    monkeypatch):
         """A repro file reaches its name only once it is durable: an
-        fsync that fails mid-write leaves the temp file, never a
-        ``.soc`` a replay would trust."""
+        fsync that fails mid-write leaves neither a ``.soc`` a replay
+        would trust nor the temp file."""
         campaign = Campaign.create(
             tmp_path / "c",
             CampaignConfig(profile="tiny", seeds=1,
@@ -477,7 +477,7 @@ class TestFindings:
             campaign.run()
         findings = tmp_path / "c" / "findings"
         assert list(findings.glob("*.soc")) == []
-        assert len(list(findings.glob("*.soc.tmp"))) == 1
+        assert list(findings.iterdir()) == []
 
 
 class TestFuzzParity:

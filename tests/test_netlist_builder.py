@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.atpg import generate_scan_patterns
 from repro.netlist import Simulator
-from repro.netlist.builder import random_combinational, random_scan_core
-
+from oracles.netlist_builder import random_combinational, random_scan_core
 from oracles.scan_vectors import chain_length_problems
 
 

@@ -8,7 +8,6 @@ leaves the tracer disabled and empty, and metric assertions are
 delta-based (the registry accumulates across tests by design).
 """
 
-import io
 import json
 import threading
 import time
@@ -169,13 +168,6 @@ class TestTraceReplay:
         count = tracer.export_jsonl(str(path))
         assert count == 4
         assert load_jsonl(str(path)) == tracer.records()
-
-    def test_jsonl_file_object(self):
-        tracer = self._sample_tracer()
-        buffer = io.StringIO()
-        tracer.export_jsonl(buffer)
-        buffer.seek(0)
-        assert load_jsonl(buffer) == tracer.records()
 
     def test_span_tree_nests(self):
         tracer = self._sample_tracer()

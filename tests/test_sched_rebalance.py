@@ -75,9 +75,9 @@ class TestRebalanceReport:
     def test_rebalance_improves_test_time(self):
         """The point of the feedback: a soft core at width 4 tests faster
         after re-stitching than the same chains treated as fixed."""
-        from repro.sched import core_scan_time
+        from repro.sched import ScanTimeModel
 
         soft = soft_core("x", lengths=(150, 20, 10))
         hard = soft_core("y", lengths=(150, 20, 10))
         hard.core_type = CoreType.HARD
-        assert core_scan_time(soft, 4, patterns=10) < core_scan_time(hard, 4, patterns=10)
+        assert ScanTimeModel.for_core(soft, 10)(4) < ScanTimeModel.for_core(hard, 10)(4)

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from repro.sched import (
     ScanTimeModel,
-    core_scan_time,
     functional_test_time,
     scan_max_width,
     scan_test_time,
@@ -29,18 +28,17 @@ class TestScanTestTime:
 
     def test_usb_width4_matches_hand_calc(self):
         # USB at width 4: longest chain 1629 dominates; 716 patterns
-        assert core_scan_time(build_usb_core(), 4) == (1 + 1629) * 716 + 1629
+        assert ScanTimeModel.for_core(build_usb_core())(4) == (1 + 1629) * 716 + 1629
 
     def test_usb_width1_matches_hand_calc(self):
         # serialized: si = 2045 flops + 221 input cells, so = 2045 + 104
         si, so = 2045 + 221, 2045 + 104
-        assert core_scan_time(build_usb_core(), 1) == (1 + si) * 716 + so
+        assert ScanTimeModel.for_core(build_usb_core())(1) == (1 + si) * 716 + so
 
     def test_tv_width2(self):
-        tv = build_tv_core()
-        t = core_scan_time(tv, 2)
+        model = ScanTimeModel.for_core(build_tv_core())
         # chains 577/576 plus balanced boundary cells; 229 patterns
-        assert t < core_scan_time(tv, 1)
+        assert model(2) < model(1)
 
     @given(
         si=st.integers(1, 3000),
@@ -80,8 +78,9 @@ class TestWidthHelpers:
 
     @given(w=st.integers(1, 8))
     def test_property_monotone_nonincreasing(self, w):
-        tv = build_tv_core()
-        assert core_scan_time(tv, w + 1) <= core_scan_time(tv, w)
+        # past the useful width too: the table prices every plan up to w + 1
+        model = ScanTimeModel.for_core(build_tv_core(), max_width=w + 1)
+        assert model(w + 1) <= model(w)
 
 
 class TestScanTimeModel:

@@ -27,6 +27,7 @@ from repro.serve import (
     ServeError,
     create_server,
 )
+from repro.util import document_text
 
 TINY = {"kind": "integrate", "soc": {"spec": {"profile": "tiny", "seed": 11}}}
 
@@ -269,9 +270,7 @@ class TestOtherJobKinds:
                   "ilp_max_tasks": 4}
         job = server.wait(server.submit({"kind": "fuzz", **params})["id"])
         assert job["status"] == "done"
-        assert server.result_text(job["id"]) == json.dumps(
-            run_fuzz(**params), indent=2
-        )
+        assert server.result_text(job["id"]) == document_text(run_fuzz(**params))
 
     def test_repair_job_result_is_repair_report_text(self, server):
         """A served repair job is ``repair_report``'s document, byte for
@@ -286,9 +285,27 @@ class TestOtherJobKinds:
             {"kind": "repair", "soc": {"name": "dsc"}, **params}
         )["id"])
         assert job["status"] == "done"
-        assert server.result_text(job["id"]) == json.dumps(
-            repair_report(build_dsc_chip(), **params), indent=2
+        assert server.result_text(job["id"]) == document_text(
+            repair_report(build_dsc_chip(), **params)
         )
+
+    @pytest.mark.parametrize("payload, argv", [
+        ({"kind": "fuzz", "profile": "tiny", "seeds": 3},
+         ["fuzz", "--seeds", "3", "--profile", "tiny"]),
+        ({"kind": "repair", "soc": {"name": "dsc"}, "trials": 20},
+         ["repair", "--trials", "20"]),
+    ], ids=["fuzz", "repair"])
+    def test_result_is_the_shell_json(self, server, capsys, payload, argv):
+        """A served result is ``repro <kind> --json`` stdout without its
+        final newline: both are the document's ``document_text``."""
+        from repro.__main__ import main
+
+        job = server.wait(server.submit(payload)["id"])
+        assert job["status"] == "done"
+        assert main([*argv, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n")
+        assert server.result_text(job["id"]) == out[:-1]
 
     def test_batch_job(self, server):
         job = server.wait(server.submit({

@@ -6,7 +6,6 @@ import errno
 import hashlib
 import json
 import os
-import tempfile
 import threading
 from pathlib import Path
 
@@ -188,13 +187,14 @@ class TestResultCacheDiskFaults:
         assert (cache.hits, cache.misses, cache.disk_hits) == (1, 1, 0)
         assert "disk_errors" not in cache.stats()
 
-    @pytest.mark.parametrize("step", ["mkdir", "mkstemp", "write", "replace"])
+    @pytest.mark.parametrize("step", ["mkdir", "open", "write", "fsync", "replace"])
     def test_failed_write_keeps_the_entry_in_memory(self, tmp_path, monkeypatch, step):
         store = tmp_path / "store"
         target = {
             "mkdir": (Path, "mkdir", _no_space),
-            "mkstemp": (tempfile, "mkstemp", _no_space),
+            "open": (os, "open", _no_space),
             "write": (os, "fdopen", _FullDiskHandle),
+            "fsync": (os, "fsync", _no_space),
             "replace": (os, "replace", _no_space),
         }[step]
         cache = ResultCache(capacity=4, cache_dir=store)
@@ -206,6 +206,22 @@ class TestResultCacheDiskFaults:
         # no entry and no temp file is left behind
         assert not store.exists() or list(store.iterdir()) == []
         assert ResultCache(cache_dir=store).get(KEY_A) is None
+
+    def test_disk_write_is_fsynced(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(os.fstat(fd).st_size)
+            real_fsync(fd)
+
+        cache = ResultCache(capacity=4, cache_dir=tmp_path)
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        cache.put(KEY_A, "a")
+        monkeypatch.undo()
+        entry = tmp_path / f"{KEY_A}.json"
+        assert synced == [entry.stat().st_size]
+        assert ResultCache(cache_dir=tmp_path).get(KEY_A) == "a"
 
     def test_failed_read_is_a_miss(self, tmp_path, monkeypatch):
         ResultCache(cache_dir=tmp_path).put(KEY_A, "a")

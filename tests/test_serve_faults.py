@@ -56,7 +56,7 @@ class TestDiskFaults:
         assert manager.cache.disk_errors == 4  # a read and a write each
 
     def test_full_disk_leaves_the_worker_alive(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.serve.cache.tempfile.mkstemp", _no_space)
+        monkeypatch.setattr(os, "open", _no_space)  # publish's temp file
         manager = JobManager(workers=1, cache=ResultCache(cache_dir=tmp_path))
         try:
             jobs = [manager.submit(_tiny(seed)) for seed in (3, 4)]

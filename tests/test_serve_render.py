@@ -21,7 +21,8 @@ from oracles.serve_job_ref import job_document_reference
 from repro.gen import ScenarioSpec
 from repro.gen.writer import soc_to_text
 from repro.serve import JobManager, ServeClient, create_server
-from repro.serve.jobs import Job, result_to_text
+from repro.serve.jobs import Job
+from repro.util import document_text
 
 TINY = {"kind": "integrate", "soc": {"spec": {"profile": "tiny", "seed": 11}}}
 TINY_TEXT = soc_to_text(ScenarioSpec("tiny", 5, 0).build())
@@ -184,7 +185,7 @@ def _json_documents():
 @given(result=_json_documents())
 def test_splice_equals_reencode_for_any_json_document(result):
     job = Job(id="j-000001", normalized={"kind": "integrate"}, execution={},
-              cache_key="ab" * 32, status="done", result_text=result_to_text(result))
+              cache_key="ab" * 32, status="done", result_text=document_text(result))
     _assert_renders_as_oracle(job)
 
 

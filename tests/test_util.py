@@ -1,8 +1,22 @@
 """Tests for repro.util helpers."""
 
+import errno
+import os
+import stat
+import sys
+import threading
+
 import pytest
 
-from repro.util import Table, check_name, check_non_negative, check_positive, format_cycles, format_gates
+from repro.util import (
+    Table,
+    check_name,
+    check_non_negative,
+    check_positive,
+    format_cycles,
+    format_gates,
+    publish,
+)
 
 
 class TestTable:
@@ -93,3 +107,100 @@ class TestValidators:
             check_name("")
         with pytest.raises(ValueError):
             check_name("a b")
+
+
+def _no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _FullDiskHandle:
+    """``os.fdopen`` over a disk with no space left: the write raises."""
+
+    def __init__(self, fd, mode, real=os.fdopen):
+        self.handle = real(fd, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        _no_space()
+
+
+class TestPublish:
+    @pytest.mark.parametrize("old", [b"old bytes\n", None], ids=["replacing", "creating"])
+    @pytest.mark.parametrize("step, fault", [
+        ("open", _no_space),
+        ("fdopen", _FullDiskHandle),
+        ("fsync", _no_space),
+        ("replace", _no_space),
+    ], ids=["create", "write", "fsync", "replace"])
+    def test_a_fault_leaves_the_old_file_and_no_temp(self, tmp_path, monkeypatch,
+                                                     step, fault, old):
+        path = tmp_path / "doc.json"
+        if old is not None:
+            path.write_bytes(old)
+        monkeypatch.setattr(os, step, fault)
+        with pytest.raises(OSError) as raised:
+            publish(path, "new text\n")
+        monkeypatch.undo()
+        assert raised.value.errno == errno.ENOSPC
+        assert list(tmp_path.iterdir()) == ([path] if old is not None else [])
+        if old is not None:
+            assert path.read_bytes() == old
+
+    def test_writes_text_as_utf8_and_bytes_verbatim(self, tmp_path):
+        path = tmp_path / "doc"
+        publish(path, "d\u00e9 x\n")
+        assert path.read_bytes() == "d\u00e9 x\n".encode("utf-8")
+        publish(str(path), b"\x00raw")
+        assert path.read_bytes() == b"\x00raw"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_is_what_open_for_writing_gives(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            publish(tmp_path / "published", "x")
+            with open(tmp_path / "opened", "w") as handle:
+                handle.write("x")
+        finally:
+            os.umask(previous)
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode)
+                 for name in ("published", "opened")]
+        assert modes[0] == modes[1] == 0o666 & ~umask
+
+    def test_concurrent_publishers_leave_one_complete_body(self, tmp_path):
+        """More writer threads than cores, switching often: a shared
+        temp name would interleave two bodies or lose a rename."""
+        path = tmp_path / "shared.json"
+        writers = min((os.cpu_count() or 1) + 2, 16)
+        bodies = [bytes([ord("a") + i]) * 200_000 for i in range(writers)]
+        start = threading.Barrier(len(bodies))
+        errors = []
+
+        def writer(body):
+            start.wait()
+            try:
+                for _ in range(10):
+                    publish(path, body)
+                    assert path.read_bytes() in bodies
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(body,)) for body in bodies]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert path.read_bytes() in bodies
+        assert list(tmp_path.iterdir()) == [path]
